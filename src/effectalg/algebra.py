@@ -30,6 +30,16 @@ CARRIER_LIMIT = 10**6
 SUM_TABLE_LIMIT = 2048
 
 
+def _is_int(v) -> bool:
+    """An integer that is not a bool (JSON true/false decode to bools)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_grid(obj) -> bool:
+    """A JSON list of lists."""
+    return isinstance(obj, list) and all(isinstance(row, list) for row in obj)
+
+
 @dataclass(frozen=True)
 class Shape:
     """A box shape u = (u_1, ..., u_r), every u_i >= 1."""
@@ -193,10 +203,10 @@ class TableAlgebra:
 
     def __init__(self, size: int, zero: int, one: int,
                  sum_table: Sequence[Sequence[Optional[int]]]):
-        if not isinstance(size, int) or size < 1:
+        if not _is_int(size) or size < 1:
             raise ValueError(f"size must be a positive integer, got {size!r}")
         for name, v in (("zero", zero), ("one", one)):
-            if not isinstance(v, int) or not 0 <= v < size:
+            if not _is_int(v) or not 0 <= v < size:
                 raise ValueError(f"{name} index {v!r} out of range for size {size}")
         if len(sum_table) != size:
             raise ValueError(f"sum table must have {size} rows, got {len(sum_table)}")
@@ -205,7 +215,7 @@ class TableAlgebra:
             if len(row) != size:
                 raise ValueError(f"sum table rows must have {size} entries")
             for v in row:
-                if v is not None and (not isinstance(v, int) or not 0 <= v < size):
+                if v is not None and (not _is_int(v) or not 0 <= v < size):
                     raise ValueError(f"sum entry {v!r} is not None or an index below {size}")
             rows.append(tuple(row))
         self.size = size
@@ -484,7 +494,7 @@ def algebra_from_json(obj: dict) -> FiniteEffectAlgebra:
             if key not in obj:
                 raise ValueError(f'table algebra needs a "{key}" field')
         raw = obj["sum"]
-        if not isinstance(raw, list):
+        if not _is_grid(raw):
             raise ValueError('"sum" must be a list of rows')
         table = [[None if v == -1 else v for v in row] for row in raw]
         alg = TableAlgebra(obj["size"], obj["zero"], obj["one"], table)

@@ -21,7 +21,6 @@ from .algebra import (
     make_simplicial,
 )
 from .errors import CapExceeded, InvalidTableAlgebra, NodeBudgetExceeded
-from .fixtures import FIXTURE_NAMES  # noqa: F401  (re-exported convenience)
 from .maps import DEFAULT_MATRIX_CAP, count_subunital, enumerate_subunital
 from .operations import (
     Operation,
@@ -68,6 +67,13 @@ def _shape(text: str) -> tuple[int, ...]:
     return parts
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as a usage error
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
 def _emit(obj: dict) -> None:
     print(json.dumps(obj))
 
@@ -81,13 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
                         help="worker cap; accepted for compatibility, compute is "
                              "single-threaded and output is identical regardless")
-    common.add_argument("--node-budget", type=int, dest="node_budget",
+    common.add_argument("--node-budget", type=non_negative_int, dest="node_budget",
                         default=argparse.SUPPRESS,
                         help="search node budget (default 10^7)")
 
     parser = _Parser(prog="ea", description="finite effect-algebra workbench")
     parser.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
-    parser.add_argument("--node-budget", type=int, dest="node_budget",
+    parser.add_argument("--node-budget", type=non_negative_int, dest="node_budget",
                         default=DEFAULT_NODE_BUDGET, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="cmd", required=True, metavar="subcommand")
 
@@ -103,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=_shape, required=True)
     p.add_argument("--v", type=_shape)
     p.add_argument("--count-only", action="store_true", dest="count_only")
-    p.add_argument("--cap", type=int, default=DEFAULT_MATRIX_CAP)
+    p.add_argument("--cap", type=non_negative_int, default=DEFAULT_MATRIX_CAP)
     p.set_defaults(func=cmd_matrices)
 
     p = sub.add_parser("count", parents=[common],
@@ -118,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axioms", required=True,
                    choices=["s1s2", "s1s3", "s1s4", "s1s5"])
     p.add_argument("--count-only", action="store_true", dest="count_only")
-    p.add_argument("--cap", type=int, default=DEFAULT_OP_CAP)
+    p.add_argument("--cap", type=non_negative_int, default=DEFAULT_OP_CAP)
     p.add_argument("--out", help="also write the result JSON to this path")
     p.set_defaults(func=cmd_enumerate)
 

@@ -31,12 +31,15 @@ from .algebra import (
     Shape,
     SimplicialAlgebra,
     TableAlgebra,
+    _is_grid,
+    _is_int,
     algebra_from_json,
     make_simplicial,
 )
 from .maps import NotAdditive, is_subunital, matrix_of_map
 
 Matrix = tuple[tuple[int, ...], ...]
+Table = Sequence[Sequence[int]]
 
 AXIOM_NAMES = ("s1", "s2", "s3", "s4", "s5")
 
@@ -71,7 +74,7 @@ class Operation:
                 if len(row) != n:
                     raise ValueError(f"expected table rows of length {n}")
                 for v in row:
-                    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                    if not _is_int(v) or not 0 <= v < n:
                         raise ValueError(f"table entry {v!r} is not an index below {n}")
                 rows.append(tuple(row))
             self.matrices = None
@@ -86,27 +89,13 @@ class Operation:
         return f"Operation({self.algebra!r}, {rep})"
 
     def apply(self, a: int, b: int) -> int:
-        """Index of a o b; matrix families compute it by matrix application."""
-        if self.matrices is None:
-            return self._table[a][b]
-        shape = self.algebra.shape
-        x = shape.coords_of(b)
-        M = self.matrices[a]
-        return shape.index_of(tuple(sum(m * c for m, c in zip(row, x)) for row in M))
+        """Index of a o b."""
+        return self.product_table()[a][b]
 
     def product_table(self) -> tuple[tuple[int, ...], ...]:
         """The full N x N result table, computed once for matrix families."""
         if self._table is None:
-            shape = self.algebra.shape
-            coords = [shape.coords_of(i) for i in range(self.algebra.size)]
-            index_of = shape.index_of
-            rows = []
-            for M in self.matrices:
-                rows.append(tuple(
-                    index_of(tuple(sum(m * c for m, c in zip(row, x)) for row in M))
-                    for x in coords
-                ))
-            self._table = tuple(rows)
+            self._table = matrix_actions(self.algebra, self.matrices)
         return self._table
 
     def to_json(self) -> dict:
@@ -124,17 +113,45 @@ def op_from_json(obj: dict) -> Operation:
         raise ValueError('operation JSON needs an "algebra" field')
     alg = algebra_from_json(obj["algebra"])
     if "table" in obj:
+        if not _is_grid(obj["table"]):
+            raise ValueError('"table" must be a list of rows')
         return Operation(alg, table=obj["table"])
     if "rows" in obj:
         if not isinstance(alg, SimplicialAlgebra):
             raise ValueError("matrix-family operations need a simplicial algebra")
         rows = obj["rows"]
         expected = {str(a) for a in range(alg.size)}
-        if set(rows) != expected:
+        if not isinstance(rows, dict) or set(rows) != expected:
             raise ValueError(f"rows must have exactly the keys 0..{alg.size - 1}")
+        if not all(_is_grid(M) and all(_is_int(m) for row in M for m in row)
+                   for M in rows.values()):
+            raise ValueError("each of rows must be a list of integer rows")
         matrices = tuple(tuple(tuple(r) for r in rows[str(a)]) for a in range(alg.size))
         return Operation(alg, matrices=matrices)
     raise ValueError('operation JSON needs a "table" or "rows" field')
+
+
+def matrix_actions(alg: SimplicialAlgebra,
+                   matrices: Sequence[Matrix]) -> tuple[tuple[int, ...], ...]:
+    """Per matrix, the index of M x for every element x of the box in
+    canonical order: the product-table row of a matrix-family element."""
+    shape = alg.shape
+    coords = [shape.coords_of(i) for i in range(alg.size)]
+    index_of = shape.index_of
+    return tuple(
+        tuple(index_of(tuple(sum(m * c for m, c in zip(row, x)) for row in M))
+              for x in coords)
+        for M in matrices
+    )
+
+
+def _search_survivor(alg: SimplicialAlgebra, matrices: tuple[Matrix, ...],
+                     table: tuple[tuple[int, ...], ...]) -> Operation:
+    """A search survivor: pool matrices from enumerate_subunital, so not
+    re-checked for subunitality, and the table matrix_actions gave for them."""
+    op = Operation(alg, table=table)
+    op.matrices = matrices
+    return op
 
 
 def _identity(r: int) -> Matrix:
@@ -225,6 +242,86 @@ class AxiomReport:
         return out
 
 
+# check_s1 .. check_s5 return the least witness tuple against one axiom on a
+# product table, in the scan orders described at the top of this module, or
+# None when the axiom holds.
+def check_s1(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]:
+    n = alg.size
+    sums = alg.oplus_table()
+    for a in range(n):
+        row = prod[a]
+        for b in range(n):
+            sb = sums[b]
+            ab = row[b]
+            for c in range(b, n):
+                k = sb[c]
+                if k is None:
+                    continue
+                t = sums[ab][row[c]]
+                if t is None or t != row[k]:
+                    return (a, b, c)
+    return None
+
+
+def check_s2(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]:
+    row = prod[alg.one_index]
+    for a in range(alg.size):
+        if row[a] != a:
+            return (a,)
+    return None
+
+
+def check_s3(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]:
+    n, zero = alg.size, alg.zero_index
+    for a in range(n):
+        row = prod[a]
+        for b in range(n):
+            if row[b] == zero and prod[b][a] != zero:
+                return (a, b)
+    return None
+
+
+def check_s4(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]:
+    n = alg.size
+    ortho = alg.ortho_table()
+    for a in range(n):
+        row = prod[a]
+        for b in range(n):
+            if row[b] != prod[b][a]:
+                continue
+            bp = ortho[b]
+            if row[bp] != prod[bp][a]:
+                return (a, b)
+            rowb = prod[b]
+            ab = row[b]
+            for c in range(n):
+                if row[rowb[c]] != prod[ab][c]:
+                    return (a, b, c)
+    return None
+
+
+def check_s5(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]:
+    n = alg.size
+    sums = alg.oplus_table()
+    for a in range(n):
+        rowa = prod[a]
+        for b in range(n):
+            ab = rowa[b]
+            k = sums[a][b]
+            for c in range(n):
+                rowc = prod[c]
+                if rowc[a] != rowa[c] or rowc[b] != prod[b][c]:
+                    continue
+                if rowc[ab] != prod[ab][c]:
+                    return (a, b, c)
+                if k is not None and rowc[k] != prod[k][c]:
+                    return (a, b, c)
+    return None
+
+
+AXIOM_CHECKS = (check_s1, check_s2, check_s3, check_s4, check_s5)
+
+
 def check_axioms(op: Operation, upto: int) -> AxiomReport:
     """Evaluate axioms S1..S<upto> exactly, collecting least witnesses.
 
@@ -234,76 +331,9 @@ def check_axioms(op: Operation, upto: int) -> AxiomReport:
     if not 1 <= upto <= 5:
         raise ValueError(f"upto must be in 1..5, got {upto}")
     alg = op.algebra
-    n = alg.size
     prod = op.product_table()
-    sums = alg.oplus_table()
-    zero, one = alg.zero_index, alg.one_index
-
-    def s1():
-        for a in range(n):
-            row = prod[a]
-            for b in range(n):
-                sb = sums[b]
-                ab = row[b]
-                for c in range(b, n):
-                    k = sb[c]
-                    if k is None:
-                        continue
-                    t = sums[ab][row[c]]
-                    if t is None or t != row[k]:
-                        return (a, b, c)
-        return None
-
-    def s2():
-        row = prod[one]
-        for a in range(n):
-            if row[a] != a:
-                return (a,)
-        return None
-
-    def s3():
-        for a in range(n):
-            row = prod[a]
-            for b in range(n):
-                if row[b] == zero and prod[b][a] != zero:
-                    return (a, b)
-        return None
-
-    def s4():
-        ortho = alg.ortho_table()
-        for a in range(n):
-            row = prod[a]
-            for b in range(n):
-                if row[b] != prod[b][a]:
-                    continue
-                bp = ortho[b]
-                if row[bp] != prod[bp][a]:
-                    return (a, b)
-                rowb = prod[b]
-                ab = row[b]
-                for c in range(n):
-                    if row[rowb[c]] != prod[ab][c]:
-                        return (a, b, c)
-        return None
-
-    def s5():
-        for a in range(n):
-            rowa = prod[a]
-            for b in range(n):
-                ab = rowa[b]
-                k = sums[a][b]
-                for c in range(n):
-                    rowc = prod[c]
-                    if rowc[a] != rowa[c] or rowc[b] != prod[b][c]:
-                        continue
-                    if rowc[ab] != prod[ab][c]:
-                        return (a, b, c)
-                    if k is not None and rowc[k] != prod[k][c]:
-                        return (a, b, c)
-        return None
-
-    checkers = {"s1": s1, "s2": s2, "s3": s3, "s4": s4, "s5": s5}
-    results = {name: checkers[name]() for name in AXIOM_NAMES[:upto]}
+    results = {name: check(alg, prod)
+               for name, check in zip(AXIOM_NAMES[:upto], AXIOM_CHECKS)}
     return AxiomReport(upto=upto, results=results)
 
 

@@ -2,11 +2,13 @@
 
 The S1+S2 candidate space on a box is a Cartesian product: one u-subunital
 matrix per element with the top row pinned to the identity, so it can be
-counted by formula and enumerated directly.  For S3 the search backtracks
-over row assignments in canonical element order, pruning with the
-bidirectional zero condition (M_a b = 0 iff M_b a = 0) against every
-previously assigned row; S4 and S5 are filtered on complete candidates only.
-Nonexistence results are exhaustive or explicitly undecided, never guessed.
+counted by formula and enumerated directly.  For S3 and beyond one S3-pruned
+depth-first search runs over pool indices in canonical element order, keeping
+the bidirectional zero condition (M_a b = 0 iff M_b a = 0) against every
+previously assigned row.  Its leaves are index tables assembled from the pool
+matrices' actions, computed once; S4 and S5 are filtered on those tables, and
+an Operation is built only for a survivor that is kept.  Nonexistence results
+are exhaustive or explicitly undecided, never guessed.
 
 full_bruteforce_ops is the independent oracle: it filters raw N x N tables
 through the checker with no matrix machinery at all.
@@ -16,12 +18,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .algebra import Shape, FiniteEffectAlgebra, SimplicialAlgebra, has_obstruction_atom, make_simplicial
 from .errors import CapExceeded, NodeBudgetExceeded
 from .maps import count_subunital, enumerate_subunital
-from .operations import Matrix, Operation, check_axioms, meet_boolean, sigma_universal
+from .operations import (
+    Matrix,
+    Operation,
+    Table,
+    _identity,
+    _search_survivor,
+    check_axioms,
+    check_s4,
+    check_s5,
+    matrix_actions,
+    meet_boolean,
+    sigma_universal,
+)
 
 DEFAULT_OP_CAP = 10**5
 DEFAULT_NODE_BUDGET = 10**7
@@ -112,141 +126,116 @@ class ChainReport:
     s5_witness: Optional[Operation]
 
 
-def _identity(r: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
-
-
 def count_s1s2(u: Sequence[int]) -> int:
     """#M(u) ** (N - 1): free matrix choices everywhere except the top row."""
     u = tuple(u)
     return count_subunital(u, u) ** (Shape(u).size - 1)
 
 
+def _matrix_families(u: Sequence[int], pin_top: bool, cap: int) -> Iterator[Operation]:
+    """Every choice of one u-subunital matrix per element, elements in
+    canonical order with the later element's choice varying faster; pin_top
+    fixes the top row to the identity (axiom S2)."""
+    u = tuple(u)
+    free = Shape(u).size - int(pin_top)
+    total = count_subunital(u, u) ** free
+    if total > cap:
+        label = "S1+S2" if pin_top else "S1"
+        raise CapExceeded(f"{total} {label} operations exceed the cap {cap}", count=total)
+    alg = make_simplicial(u)
+    pool = [M.rows for M in enumerate_subunital(u, u)]
+    tail = (_identity(alg.shape.r),) if pin_top else ()
+    return (Operation(alg, matrices=choice + tail)
+            for choice in product(pool, repeat=free))
+
+
 def enumerate_s1(u: Sequence[int], cap: int = DEFAULT_OP_CAP) -> Iterator[Operation]:
     """All matrix families with no row constraint at all (axiom S1 only)."""
-    u = tuple(u)
-    alg = make_simplicial(u)
-    total = count_subunital(u, u) ** alg.size
-    if total > cap:
-        raise CapExceeded(f"{total} S1 operations exceed the cap {cap}", count=total)
-    pool = [M.rows for M in enumerate_subunital(u, u)]
-
-    def gen():
-        for choice in product(pool, repeat=alg.size):
-            yield Operation(alg, matrices=choice)
-
-    return gen()
+    return _matrix_families(u, False, cap)
 
 
 def enumerate_s1s2(u: Sequence[int], cap: int = DEFAULT_OP_CAP) -> Iterator[Operation]:
-    """All S1+S2 operations: top row pinned to the identity, every other
-    element assigned each u-subunital matrix, elements in canonical order
-    with the later element's choice varying faster."""
-    u = tuple(u)
-    total = count_s1s2(u)
-    if total > cap:
-        raise CapExceeded(f"{total} S1+S2 operations exceed the cap {cap}", count=total)
-    alg = make_simplicial(u)
-    pool = [M.rows for M in enumerate_subunital(u, u)]
-    ident = _identity(alg.shape.r)
-
-    def gen():
-        for choice in product(pool, repeat=alg.size - 1):
-            yield Operation(alg, matrices=choice + (ident,))
-
-    return gen()
+    """All S1+S2 operations: the S1 families with the top row pinned to the
+    identity."""
+    return _matrix_families(u, True, cap)
 
 
-def _pool_actions(alg: SimplicialAlgebra, pool: list[Matrix]):
-    """Per-matrix action on the carrier and bitmask of elements sent to 0."""
-    shape = alg.shape
-    coords = [shape.coords_of(i) for i in range(alg.size)]
-    action, zmask = [], []
-    for M in pool:
-        act, zm = [], 0
-        for b, x in enumerate(coords):
-            idx = shape.index_of(tuple(sum(m * c for m, c in zip(row, x)) for row in M))
-            act.append(idx)
-            if idx == 0:
-                zm |= 1 << b
-        action.append(tuple(act))
-        zmask.append(zm)
-    return action, zmask
-
-
-def _s3_pruned_choices(alg: SimplicialAlgebra, pool: list[Matrix], node_budget: int,
-                       on_solution: Callable[[tuple[int, ...]], bool]) -> None:
-    """Backtrack over pool indices for elements 0..N-2 (top row fixed to the
-    identity), keeping the bidirectional zero condition M_a b = 0 iff M_b a = 0
-    satisfied for every pair of rows.  Calls on_solution per S3-consistent
-    assignment; a True return aborts the search.
+def _s1sk_survivors(alg: SimplicialAlgebra, pool: list[Matrix], k: int,
+                    node_budget: int) -> Iterator[tuple[tuple[int, ...], Table]]:
+    """Yield (pool indices of rows 0..N-2, product table) for every S1..Sk
+    operation, depth-first over the pool indices of elements 0..N-2 (the top
+    row is the identity), keeping M_a b = 0 iff M_b a = 0 for every pair of
+    rows.  For k >= 4 a leaf's table must also pass S4 (and S5).
 
     One node = one attempted row assignment; crossing node_budget raises.
     """
     n = alg.size
     npool = len(pool)
-    _, zmask = _pool_actions(alg, pool)
-    full = (1 << npool) - 1
-    top = n - 1
+    action = matrix_actions(alg, pool)
+    top_row = tuple(range(n))  # the identity's action
+    # zmask[mi]: elements that pool matrix mi sends to 0;
     # rows_zero_at[b]: pool indices whose matrix sends element b to 0
+    zmask = [0] * npool
     rows_zero_at = [0] * n
-    for mi in range(npool):
-        zm = zmask[mi]
-        for b in range(n):
-            if (zm >> b) & 1:
+    for mi, act in enumerate(action):
+        for b, t in enumerate(act):
+            if t == 0:
+                zmask[mi] |= 1 << b
                 rows_zero_at[b] |= 1 << mi
+    leaf_checks = (check_s4, check_s5)[:k - 3]
 
     # Constraints against the pre-fixed top row (identity): I a = 0 iff a = 0,
     # so element 0 needs M_0 u = 0 and every other element needs M_a u != 0.
-    allowed0 = []
-    for a in range(n - 1):
-        allowed0.append(rows_zero_at[top] if a == 0 else full & ~rows_zero_at[top])
-    if any(m == 0 for m in allowed0):
+    top_zero = rows_zero_at[n - 1]
+    allowed = [top_zero] + [((1 << npool) - 1) & ~top_zero] * (n - 2)
+    if not all(allowed):
         return
-
+    last = n - 2
     choice = [0] * (n - 1)
+    # per depth: the rows still allowed below it, and the untried choices at it
+    allowed_at = [allowed] + [None] * last
+    untried = [allowed[0]] + [0] * last
     nodes = 0
-
-    def dfs(pos: int, allowed: list[int]) -> bool:
-        nonlocal nodes
-        m = allowed[pos]
-        while m:
-            low = m & -m
-            mi = low.bit_length() - 1
-            m ^= low
-            nodes += 1
-            if nodes > node_budget:
-                raise NodeBudgetExceeded(
-                    f"S3 search exceeded the node budget {node_budget}", nodes=nodes
-                )
-            choice[pos] = mi
-            if pos == n - 2:
-                if on_solution(tuple(choice)):
-                    return True
-                continue
-            zm = zmask[mi]
-            narrowed = allowed.copy()
-            dead = False
-            for a in range(pos + 1, n - 1):
-                if (zm >> a) & 1:
-                    na = narrowed[a] & rows_zero_at[pos]
-                else:
-                    na = narrowed[a] & ~rows_zero_at[pos]
-                if na == 0:
-                    dead = True
-                    break
-                narrowed[a] = na
-            if not dead and dfs(pos + 1, narrowed):
-                return True
-        return False
-
-    dfs(0, allowed0)
+    pos = 0
+    while pos >= 0:
+        m = untried[pos]
+        if not m:
+            pos -= 1
+            continue
+        low = m & -m
+        untried[pos] = m ^ low
+        mi = low.bit_length() - 1
+        nodes += 1
+        if nodes > node_budget:
+            raise NodeBudgetExceeded(
+                f"S3 search exceeded the node budget {node_budget}", nodes=nodes
+            )
+        choice[pos] = mi
+        if pos == last:
+            table = tuple(action[i] for i in choice) + (top_row,)
+            if not any(check(alg, table) for check in leaf_checks):
+                yield tuple(choice), table
+            continue
+        zm = zmask[mi]
+        narrowed = allowed_at[pos].copy()
+        for a in range(pos + 1, n - 1):
+            if (zm >> a) & 1:
+                na = narrowed[a] & rows_zero_at[pos]
+            else:
+                na = narrowed[a] & ~rows_zero_at[pos]
+            if na == 0:
+                break
+            narrowed[a] = na
+        else:
+            pos += 1
+            allowed_at[pos] = narrowed
+            untried[pos] = narrowed[pos]
 
 
 def enumerate_s1sk(u: Sequence[int], k: int, cap: int = DEFAULT_OP_CAP,
                    node_budget: int = DEFAULT_NODE_BUDGET) -> SearchResult:
-    """All operations passing S1..Sk for k in 3..5, by S3-pruned backtracking;
-    for k >= 4 the S3 survivors are filtered through the full checker.
+    """All operations passing S1..Sk for k in 3..5, by S3-pruned backtracking
+    with the S4/S5 filter on each leaf's table.
 
     The count is always exact; the operations list is dropped (None) when the
     count exceeds cap.
@@ -257,24 +246,16 @@ def enumerate_s1sk(u: Sequence[int], k: int, cap: int = DEFAULT_OP_CAP,
     alg = make_simplicial(u)
     pool = [M.rows for M in enumerate_subunital(u, u)]
     ident = _identity(alg.shape.r)
-
     count = 0
     ops: Optional[list[Operation]] = []
-
-    def on_solution(choice: tuple[int, ...]) -> bool:
-        nonlocal count, ops
-        op = Operation(alg, matrices=tuple(pool[mi] for mi in choice) + (ident,))
-        if k > 3 and not check_axioms(op, k).all_pass:
-            return False
+    for choice, table in _s1sk_survivors(alg, pool, k, node_budget):
         count += 1
         if ops is not None:
             if count <= cap:
-                ops.append(op)
+                matrices = tuple(pool[mi] for mi in choice) + (ident,)
+                ops.append(_search_survivor(alg, matrices, table))
             else:
                 ops = None
-        return False
-
-    _s3_pruned_choices(alg, pool, node_budget, on_solution)
     return SearchResult(u=u, k=k, count=count, certificate="exhaustive", operations=ops)
 
 
@@ -297,21 +278,11 @@ def exists_s1s4(u: Sequence[int],
         return S4Existence(u=u, exists=True, certificate="witness", witness=op)
 
     pool = [M.rows for M in enumerate_subunital(u, u)]
-    ident = _identity(alg.shape.r)
-    found: list[Operation] = []
-
-    def on_solution(choice: tuple[int, ...]) -> bool:
-        op = Operation(alg, matrices=tuple(pool[mi] for mi in choice) + (ident,))
-        if check_axioms(op, 4).all_pass:
-            found.append(op)
-            return True
-        return False
-
     try:
-        _s3_pruned_choices(alg, pool, node_budget, on_solution)
+        found = next(_s1sk_survivors(alg, pool, 4, node_budget), None)
     except NodeBudgetExceeded:
         return S4Existence(u=u, exists=None, certificate="undecided", witness=None)
-    if found:
+    if found is not None:
         raise RuntimeError(f"an S1-S4 operation turned up on the obstructed shape {u}; "
                            "internal inconsistency")
     return S4Existence(u=u, exists=False, certificate="exhaustive", witness=None)

@@ -201,11 +201,33 @@ def test_check_input_errors(capsys):
         ("check", "--u", "2,1", "--op", "tau:2,1", "--upto", "3"),
         ("check", "--u", "2,1", "--op", "meet", "--upto", "3"),
         ("check", "--u", "1,1", "--op", "/nonexistent/op.json", "--upto", "3"),
+        ("enumerate", "--u", "1,1", "--axioms", "s1s3", "--cap", "-1"),
+        ("enumerate", "--u", "1,1", "--axioms", "s1s3", "--node-budget", "-1"),
     ]
     for argv in cases:
         code, doc, _ = run_json(capsys, *argv)
         assert code == 2, argv
         assert doc["error"] == "malformed_input", argv
+
+
+BOX1 = {"type": "simplicial", "u": [1]}
+
+
+@pytest.mark.parametrize("cmd, doc", [
+    ("algebra", {"type": "table", "size": 2, "zero": 0, "one": 1, "sum": [1, 2]}),
+    ("check", {"algebra": BOX1, "rows": {"0": 5, "1": [[1]]}}),
+    ("check", {"algebra": BOX1, "rows": {"0": [["x"]], "1": [[1]]}}),
+    ("algebra", {"type": "table", "size": True, "zero": 0, "one": 0, "sum": [[0]]}),
+])
+def test_mistyped_json_is_malformed_input(capsys, tmp_path, cmd, doc):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    argv = ("algebra", "--file", str(path)) if cmd == "algebra" else (
+        "check", "--op", str(path), "--upto", "2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert len(out.splitlines()) == 1
+    assert json.loads(out)["error"] == "malformed_input"
 
 
 def test_verify_summary(capsys):

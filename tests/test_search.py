@@ -29,12 +29,14 @@ from effectalg import (
     enumerate_s1s2,
     enumerate_s1sk,
     exists_s1s4,
+    from_full_table,
     full_bruteforce_ops,
     make_simplicial,
     meet_boolean,
     sigma_universal,
     tau_perm,
 )
+from effectalg.operations import AXIOM_NAMES
 
 B2_ELEMS = [(0, 0), (1, 0), (0, 1), (1, 1)]
 B2_MEET_TABLE = ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 2, 2), (0, 1, 2, 3))
@@ -181,12 +183,26 @@ def test_frozen_counts_on_wider_boxes():
 
 def test_pruned_search_agrees_with_the_unpruned_filter():
     for u in [(2,), (3,), (1, 1), (2, 1)]:
-        filtered = [op for op in enumerate_s1s2(u, cap=40000)
-                    if check_axioms(op, 3).all_pass]
-        res = enumerate_s1sk(u, 3, cap=40000)
-        assert res.count == len(filtered)
-        assert ({op.product_table() for op in res.operations}
-                == {op.product_table() for op in filtered})
+        reports = [(op, check_axioms(op, 5)) for op in enumerate_s1s2(u, cap=40000)]
+        for k in (3, 4, 5):
+            filtered = [op for op, rep in reports
+                        if all(rep.passed(ax) for ax in AXIOM_NAMES[:k])]
+            res = enumerate_s1sk(u, k, cap=40000)
+            assert res.count == len(filtered), (u, k)
+            assert ({op.product_table() for op in res.operations}
+                    == {op.product_table() for op in filtered}), (u, k)
+
+
+def test_kept_survivors_are_consistent_operations():
+    # each kept survivor carries its pool matrices and the table the search
+    # assembled; both must describe the same operation, and it must pass
+    for u, k in [((2, 2), 3), ((4, 1), 3), ((1, 1), 4), ((1, 1), 5)]:
+        alg = make_simplicial(u)
+        res = enumerate_s1sk(u, k)
+        assert res.operations is not None and len(res.operations) == res.count
+        for op in res.operations:
+            assert check_axioms(op, k).all_pass, (u, k)
+            assert from_full_table(alg, op.product_table()).matrices == op.matrices
 
 
 def test_search_agrees_with_raw_table_bruteforce():
