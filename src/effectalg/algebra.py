@@ -20,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import CapExceeded, InvalidTableAlgebra
@@ -28,6 +29,9 @@ from .errors import CapExceeded, InvalidTableAlgebra
 CARRIER_LIMIT = 10**6
 # Largest carrier for which a full N x N sum table will be materialized.
 SUM_TABLE_LIMIT = 2048
+
+# Per element b, the pairs (c, b (+) c) with c >= b whose sum is defined.
+SumPairs = tuple[tuple[tuple[int, int], ...], ...]
 
 
 def _is_int(v) -> bool:
@@ -38,6 +42,15 @@ def _is_int(v) -> bool:
 def _is_grid(obj) -> bool:
     """A JSON list of lists."""
     return isinstance(obj, list) and all(isinstance(row, list) for row in obj)
+
+
+def _orthogonal_pairs(sums) -> SumPairs:
+    """Per b, the defined sums as pairs (c, b (+) c) with c >= b, in c order."""
+    n = len(sums)
+    return tuple(
+        tuple((c, row[c]) for c in range(b, n) if row[c] is not None)
+        for b, row in enumerate(sums)
+    )
 
 
 @dataclass(frozen=True)
@@ -70,6 +83,11 @@ class Shape:
             places.append(p)
             p *= ui + 1
         return tuple(places)
+
+    @cached_property
+    def all_coords(self) -> tuple[tuple[int, ...], ...]:
+        """The coordinates of every index, in canonical order."""
+        return tuple(self.coords_of(i) for i in range(self.size))
 
     def index_of(self, coords: Sequence[int]) -> int:
         return sum(c * p for c, p in zip(coords, self._places))
@@ -129,6 +147,7 @@ class SimplicialAlgebra:
         self.one_index = shape.size - 1
         self._sums: Optional[tuple[tuple[Optional[int], ...], ...]] = None
         self._ortho: Optional[tuple[int, ...]] = None
+        self._pairs: Optional[SumPairs] = None
 
     def __repr__(self):
         return f"SimplicialAlgebra(u={self.shape.u})"
@@ -185,6 +204,12 @@ class SimplicialAlgebra:
             )
         return self._ortho
 
+    def orthogonal_pairs(self) -> SumPairs:
+        """Per b, the defined sums (c, b (+) c) with c >= b, memoized."""
+        if self._pairs is None:
+            self._pairs = _orthogonal_pairs(self.oplus_table())
+        return self._pairs
+
     def to_table(self) -> "TableAlgebra":
         """Export the box as an explicit sum table (validation is the caller's call)."""
         return TableAlgebra(self.size, self.zero_index, self.one_index, self.oplus_table())
@@ -223,6 +248,7 @@ class TableAlgebra:
         self.one_index = one
         self.sum_table = tuple(rows)
         self._ortho: Optional[tuple[int, ...]] = None
+        self._pairs: Optional[SumPairs] = None
 
     def __repr__(self):
         return f"TableAlgebra(size={self.size})"
@@ -251,6 +277,12 @@ class TableAlgebra:
                 out.append(partners[0])
             self._ortho = tuple(out)
         return self._ortho
+
+    def orthogonal_pairs(self) -> SumPairs:
+        """Per b, the defined sums (c, b (+) c) with c >= b, memoized."""
+        if self._pairs is None:
+            self._pairs = _orthogonal_pairs(self.oplus_table())
+        return self._pairs
 
     def to_json(self) -> dict:
         return {
@@ -421,7 +453,9 @@ def validate_table_algebra(alg: TableAlgebra) -> ValidationReport:
     order: commutativity over pairs (a, b); associativity with definedness
     agreement over triples (a, b, c); unique orthosupplement per element;
     the zero-one law (a (+) 1 defined forces a = 0); and positivity
-    (a (+) b = 0 forces a = b = 0) as a derived sanity check.
+    (a (+) b = 0 forces a = b = 0) as a derived sanity check.  The
+    associativity law is tested a whole row of c at a time, and c is scanned
+    only in a failing row, so the witness is the same least triple.
     """
     n = alg.size
     s = alg.sum_table
@@ -436,15 +470,22 @@ def validate_table_algebra(alg: TableAlgebra) -> ValidationReport:
         return None
 
     def associativity():
+        # Undefined is the sentinel index n, with a sentinel row and column,
+        # so (a (+) b) (+) c and a (+) (b (+) c) are both plain lookups that
+        # agree exactly when the law (definedness included) holds.  Row
+        # ext[ab] is compared with ext[a] read through row ext[b] in one
+        # step; c is scanned only on a mismatch, for the least witness.
+        ext = [tuple(n if v is None else v for v in row) + (n,) for row in s]
+        through = [itemgetter(*row) for row in ext]
+        ext.append((n,) * (n + 1))
         for a in range(n):
+            row_a = ext[a]
             for b in range(n):
-                ab = s[a][b]
-                for c in range(n):
-                    bc = s[b][c]
-                    left = None if ab is None else s[ab][c]
-                    right = None if bc is None else s[a][bc]
-                    if (left is None) != (right is None) or left != right:
-                        return {"a": a, "b": b, "c": c}
+                if ext[row_a[b]] != through[b](row_a):
+                    row_ab, row_b = ext[row_a[b]], ext[b]
+                    for c in range(n):
+                        if row_ab[c] != row_a[row_b[c]]:
+                            return {"a": a, "b": b, "c": c}
         return None
 
     def orthosupplement_law():
@@ -480,7 +521,11 @@ def algebra_to_json(alg: FiniteEffectAlgebra) -> dict:
 
 
 def algebra_from_json(obj: dict) -> FiniteEffectAlgebra:
-    """Decode an algebra object; table inputs are validated eagerly."""
+    """Decode an algebra object; table inputs are validated eagerly.
+
+    A table whose size is over SUM_TABLE_LIMIT is refused (CapExceeded)
+    before its sum table is read.
+    """
     if not isinstance(obj, dict):
         raise ValueError("algebra JSON must be an object")
     kind = obj.get("type")
@@ -493,11 +538,18 @@ def algebra_from_json(obj: dict) -> FiniteEffectAlgebra:
         for key in ("size", "zero", "one", "sum"):
             if key not in obj:
                 raise ValueError(f'table algebra needs a "{key}" field')
+        size = obj["size"]
+        if _is_int(size) and size > SUM_TABLE_LIMIT:
+            raise CapExceeded(
+                f"table algebra of {size} elements is over the sum table "
+                f"limit {SUM_TABLE_LIMIT}",
+                count=size,
+            )
         raw = obj["sum"]
         if not _is_grid(raw):
             raise ValueError('"sum" must be a list of rows')
         table = [[None if v == -1 else v for v in row] for row in raw]
-        alg = TableAlgebra(obj["size"], obj["zero"], obj["one"], table)
+        alg = TableAlgebra(size, obj["zero"], obj["one"], table)
         report = validate_table_algebra(alg)
         if not report.ok:
             raise InvalidTableAlgebra(report)

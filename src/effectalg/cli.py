@@ -84,7 +84,7 @@ def _note(text: str) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--threads", type=non_negative_int, default=argparse.SUPPRESS,
                         help="worker cap; accepted for compatibility, compute is "
                              "single-threaded and output is identical regardless")
     common.add_argument("--node-budget", type=non_negative_int, dest="node_budget",
@@ -92,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="search node budget (default 10^7)")
 
     parser = _Parser(prog="ea", description="finite effect-algebra workbench")
-    parser.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
+    parser.add_argument("--threads", type=non_negative_int, default=1,
+                        help=argparse.SUPPRESS)
     parser.add_argument("--node-budget", type=non_negative_int, dest="node_budget",
                         default=DEFAULT_NODE_BUDGET, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="cmd", required=True, metavar="subcommand")

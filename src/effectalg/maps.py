@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import mul
 from typing import Iterator, Optional, Sequence, Union
 
 from .algebra import Elem, Shape, SimplicialAlgebra
@@ -207,29 +208,46 @@ def matrix_of_map(dom: SimplicialAlgebra, cod: SimplicialAlgebra,
     for t in images:
         if not isinstance(t, Elem) or t.shape != cod.shape:
             raise ValueError("images must be elements of the codomain")
-    r = dom.shape.r
-    cols = []
-    for i in range(r):
-        e = Elem(tuple(1 if j == i else 0 for j in range(r)), dom.shape)
-        cols.append(images[e.index].coords)
-    rows = tuple(tuple(cols[j][i] for j in range(r)) for i in range(cod.shape.r))
+    indices = [t.index for t in images]
+    rows = _matrix_rows(dom, cod, indices)
+    if rows is None:
+        return _broken_pair(dom, cod, indices)
+    return SubunitalMatrix(rows, dom.shape, cod.shape)
 
-    agrees = True
-    for x in dom.elements():
-        y = tuple(sum(m * c for m, c in zip(row, x.coords)) for row in rows)
-        if y != images[x.index].coords:
-            agrees = False
-            break
-    if agrees:
-        return SubunitalMatrix(rows, dom.shape, cod.shape)
 
+def _matrix_rows(dom: SimplicialAlgebra, cod: SimplicialAlgebra,
+                 images: Sequence[int]) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The rows of the (u, v)-subunital M with t(x) = M x for every x, where
+    t(x) is the codomain index images[x], or None when t is no such action."""
+    u = dom.shape.u
+    # the unit vector e_i has index _places[i]; w[i] is the index of t(e_i),
+    # the i-th column of M
+    w = [images[p] for p in dom.shape._places]
+    # The index is linear in the coordinates on [0, v].  So t = M exactly
+    # when M u = t(u), which puts every M x in [0, v], and t(x) is
+    # sum_i x_i w[i] as an index for every x.
+    linear = [0]
+    for ui, wi in zip(u, w):
+        linear = [x + c * wi for c in range(ui + 1) for x in linear]
+    if linear != list(images):
+        return None
+    ccoords = cod.shape.all_coords
+    rows = tuple(zip(*[ccoords[wi] for wi in w]))
+    if tuple(sum(map(mul, row, u)) for row in rows) != ccoords[images[-1]]:
+        return None
+    return rows
+
+
+def _broken_pair(dom: SimplicialAlgebra, cod: SimplicialAlgebra,
+                 images: Sequence[int]) -> NotAdditive:
+    """The first orthogonal pair a map that is no matrix action breaks."""
     for i in range(dom.size):
         for j in range(i, dom.size):
             k = dom.oplus_index(i, j)
             if k is None:
                 continue
-            t = cod.oplus_index(images[i].index, images[j].index)
-            if t is None or t != images[k].index:
+            t = cod.oplus_index(images[i], images[j])
+            if t is None or t != images[k]:
                 return NotAdditive((dom.element(i), dom.element(j)))
     raise AssertionError("map disagrees with its unit-vector matrix yet no "
                          "orthogonal pair fails; this should be impossible")

@@ -16,13 +16,18 @@ sequential-product axioms:
 A failed axiom reports the lexicographically least witness tuple in canonical
 element order (for S1 the orthogonal pair is scanned with b <= c, which still
 finds the least witness because the instance is symmetric in b and c; for S4
-the b'-clause is tried before the associativity clause).  replay_witness
-re-evaluates a witness tuple against the operation.
+the b'-clause is tried before the associativity clause).  The S1, S4 and S5
+scans work a row at a time: S1 walks only the defined sums, S4 compares a
+whole composition row in one step and S5 intersects per-element commutant
+bitmasks, and each looks at single entries only to pick the least witness in
+a failing row, so the witnesses are those of the plain element-by-element
+scan.  replay_witness re-evaluates a witness tuple against the operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence, Union
 
 from .algebra import (
@@ -36,7 +41,7 @@ from .algebra import (
     algebra_from_json,
     make_simplicial,
 )
-from .maps import NotAdditive, is_subunital, matrix_of_map
+from .maps import _broken_pair, _matrix_rows, is_subunital
 
 Matrix = tuple[tuple[int, ...], ...]
 Table = Sequence[Sequence[int]]
@@ -74,7 +79,8 @@ class Operation:
                 if len(row) != n:
                     raise ValueError(f"expected table rows of length {n}")
                 for v in row:
-                    if not _is_int(v) or not 0 <= v < n:
+                    # plain ints pass without the _is_int call
+                    if not (type(v) is int or _is_int(v)) or not 0 <= v < n:
                         raise ValueError(f"table entry {v!r} is not an index below {n}")
                 rows.append(tuple(row))
             self.matrices = None
@@ -135,9 +141,8 @@ def matrix_actions(alg: SimplicialAlgebra,
                    matrices: Sequence[Matrix]) -> tuple[tuple[int, ...], ...]:
     """Per matrix, the index of M x for every element x of the box in
     canonical order: the product-table row of a matrix-family element."""
-    shape = alg.shape
-    coords = [shape.coords_of(i) for i in range(alg.size)]
-    index_of = shape.index_of
+    coords = alg.shape.all_coords
+    index_of = alg.shape.index_of
     return tuple(
         tuple(index_of(tuple(sum(m * c for m, c in zip(row, x)) for row in M))
               for x in coords)
@@ -246,19 +251,14 @@ class AxiomReport:
 # product table, in the scan orders described at the top of this module, or
 # None when the axiom holds.
 def check_s1(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]:
-    n = alg.size
     sums = alg.oplus_table()
-    for a in range(n):
-        row = prod[a]
-        for b in range(n):
-            sb = sums[b]
-            ab = row[b]
-            for c in range(b, n):
-                k = sb[c]
-                if k is None:
-                    continue
-                t = sums[ab][row[c]]
-                if t is None or t != row[k]:
+    pairs = alg.orthogonal_pairs()
+    for a, row in enumerate(prod):
+        for b, row_pairs in enumerate(pairs):
+            sums_ab = sums[row[b]]
+            for c, k in row_pairs:
+                # an undefined sum (None) differs from every index
+                if sums_ab[row[c]] != row[k]:
                     return (a, b, c)
     return None
 
@@ -284,6 +284,12 @@ def check_s3(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]
 def check_s4(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]:
     n = alg.size
     ortho = alg.ortho_table()
+    # through[b](row) is the row c |-> row[b o c] (built on first use), so for
+    # a commuting pair the whole composition clause is one comparison with
+    # prod[a o b].  A mismatch is rescanned for the least c; when none turns
+    # up (n = 1, where itemgetter gives a scalar, or rows that are not
+    # tuples) the clause holds.
+    through = [None] * n
     for a in range(n):
         row = prod[a]
         for b in range(n):
@@ -292,30 +298,37 @@ def check_s4(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]
             bp = ortho[b]
             if row[bp] != prod[bp][a]:
                 return (a, b)
-            rowb = prod[b]
-            ab = row[b]
-            for c in range(n):
-                if row[rowb[c]] != prod[ab][c]:
-                    return (a, b, c)
+            get = through[b]
+            if get is None:
+                get = through[b] = itemgetter(*prod[b])
+            row_ab = prod[row[b]]
+            if get(row) != row_ab:
+                rowb = prod[b]
+                for c in range(n):
+                    if row[rowb[c]] != row_ab[c]:
+                        return (a, b, c)
     return None
 
 
 def check_s5(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]:
     n = alg.size
     sums = alg.oplus_table()
+    # comm[x] has bit c set when c o x = x o c.  The c that break S5 at (a, b)
+    # commute with a and b but not with a o b or with a defined a (+) b, and
+    # the least of them is the lowest set bit.
+    comm = [sum(1 << c for c, v in enumerate(row) if v == prod[c][x])
+            for x, row in enumerate(prod)]
     for a in range(n):
-        rowa = prod[a]
+        rowa, suma, comm_a = prod[a], sums[a], comm[a]
         for b in range(n):
-            ab = rowa[b]
-            k = sums[a][b]
-            for c in range(n):
-                rowc = prod[c]
-                if rowc[a] != rowa[c] or rowc[b] != prod[b][c]:
-                    continue
-                if rowc[ab] != prod[ab][c]:
-                    return (a, b, c)
-                if k is not None and rowc[k] != prod[k][c]:
-                    return (a, b, c)
+            both = comm_a & comm[b]
+            if not both:
+                continue
+            k = suma[b]
+            keep = comm[rowa[b]] if k is None else comm[rowa[b]] & comm[k]
+            bad = both & ~keep
+            if bad:
+                return (a, b, (bad & -bad).bit_length() - 1)
     return None
 
 
@@ -421,16 +434,19 @@ def from_full_table(alg: SimplicialAlgebra,
                     table: Sequence[Sequence[int]]) -> Union[Operation, NotS1]:
     """Recover the matrix family of a product table, or refute S1.
 
-    Each row is classified by matrix_of_map; the first non-additive row (with
-    its orthogonal-pair witness) refutes S1.
+    Each row is classified as matrix_of_map does; the first non-additive row
+    (with its orthogonal-pair witness) refutes S1.
     """
     if not isinstance(alg, SimplicialAlgebra):
         raise ValueError("matrix families are only defined on boxes")
+    op = Operation(alg, table=table)
     matrices = []
-    for a, row in enumerate(table):
-        images = [alg.element(t) for t in row]
-        got = matrix_of_map(alg, alg, images)
-        if isinstance(got, NotAdditive):
-            return NotS1(row=a, witness=got.witness)
-        matrices.append(got.rows)
-    return Operation(alg, matrices=tuple(matrices))
+    known: dict = {}  # rows of a table often repeat
+    for a, row in enumerate(op.product_table()):
+        if row not in known:
+            known[row] = _matrix_rows(alg, alg, row)
+        if known[row] is None:
+            return NotS1(row=a, witness=_broken_pair(alg, alg, row).witness)
+        matrices.append(known[row])
+    op.matrices = tuple(matrices)
+    return op

@@ -67,6 +67,18 @@ def test_algebra_invalid_table_exits_one_with_the_report(capsys, tmp_path):
     assert doc["report"]["zero_one"] == {"fail": {"a": 1}}
 
 
+def test_oversized_table_algebra_is_refused_before_its_sum_table(capsys, tmp_path):
+    # the size alone is over the cap, so the (empty) sum table is never read
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(
+        {"type": "table", "size": 2049, "zero": 0, "one": 1, "sum": []}
+    ))
+    code, out, _ = run(capsys, "algebra", "--file", str(path))
+    assert code == 3
+    assert len(out.splitlines()) == 1
+    assert json.loads(out) == {"error": "cap_exceeded", "count": "2049"}
+
+
 def test_matrices_count_only(capsys):
     code, doc, _ = run_json(capsys, "matrices", "--u", "1,1", "--count-only")
     assert code == 0
@@ -203,6 +215,8 @@ def test_check_input_errors(capsys):
         ("check", "--u", "1,1", "--op", "/nonexistent/op.json", "--upto", "3"),
         ("enumerate", "--u", "1,1", "--axioms", "s1s3", "--cap", "-1"),
         ("enumerate", "--u", "1,1", "--axioms", "s1s3", "--node-budget", "-1"),
+        ("--threads", "-3", "enumerate", "--u", "1", "--axioms", "s1s3"),
+        ("enumerate", "--u", "1", "--axioms", "s1s3", "--threads", "-3"),
     ]
     for argv in cases:
         code, doc, _ = run_json(capsys, *argv)
