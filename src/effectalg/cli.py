@@ -304,7 +304,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _note(str(exc))
         return 3
     except NodeBudgetExceeded as exc:
-        _emit({"error": "node_budget_exceeded"})
+        out = {"error": "node_budget_exceeded"}
+        if exc.nodes is not None:
+            out["nodes"] = exc.nodes
+        _emit(out)
         _note(str(exc))
         return 3
     except InvalidTableAlgebra as exc:

@@ -152,7 +152,7 @@ def matrix_actions(alg: SimplicialAlgebra,
 
 def _search_survivor(alg: SimplicialAlgebra, matrices: tuple[Matrix, ...],
                      table: tuple[tuple[int, ...], ...]) -> Operation:
-    """A search survivor: pool matrices from enumerate_subunital, so not
+    """A search candidate: pool matrices from enumerate_subunital, so not
     re-checked for subunitality, and the table matrix_actions gave for them."""
     op = Operation(alg, table=table)
     op.matrices = matrices
@@ -185,6 +185,8 @@ def tau_perm(u, perm: Sequence[int]) -> Operation:
     """The permutation twist on a homogeneous box: a o x is 0 at a = 0, x at
     a = u, and Px in between, where P permutes coordinates by the 1-based
     `perm` (coordinate i of Px is coordinate perm[i] of x)."""
+    if isinstance(u, TableAlgebra):
+        raise ValueError("permutation twists are only defined on boxes")
     alg = u if isinstance(u, SimplicialAlgebra) else make_simplicial(u)
     shape = alg.shape
     if not shape.is_homogeneous():
@@ -208,6 +210,8 @@ def tau_perm(u, perm: Sequence[int]) -> Operation:
 
 def meet_boolean(r) -> Operation:
     """Componentwise minimum on the Boolean box (1, ..., 1); a o b = a AND b."""
+    if isinstance(r, TableAlgebra):
+        raise ValueError("the meet operation is only defined on boxes")
     alg = r if isinstance(r, SimplicialAlgebra) else make_simplicial((1,) * r)
     if any(ui != 1 for ui in alg.shape.u):
         raise ValueError(f"the meet operation needs u = (1,...,1), got {alg.shape.u}")
@@ -344,6 +348,9 @@ def check_axioms(op: Operation, upto: int) -> AxiomReport:
     if not 1 <= upto <= 5:
         raise ValueError(f"upto must be in 1..5, got {upto}")
     alg = op.algebra
+    # S1 reads the sum table; asking for it first lets its size cap refuse an
+    # oversized algebra before the product table is computed
+    alg.oplus_table()
     prod = op.product_table()
     results = {name: check(alg, prod)
                for name, check in zip(AXIOM_NAMES[:upto], AXIOM_CHECKS)}

@@ -10,8 +10,10 @@ matrices' actions, computed once; S4 and S5 are filtered on those tables, and
 an Operation is built only for a survivor that is kept.  Nonexistence results
 are exhaustive or explicitly undecided, never guessed.
 
-full_bruteforce_ops is the independent oracle: it filters raw N x N tables
-through the checker with no matrix machinery at all.
+bruteforce_prefixes is the independent oracle: one pass over the raw N x N
+tables runs each through check_s1, check_s2, ... until its first failure, so
+every axiom prefix S1..Sk is classified at once, with no matrix machinery at
+all; full_bruteforce_ops is its list for one k.
 """
 
 from __future__ import annotations
@@ -24,12 +26,14 @@ from .algebra import Shape, FiniteEffectAlgebra, SimplicialAlgebra, has_obstruct
 from .errors import CapExceeded, NodeBudgetExceeded
 from .maps import count_subunital, enumerate_subunital
 from .operations import (
+    AXIOM_CHECKS,
     Matrix,
     Operation,
     Table,
     _identity,
     _search_survivor,
     check_axioms,
+    check_s1,
     check_s4,
     check_s5,
     matrix_actions,
@@ -144,9 +148,15 @@ def _matrix_families(u: Sequence[int], pin_top: bool, cap: int) -> Iterator[Oper
         raise CapExceeded(f"{total} {label} operations exceed the cap {cap}", count=total)
     alg = make_simplicial(u)
     pool = [M.rows for M in enumerate_subunital(u, u)]
-    tail = (_identity(alg.shape.r),) if pin_top else ()
-    return (Operation(alg, matrices=choice + tail)
-            for choice in product(pool, repeat=free))
+    action = matrix_actions(alg, pool)
+    if pin_top:
+        # the identity's action is the identity row
+        tail, tail_rows = (_identity(alg.shape.r),), (tuple(range(alg.size)),)
+    else:
+        tail, tail_rows = (), ()
+    return (_search_survivor(alg, tuple(pool[i] for i in choice) + tail,
+                             tuple(action[i] for i in choice) + tail_rows)
+            for choice in product(range(len(pool)), repeat=free))
 
 
 def enumerate_s1(u: Sequence[int], cap: int = DEFAULT_OP_CAP) -> Iterator[Operation]:
@@ -350,21 +360,42 @@ def chain_report(n: int, cap: int = DEFAULT_OP_CAP,
     )
 
 
-def full_bruteforce_ops(alg: FiniteEffectAlgebra, k: int,
-                        cap: int = DEFAULT_TABLE_CAP) -> list[Operation]:
-    """Filter ALL N x N tables through check_axioms(., k).
+def bruteforce_prefixes(alg: FiniteEffectAlgebra, upto: int = 5,
+                        cap: int = DEFAULT_TABLE_CAP) -> list[list[Operation]]:
+    """Classify ALL N x N tables by the longest axiom prefix they pass.
 
-    The independent oracle for the structured searches: table representation
-    only, no matrices anywhere.  Tables are generated in canonical function
-    order (last cell varying fastest).
+    Entry k - 1 of the result lists the tables passing S1..Sk, for k in
+    1..upto, in canonical function order (last cell varying fastest).  One
+    pass runs each table through check_s1, check_s2, ... and stops at its
+    first failing axiom, so a table is checked once for every k; an
+    Operation is built only for a table that passes S1.  The independent
+    oracle for the structured searches: table representation only, no
+    matrices anywhere.
     """
+    if not 1 <= upto <= 5:
+        raise ValueError(f"upto must be in 1..5, got {upto}")
     n = alg.size
     total = n ** (n * n)
     if total > cap:
         raise CapExceeded(f"{total} candidate tables exceed the cap {cap}", count=total)
-    out = []
+    passing: list[list[Operation]] = [[] for _ in range(upto)]
+    later = tuple(zip(passing[1:], AXIOM_CHECKS[1:upto]))
+    starts = range(0, n * n, n)
     for flat in product(range(n), repeat=n * n):
-        op = Operation(alg, table=tuple(flat[i * n:(i + 1) * n] for i in range(n)))
-        if check_axioms(op, k).all_pass:
-            out.append(op)
-    return out
+        table = tuple(flat[i:i + n] for i in starts)
+        if check_s1(alg, table) is not None:
+            continue
+        op = Operation(alg, table=table)
+        passing[0].append(op)
+        for ops, check in later:
+            if check(alg, table) is not None:
+                break
+            ops.append(op)
+    return passing
+
+
+def full_bruteforce_ops(alg: FiniteEffectAlgebra, k: int,
+                        cap: int = DEFAULT_TABLE_CAP) -> list[Operation]:
+    """All N x N tables passing S1..Sk, in canonical function order: the
+    last list of bruteforce_prefixes(alg, k, cap)."""
+    return bruteforce_prefixes(alg, k, cap)[k - 1]

@@ -23,12 +23,12 @@ from .operations import (
 from .search import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_OP_CAP,
+    bruteforce_prefixes,
     classify_b2,
     enumerate_s1,
     enumerate_s1s2,
     enumerate_s1sk,
     exists_s1s4,
-    full_bruteforce_ops,
 )
 
 PASS, FAIL, UNDECIDED = "PASS", "FAIL", "UNDECIDED"
@@ -208,9 +208,9 @@ def _criterion9() -> list[SuiteRow]:
 def _criterion10(cap: int, node_budget: int) -> list[SuiteRow]:
     rows = []
     for n in (1, 2):
-        alg = make_simplicial((n,))
-        for k in range(1, 6):
-            brute = {op.product_table() for op in full_bruteforce_ops(alg, k)}
+        by_prefix = bruteforce_prefixes(make_simplicial((n,)))
+        for k, brute_ops in enumerate(by_prefix, start=1):
+            brute = {op.product_table() for op in brute_ops}
             if k == 1:
                 structured = {op.product_table() for op in enumerate_s1((n,))}
             elif k == 2:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from effectalg import make_simplicial, mo2, sigma_universal, tau_perm
+from effectalg import fixture_path, make_simplicial, mo2, sigma_universal, tau_perm
 from effectalg.cli import main
 
 
@@ -154,7 +154,7 @@ def test_enumerate_node_budget_exceeded(capsys):
     code, doc, _ = run_json(capsys, "--node-budget", "5", "enumerate", "--u", "2,2",
                             "--axioms", "s1s3", "--count-only")
     assert code == 3
-    assert doc == {"error": "node_budget_exceeded"}
+    assert doc == {"error": "node_budget_exceeded", "nodes": 6}
 
 
 def test_node_budget_flag_works_after_the_subcommand_too(capsys):
@@ -212,6 +212,10 @@ def test_check_input_errors(capsys):
         ("check", "--u", "1,1", "--op", "tau:3,1", "--upto", "3"),
         ("check", "--u", "2,1", "--op", "tau:2,1", "--upto", "3"),
         ("check", "--u", "2,1", "--op", "meet", "--upto", "3"),
+        # the named box operations on a table algebra
+        ("check", "--algebra", str(fixture_path("mo2")), "--op", "meet", "--upto", "3"),
+        ("check", "--algebra", str(fixture_path("mo2")), "--op", "tau:2,1",
+         "--upto", "3"),
         ("check", "--u", "1,1", "--op", "/nonexistent/op.json", "--upto", "3"),
         ("enumerate", "--u", "1,1", "--axioms", "s1s3", "--cap", "-1"),
         ("enumerate", "--u", "1,1", "--axioms", "s1s3", "--node-budget", "-1"),

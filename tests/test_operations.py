@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effectalg import (
+    CapExceeded,
     Operation,
     check_axioms,
     chain_table,
@@ -97,6 +98,8 @@ def test_meet_passes_the_whole_battery():
 def test_meet_rejects_non_boolean_shapes():
     with pytest.raises(ValueError):
         meet_boolean(make_simplicial((2, 1)))
+    with pytest.raises(ValueError):
+        meet_boolean(mo2())
 
 
 def test_tau_swap_on_the_four_element_box():
@@ -129,6 +132,8 @@ def test_tau_input_validation():
         tau_perm((1, 1), (1, 1))  # not a permutation
     with pytest.raises(ValueError):
         tau_perm((1, 1), (0, 1))
+    with pytest.raises(ValueError):
+        tau_perm(mo2(), (2, 1))  # not a box
 
 
 def test_axiom_witnesses_on_hand_built_tables():
@@ -155,6 +160,19 @@ def test_check_axioms_rejects_bad_upto():
     for upto in (0, 6):
         with pytest.raises(ValueError):
             check_axioms(op, upto)
+
+
+def test_check_axioms_refuses_an_oversized_algebra_before_its_product_table(monkeypatch):
+    # 47 x 47 = 2209 elements, over the 2048-element sum table limit
+    op = sigma_universal(make_simplicial((46, 46)))
+
+    def no_table(self):
+        raise AssertionError("the product table was computed before the cap check")
+
+    monkeypatch.setattr(Operation, "product_table", no_table)
+    with pytest.raises(CapExceeded) as exc:
+        check_axioms(op, 1)
+    assert exc.value.count == 2209 ** 2
 
 
 def test_report_json_shape():

@@ -5,7 +5,9 @@
    filters them with predicates written directly from the axiom statements,
    sharing no code with the library checker.
 2. full_bruteforce_ops filters raw N x N tables, exercising the checker with
-   no matrix or search machinery in the loop.
+   no matrix or search machinery in the loop.  Its one-pass classifier,
+   bruteforce_prefixes, is checked here against the plain per-k loop
+   (_per_k_reference below).
 3. The unpruned route (enumerate all S1+S2 families, then check) must agree
    with the pruned backtracking search wherever both are affordable.
 
@@ -21,6 +23,8 @@ import pytest
 from effectalg import (
     CapExceeded,
     NodeBudgetExceeded,
+    Operation,
+    bruteforce_prefixes,
     chain_report,
     check_axioms,
     classify_b2,
@@ -31,11 +35,13 @@ from effectalg import (
     exists_s1s4,
     from_full_table,
     full_bruteforce_ops,
+    load_fixture,
     make_simplicial,
     meet_boolean,
     sigma_universal,
     tau_perm,
 )
+from effectalg import search
 from effectalg.operations import AXIOM_NAMES
 
 B2_ELEMS = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -137,6 +143,10 @@ def test_s1s2_enumeration_matches_its_count_and_passes():
         assert len(ops) == count_s1s2(u)
         assert len({op.product_table() for op in ops}) == len(ops)
         assert all(check_axioms(op, 2).all_pass for op in ops)
+        # the table assembled from the pool actions is the one the checked
+        # matrix-family constructor computes
+        assert all(Operation(op.algebra, matrices=op.matrices).product_table()
+                   == op.product_table() for op in ops)
 
 
 def test_s1_enumeration():
@@ -144,6 +154,8 @@ def test_s1_enumeration():
         ops = list(enumerate_s1(u))
         assert len(ops) == want
         assert all(check_axioms(op, 1).all_pass for op in ops)
+        assert all(Operation(op.algebra, matrices=op.matrices).product_table()
+                   == op.product_table() for op in ops)
     with pytest.raises(CapExceeded):
         enumerate_s1((1, 1), cap=100)
 
@@ -225,9 +237,48 @@ def test_bruteforce_counts_on_the_two_chain():
     assert [len(full_bruteforce_ops(alg, k)) for k in (1, 2, 3, 4, 5)] == [4, 2, 1, 1, 1]
 
 
-def test_bruteforce_cap_refusal():
+def _per_k_reference(alg, k):
+    """The tables passing S1..Sk, by building every table as an Operation and
+    running check_axioms(op, k) on it, one pass per k."""
+    n = alg.size
+    out = []
+    for flat in product(range(n), repeat=n * n):
+        op = Operation(alg, table=tuple(flat[i * n:(i + 1) * n] for i in range(n)))
+        if check_axioms(op, k).all_pass:
+            out.append(op.product_table())
+    return out
+
+
+def test_one_pass_oracle_matches_the_per_k_reference():
+    algebras = [make_simplicial((1,)), make_simplicial((2,)),
+                load_fixture("c1"), load_fixture("c2")]
+    for alg in algebras:
+        by_prefix = bruteforce_prefixes(alg)
+        assert len(by_prefix) == 5
+        for k in (1, 2, 3, 4, 5):
+            want = _per_k_reference(alg, k)
+            # same tables in the same canonical order, through both entry points
+            assert [op.product_table() for op in by_prefix[k - 1]] == want, (alg, k)
+            assert [op.product_table() for op in full_bruteforce_ops(alg, k)] == want
+            assert all(op.algebra is alg for op in by_prefix[k - 1])
+
+
+def test_bruteforce_cap_refusal(monkeypatch):
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a table was generated before the cap check")
+
+    # the refusal must come before any table is generated or built
+    monkeypatch.setattr(search, "product", no_tables)
+    monkeypatch.setattr(search, "Operation", no_tables)
+    alg = make_simplicial((1, 1))
+    with pytest.raises(CapExceeded) as exc:
+        full_bruteforce_ops(alg, 1, cap=100)
+    assert exc.value.count == 4 ** 16
     with pytest.raises(CapExceeded):
-        full_bruteforce_ops(make_simplicial((1, 1)), 1, cap=100)
+        bruteforce_prefixes(alg, cap=4 ** 16 - 1)
+    for upto in (0, 6):
+        with pytest.raises(ValueError):
+            bruteforce_prefixes(make_simplicial((1,)), upto)
 
 
 def test_b2_classification_blocks():
