@@ -24,6 +24,8 @@ from .errors import CapExceeded, InvalidTableAlgebra, NodeBudgetExceeded
 from .maps import DEFAULT_MATRIX_CAP, count_subunital, enumerate_subunital
 from .operations import (
     Operation,
+    _meet_box,
+    _twist_matrix,
     check_axioms,
     meet_boolean,
     op_from_json,
@@ -220,7 +222,8 @@ def cmd_enumerate(args) -> int:
                                certificate="exhaustive", operations=ops)
     else:
         k = int(args.axioms[-1])
-        res = enumerate_s1sk(u, k, cap=args.cap, node_budget=args.node_budget)
+        cap = 0 if args.count_only else args.cap
+        res = enumerate_s1sk(u, k, cap=cap, node_budget=args.node_budget)
         if args.count_only:
             res.operations = None
     payload = res.to_json()
@@ -247,12 +250,19 @@ def _resolve_operation(args) -> Operation:
     if name == "sigma" or name == "meet" or name.startswith("tau:"):
         if base is None:
             raise ValueError(f"the named operation {name!r} needs --algebra or --u")
+        if name == "meet":
+            _meet_box(base)
+        elif name != "sigma":
+            perm_text = name.split(":", 1)[1]
+            perm = tuple(int(p) for p in perm_text.split(","))
+            _twist_matrix(base, perm)
+        # check_axioms reads the sum table first; asking for it before the
+        # operation is built refuses a carrier over the sum-table limit early
+        base.oplus_table()
         if name == "sigma":
             return sigma_universal(base)
         if name == "meet":
             return meet_boolean(base)
-        perm_text = name.split(":", 1)[1]
-        perm = tuple(int(p) for p in perm_text.split(","))
         return tau_perm(base, perm)
 
     with open(name, "r", encoding="utf-8") as fh:

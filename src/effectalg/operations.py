@@ -54,10 +54,17 @@ class Operation:
 
     def __init__(self, algebra: FiniteEffectAlgebra,
                  matrices: Optional[Sequence[Sequence[Sequence[int]]]] = None,
-                 table: Optional[Sequence[Sequence[int]]] = None):
+                 table: Optional[Sequence[Sequence[int]]] = None,
+                 *, _assembled: bool = False):
+        self.algebra = algebra
+        if _assembled:
+            # a search candidate: pool matrices and the table of their actions,
+            # both valid by construction (see _search_survivor)
+            self.matrices = matrices
+            self._table = table
+            return
         if (matrices is None) == (table is None):
             raise ValueError("give exactly one of matrices= or table=")
-        self.algebra = algebra
         n = algebra.size
         if matrices is not None:
             if not isinstance(algebra, SimplicialAlgebra):
@@ -152,11 +159,11 @@ def matrix_actions(alg: SimplicialAlgebra,
 
 def _search_survivor(alg: SimplicialAlgebra, matrices: tuple[Matrix, ...],
                      table: tuple[tuple[int, ...], ...]) -> Operation:
-    """A search candidate: pool matrices from enumerate_subunital, so not
-    re-checked for subunitality, and the table matrix_actions gave for them."""
-    op = Operation(alg, table=table)
-    op.matrices = matrices
-    return op
+    """A search candidate: pool matrices from enumerate_subunital and the
+    table matrix_actions gave for them.  Neither is re-checked: the matrices
+    are u-subunital, and every entry of the table is the index of some
+    M x <= M u <= u, so it lies in the box."""
+    return Operation(alg, matrices=matrices, table=table, _assembled=True)
 
 
 def _identity(r: int) -> Matrix:
@@ -181,10 +188,9 @@ def sigma_universal(alg: FiniteEffectAlgebra) -> Operation:
     ))
 
 
-def tau_perm(u, perm: Sequence[int]) -> Operation:
-    """The permutation twist on a homogeneous box: a o x is 0 at a = 0, x at
-    a = u, and Px in between, where P permutes coordinates by the 1-based
-    `perm` (coordinate i of Px is coordinate perm[i] of x)."""
+def _twist_matrix(u, perm: Sequence[int]) -> tuple[SimplicialAlgebra, Matrix]:
+    """The homogeneous box of tau_perm(u, perm) and its permutation matrix P;
+    ValueError where the twist is not defined."""
     if isinstance(u, TableAlgebra):
         raise ValueError("permutation twists are only defined on boxes")
     alg = u if isinstance(u, SimplicialAlgebra) else make_simplicial(u)
@@ -195,7 +201,15 @@ def tau_perm(u, perm: Sequence[int]) -> Operation:
     if sorted(perm) != list(range(1, shape.r + 1)):
         raise ValueError(f"{perm} is not a permutation of 1..{shape.r}")
     r = shape.r
-    P = tuple(tuple(1 if j == perm[i] - 1 else 0 for j in range(r)) for i in range(r))
+    return alg, tuple(tuple(1 if j == perm[i] - 1 else 0 for j in range(r)) for i in range(r))
+
+
+def tau_perm(u, perm: Sequence[int]) -> Operation:
+    """The permutation twist on a homogeneous box: a o x is 0 at a = 0, x at
+    a = u, and Px in between, where P permutes coordinates by the 1-based
+    `perm` (coordinate i of Px is coordinate perm[i] of x)."""
+    alg, P = _twist_matrix(u, perm)
+    r = alg.shape.r
     z, ident = _zero_matrix(r), _identity(r)
     matrices = []
     for a in range(alg.size):
@@ -208,13 +222,20 @@ def tau_perm(u, perm: Sequence[int]) -> Operation:
     return Operation(alg, matrices=tuple(matrices))
 
 
-def meet_boolean(r) -> Operation:
-    """Componentwise minimum on the Boolean box (1, ..., 1); a o b = a AND b."""
+def _meet_box(r) -> SimplicialAlgebra:
+    """The Boolean box of meet_boolean(r); ValueError where the meet is not
+    defined."""
     if isinstance(r, TableAlgebra):
         raise ValueError("the meet operation is only defined on boxes")
     alg = r if isinstance(r, SimplicialAlgebra) else make_simplicial((1,) * r)
     if any(ui != 1 for ui in alg.shape.u):
         raise ValueError(f"the meet operation needs u = (1,...,1), got {alg.shape.u}")
+    return alg
+
+
+def meet_boolean(r) -> Operation:
+    """Componentwise minimum on the Boolean box (1, ..., 1); a o b = a AND b."""
+    alg = _meet_box(r)
     rank = alg.shape.r
     matrices = []
     for x in alg.elements():

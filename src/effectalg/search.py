@@ -3,12 +3,20 @@
 The S1+S2 candidate space on a box is a Cartesian product: one u-subunital
 matrix per element with the top row pinned to the identity, so it can be
 counted by formula and enumerated directly.  For S3 and beyond one S3-pruned
-depth-first search runs over pool indices in canonical element order, keeping
-the bidirectional zero condition (M_a b = 0 iff M_b a = 0) against every
-previously assigned row.  Its leaves are index tables assembled from the pool
-matrices' actions, computed once; S4 and S5 are filtered on those tables, and
-an Operation is built only for a survivor that is kept.  Nonexistence results
-are exhaustive or explicitly undecided, never guessed.
+depth-first search runs over the elements in canonical order, keeping the
+bidirectional zero condition (M_a b = 0 iff M_b a = 0) against every
+previously assigned row.  For a nonnegative matrix M, M x = 0 exactly when
+supp(x) lies in M's zero-column set Z, so the condition sees a row only
+through its class Z, and each element keeps the set of classes (at most
+2^r of them) still allowed for it.  An S1-S3 count needs no matrix: each
+choice is a class Z weighted by the number of pool matrices whose
+zero-column set is exactly Z, and the count is the sum over class
+assignments of the product of their weights.  When tables are needed (the
+listed S1-S3 operations, every S4/S5 leaf) each choice is one pool matrix of
+an allowed class; the leaves are index tables assembled from the pool
+matrices' actions, computed once, S4 and S5 are filtered on those tables,
+and an Operation is built only for a survivor that is kept.  Nonexistence
+results are exhaustive or explicitly undecided, never guessed.
 
 bruteforce_prefixes is the independent oracle: one pass over the raw N x N
 tables runs each through check_s1, check_s2, ... until its first failure, so
@@ -170,41 +178,70 @@ def enumerate_s1s2(u: Sequence[int], cap: int = DEFAULT_OP_CAP) -> Iterator[Oper
     return _matrix_families(u, True, cap)
 
 
-def _s1sk_survivors(alg: SimplicialAlgebra, pool: list[Matrix], k: int,
-                    node_budget: int) -> Iterator[tuple[tuple[int, ...], Table]]:
-    """Yield (pool indices of rows 0..N-2, product table) for every S1..Sk
-    operation, depth-first over the pool indices of elements 0..N-2 (the top
-    row is the identity), keeping M_a b = 0 iff M_b a = 0 for every pair of
-    rows.  For k >= 4 a leaf's table must also pass S4 (and S5).
+def _s3_assignments(alg: SimplicialAlgebra, pool: list[Matrix], by_class: bool,
+                    node_budget: int) -> Iterator[tuple[list[int], int]]:
+    """Yield (choices for rows 0..N-2, weight) for every assignment of rows
+    that keeps M_a b = 0 iff M_b a = 0 for every pair of elements, with the
+    top row the identity (which forces row 0 to the zero matrix).
 
-    One node = one attempted row assignment; crossing node_budget raises.
+    For nonnegative M, M x = 0 exactly when supp(x) lies in M's zero-column
+    set Z, so the condition sees a row only through its class Z.  Each
+    element keeps the classes still allowed for it as a bitmask over the
+    distinct Z of the pool, and a choice narrows the sets of the later
+    elements.  With by_class a choice is a class Z, weighted by the number of
+    pool matrices whose zero-column set is exactly Z, and the weight of an
+    assignment is the product along it; otherwise a choice is one pool matrix
+    of an allowed class, tried in ascending pool index, with weight 1.
+
+    One node = one class or matrix tried for a row; crossing node_budget
+    raises.  The yielded list is reused: copy it to keep it.
     """
     n = alg.size
-    npool = len(pool)
-    action = matrix_actions(alg, pool)
-    top_row = tuple(range(n))  # the identity's action
-    # zmask[mi]: elements that pool matrix mi sends to 0;
-    # rows_zero_at[b]: pool indices whose matrix sends element b to 0
-    zmask = [0] * npool
-    rows_zero_at = [0] * n
-    for mi, act in enumerate(action):
-        for b, t in enumerate(act):
-            if t == 0:
-                zmask[mi] |= 1 << b
-                rows_zero_at[b] |= 1 << mi
-    leaf_checks = (check_s4, check_s5)[:k - 3]
+    r = alg.shape.r
+    supports = [sum(1 << j for j, c in enumerate(x) if c) for x in alg.shape.all_coords]
+    zcols = [sum(1 << j for j in range(r) if not any(row[j] for row in M)) for M in pool]
+    classes = sorted(set(zcols))
+    # kills[c]: elements that class c sends to 0; zero_at[b]: classes sending b to 0
+    kills = [sum(1 << b for b, s in enumerate(supports) if not s & ~z) for z in classes]
+    zero_at = [sum(1 << c for c, z in enumerate(classes) if not s & ~z) for s in supports]
+    if by_class:
+        class_of = list(range(len(classes)))
+        weight = [zcols.count(z) for z in classes]
+    else:
+        index = {z: c for c, z in enumerate(classes)}
+        class_of = [index[z] for z in zcols]
+        weight = [1] * len(pool)
+    # members[c]: the choices of class c, as a bitmask
+    members = [0] * len(classes)
+    for i, c in enumerate(class_of):
+        members[c] |= 1 << i
+    expanded: dict[int, int] = {}
 
-    # Constraints against the pre-fixed top row (identity): I a = 0 iff a = 0,
-    # so element 0 needs M_0 u = 0 and every other element needs M_a u != 0.
-    top_zero = rows_zero_at[n - 1]
-    allowed = [top_zero] + [((1 << npool) - 1) & ~top_zero] * (n - 2)
+    def choices(class_mask: int) -> int:
+        """The choices whose class is in class_mask (memoized in expanded)."""
+        m = 0
+        rest = class_mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            m |= members[low.bit_length() - 1]
+        expanded[class_mask] = m
+        return m
+
+    # Against the identity top row, I a = 0 iff a = 0: element 0 needs a
+    # class sending u to 0 (the zero matrix) and every other element one
+    # that does not.
+    top_zero = zero_at[n - 1]
+    allowed = [top_zero] + [((1 << len(classes)) - 1) & ~top_zero] * (n - 2)
     if not all(allowed):
         return
     last = n - 2
     choice = [0] * (n - 1)
-    # per depth: the rows still allowed below it, and the untried choices at it
+    # per depth: the classes still allowed below it, the weight of the path
+    # above it, and the untried choices at it
     allowed_at = [allowed] + [None] * last
-    untried = [allowed[0]] + [0] * last
+    weight_at = [1] * (n - 1)
+    untried = [choices(allowed[0])] + [0] * last
     nodes = 0
     pos = 0
     while pos >= 0:
@@ -214,32 +251,53 @@ def _s1sk_survivors(alg: SimplicialAlgebra, pool: list[Matrix], k: int,
             continue
         low = m & -m
         untried[pos] = m ^ low
-        mi = low.bit_length() - 1
+        i = low.bit_length() - 1
         nodes += 1
         if nodes > node_budget:
             raise NodeBudgetExceeded(
                 f"S3 search exceeded the node budget {node_budget}", nodes=nodes
             )
-        choice[pos] = mi
+        choice[pos] = i
+        w = weight_at[pos] * weight[i]
         if pos == last:
-            table = tuple(action[i] for i in choice) + (top_row,)
-            if not any(check(alg, table) for check in leaf_checks):
-                yield tuple(choice), table
+            yield choice, w
             continue
-        zm = zmask[mi]
+        zm = kills[class_of[i]]
+        za = zero_at[pos]
         narrowed = allowed_at[pos].copy()
         for a in range(pos + 1, n - 1):
             if (zm >> a) & 1:
-                na = narrowed[a] & rows_zero_at[pos]
+                na = narrowed[a] & za
             else:
-                na = narrowed[a] & ~rows_zero_at[pos]
+                na = narrowed[a] & ~za
             if na == 0:
                 break
             narrowed[a] = na
         else:
             pos += 1
             allowed_at[pos] = narrowed
-            untried[pos] = narrowed[pos]
+            weight_at[pos] = w
+            nxt = narrowed[pos]
+            untried[pos] = expanded.get(nxt) or choices(nxt)
+
+
+def _s1sk_survivors(alg: SimplicialAlgebra, pool: list[Matrix], k: int,
+                    node_budget: int) -> Iterator[tuple[tuple[int, ...], Table]]:
+    """Yield (pool indices of rows 0..N-2, product table) for every S1..Sk
+    operation: the matrix-by-matrix assignments of _s3_assignments, each
+    leaf's table assembled from the pool matrices' actions and, for k >= 4,
+    filtered by S4 (and S5)."""
+    n = alg.size
+    action = matrix_actions(alg, pool)
+    top_row = tuple(range(n))  # the identity's action
+    leaf_checks = (check_s4, check_s5)[:k - 3]
+    for choice, _ in _s3_assignments(alg, pool, False, node_budget):
+        table = tuple(map(action.__getitem__, choice)) + (top_row,)
+        for check in leaf_checks:
+            if check(alg, table) is not None:
+                break
+        else:
+            yield tuple(choice), table
 
 
 def enumerate_s1sk(u: Sequence[int], k: int, cap: int = DEFAULT_OP_CAP,
@@ -248,13 +306,20 @@ def enumerate_s1sk(u: Sequence[int], k: int, cap: int = DEFAULT_OP_CAP,
     with the S4/S5 filter on each leaf's table.
 
     The count is always exact; the operations list is dropped (None) when the
-    count exceeds cap.
+    count exceeds cap.  At k = 3 the count comes from the zero-column classes
+    alone, and the operations are listed, matrix by matrix, only when it is
+    within cap; each pass has the full node budget.
     """
     if k not in (3, 4, 5):
         raise ValueError(f"k must be in 3..5, got {k}")
     u = tuple(u)
     alg = make_simplicial(u)
     pool = [M.rows for M in enumerate_subunital(u, u)]
+    if k == 3:
+        class_count = sum(w for _, w in _s3_assignments(alg, pool, True, node_budget))
+        if class_count > cap:
+            return SearchResult(u=u, k=k, count=class_count, certificate="exhaustive",
+                                operations=None)
     ident = _identity(alg.shape.r)
     count = 0
     ops: Optional[list[Operation]] = []
@@ -266,6 +331,9 @@ def enumerate_s1sk(u: Sequence[int], k: int, cap: int = DEFAULT_OP_CAP,
                 ops.append(_search_survivor(alg, matrices, table))
             else:
                 ops = None
+    if k == 3 and count != class_count:
+        raise RuntimeError(f"the class count {class_count} and the listing {count} disagree "
+                           f"on {u}; internal inconsistency")
     return SearchResult(u=u, k=k, count=count, certificate="exhaustive", operations=ops)
 
 

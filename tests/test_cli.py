@@ -5,6 +5,7 @@ import json
 import pytest
 
 from effectalg import fixture_path, make_simplicial, mo2, sigma_universal, tau_perm
+from effectalg import cli
 from effectalg.cli import main
 
 
@@ -203,6 +204,47 @@ def test_check_algebra_mismatch_is_malformed(capsys, tmp_path):
                             "--upto", "2")
     assert code == 2 and doc["error"] == "malformed_input"
 
+
+def test_check_refuses_an_oversized_carrier_before_building_the_operation(
+        capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a named operation was built on an oversized carrier")
+
+    for name in ("sigma_universal", "meet_boolean", "tau_perm"):
+        monkeypatch.setattr(cli, name, never)
+    # carriers under the element limit but over the 2048-element sum-table limit
+    for argv, size in [(("--u", "998,1000", "--op", "sigma"), 999 * 1001),
+                       (("--u", ",".join(["1"] * 12), "--op", "meet"), 2 ** 12),
+                       (("--u", "998,998", "--op", "tau:2,1"), 999 * 999)]:
+        code, doc, _ = run_json(capsys, "check", *argv, "--upto", "1")
+        assert code == 3, argv
+        assert doc == {"error": "cap_exceeded", "count": str(size * size)}
+    # an operation that is not defined on the carrier is still malformed input
+    for argv in [("--u", "998,1000", "--op", "meet"),
+                 ("--u", "998,1000", "--op", "tau:2,1"),
+                 ("--u", "998,998", "--op", "tau:1,3"),
+                 ("--u", "998,998", "--op", "tau:x")]:
+        code, doc, _ = run_json(capsys, "check", *argv, "--upto", "1")
+        assert code == 2 and doc["error"] == "malformed_input", argv
+
+
+def test_enumerate_count_only_keeps_no_operations(capsys, monkeypatch):
+    caps = []
+    search = cli.enumerate_s1sk
+
+    def recording(u, k, cap, node_budget):
+        caps.append(cap)
+        return search(u, k, cap=cap, node_budget=node_budget)
+
+    monkeypatch.setattr(cli, "enumerate_s1sk", recording)
+    for axioms, count in [("s1s3", "34"), ("s1s4", "1")]:
+        code, doc, _ = run_json(capsys, "enumerate", "--u", "1,1", "--axioms", axioms,
+                                "--count-only")
+        assert code == 0
+        assert doc == {"u": [1, 1], "k": int(axioms[-1]), "count": count,
+                       "certificate": "exhaustive"}
+    # --count-only asks the search to keep nothing
+    assert caps == [0, 0]
 
 def test_check_input_errors(capsys):
     cases = [

@@ -213,6 +213,8 @@ def test_kept_survivors_are_consistent_operations():
         res = enumerate_s1sk(u, k)
         assert res.operations is not None and len(res.operations) == res.count
         for op in res.operations:
+            # the table is not range-checked when it is built, so check it here
+            assert all(0 <= v < alg.size for row in op.product_table() for v in row)
             assert check_axioms(op, k).all_pass, (u, k)
             assert from_full_table(alg, op.product_table()).matrices == op.matrices
 
