@@ -15,8 +15,13 @@ assignments of the product of their weights.  When tables are needed (the
 listed S1-S3 operations, every S4/S5 leaf) each choice is one pool matrix of
 an allowed class; the leaves are index tables assembled from the pool
 matrices' actions, computed once, S4 and S5 are filtered on those tables,
-and an Operation is built only for a survivor that is kept.  Nonexistence
-results are exhaustive or explicitly undecided, never guessed.
+and an Operation is built only for a survivor that is kept.  An S4/S5
+search also tries, for row a, only the pool matrices with M u = a: with the
+zero and identity rows pinned, any other row breaks S4 at the instance
+(a, 0), so this removes no survivor, and an element with no such matrix
+(as on (2, 2), where M u = (1, 0) has no solution) ends the search at 0
+nodes.  Nonexistence results are exhaustive or explicitly undecided, never
+guessed.
 
 bruteforce_prefixes is the independent oracle: one pass over the raw N x N
 tables runs each through check_s1, check_s2, ... until its first failure, so
@@ -179,7 +184,8 @@ def enumerate_s1s2(u: Sequence[int], cap: int = DEFAULT_OP_CAP) -> Iterator[Oper
 
 
 def _s3_assignments(alg: SimplicialAlgebra, pool: list[Matrix], by_class: bool,
-                    node_budget: int) -> Iterator[tuple[list[int], int]]:
+                    node_budget: int,
+                    masks: Optional[list[int]] = None) -> Iterator[tuple[list[int], int]]:
     """Yield (choices for rows 0..N-2, weight) for every assignment of rows
     that keeps M_a b = 0 iff M_b a = 0 for every pair of elements, with the
     top row the identity (which forces row 0 to the zero matrix).
@@ -192,6 +198,11 @@ def _s3_assignments(alg: SimplicialAlgebra, pool: list[Matrix], by_class: bool,
     pool matrices whose zero-column set is exactly Z, and the weight of an
     assignment is the product along it; otherwise a choice is one pool matrix
     of an allowed class, tried in ascending pool index, with weight 1.
+
+    masks, when given, holds per element 0..N-2 a bitmask of the choices it
+    may take at all: each element's class set starts at the classes with an
+    admissible member, and only admissible choices are tried.  Since it only
+    removes choices, the assignments that remain come in the same order.
 
     One node = one class or matrix tried for a row; crossing node_budget
     raises.  The yielded list is reused: copy it to keep it.
@@ -233,6 +244,9 @@ def _s3_assignments(alg: SimplicialAlgebra, pool: list[Matrix], by_class: bool,
     # that does not.
     top_zero = zero_at[n - 1]
     allowed = [top_zero] + [((1 << len(classes)) - 1) & ~top_zero] * (n - 2)
+    if masks is not None:
+        allowed = [a & sum(1 << c for c, m in enumerate(members) if m & mask)
+                   for a, mask in zip(allowed, masks)]
     if not all(allowed):
         return
     last = n - 2
@@ -242,6 +256,8 @@ def _s3_assignments(alg: SimplicialAlgebra, pool: list[Matrix], by_class: bool,
     allowed_at = [allowed] + [None] * last
     weight_at = [1] * (n - 1)
     untried = [choices(allowed[0])] + [0] * last
+    if masks is not None:
+        untried[0] &= masks[0]
     nodes = 0
     pos = 0
     while pos >= 0:
@@ -279,6 +295,8 @@ def _s3_assignments(alg: SimplicialAlgebra, pool: list[Matrix], by_class: bool,
             weight_at[pos] = w
             nxt = narrowed[pos]
             untried[pos] = expanded.get(nxt) or choices(nxt)
+            if masks is not None:
+                untried[pos] &= masks[pos]
 
 
 def _s1sk_survivors(alg: SimplicialAlgebra, pool: list[Matrix], k: int,
@@ -286,12 +304,23 @@ def _s1sk_survivors(alg: SimplicialAlgebra, pool: list[Matrix], k: int,
     """Yield (pool indices of rows 0..N-2, product table) for every S1..Sk
     operation: the matrix-by-matrix assignments of _s3_assignments, each
     leaf's table assembled from the pool matrices' actions and, for k >= 4,
-    filtered by S4 (and S5)."""
+    filtered by S4 (and S5).
+
+    For k >= 4 row a may only take a pool matrix with M u = a.  Row 0 is the
+    zero map and the top row the identity, so a o 0 = 0 = 0 o a, and S4's
+    b'-clause at the instance (a, 0) demands a o 1 = 1 o a = a: a row with
+    M u != a fails that one S4 instance whatever the other rows are."""
     n = alg.size
     action = matrix_actions(alg, pool)
     top_row = tuple(range(n))  # the identity's action
     leaf_checks = (check_s4, check_s5)[:k - 3]
-    for choice, _ in _s3_assignments(alg, pool, False, node_budget):
+    masks = None
+    if k >= 4:
+        masks = [0] * (n - 1)
+        for i, act in enumerate(action):
+            if act[-1] < n - 1:
+                masks[act[-1]] |= 1 << i
+    for choice, _ in _s3_assignments(alg, pool, False, node_budget, masks):
         table = tuple(map(action.__getitem__, choice)) + (top_row,)
         for check in leaf_checks:
             if check(alg, table) is not None:
@@ -343,8 +372,10 @@ def exists_s1s4(u: Sequence[int],
 
     Boolean shapes get the componentwise meet as an explicit witness (re-run
     through the checker before being returned).  Every other shape has an
-    obstruction atom, so the S3-pruned search is run to exhaustion expecting
-    no survivor; a budget trip reports undecided rather than guessing.
+    obstruction atom, so the S3-pruned search, with row a restricted to the
+    pool matrices with M u = a (S4 at (a, 0)), is run to exhaustion expecting
+    no survivor; each of its leaves is still checked against S4 in full.  A
+    budget trip reports undecided rather than guessing.
     """
     u = tuple(u)
     alg = make_simplicial(u)

@@ -118,6 +118,19 @@ def test_enumerate_s1s3(capsys):
     assert doc == {"u": [1, 1], "k": 3, "count": "34", "certificate": "exhaustive"}
 
 
+def test_enumerate_s1s4_and_s1s5_reach_rank_3(capsys):
+    # S4 at (a, 0) leaves row a only the pool matrices with M u = a, so
+    # (2, 1, 1) is exhaustive at the default budget
+    code, doc, _ = run_json(capsys, "enumerate", "--u", "2,1,1", "--axioms", "s1s4",
+                            "--count-only")
+    assert code == 0
+    assert doc == {"u": [2, 1, 1], "k": 4, "count": "0", "certificate": "exhaustive"}
+    code, doc, _ = run_json(capsys, "enumerate", "--u", "1,1,1", "--axioms", "s1s5",
+                            "--count-only")
+    assert code == 0
+    assert doc == {"u": [1, 1, 1], "k": 5, "count": "1", "certificate": "exhaustive"}
+
+
 def test_enumerate_s1s2_routes(capsys):
     code, doc, _ = run_json(capsys, "enumerate", "--u", "2", "--axioms", "s1s2",
                             "--count-only")

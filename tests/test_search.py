@@ -332,7 +332,8 @@ def test_s1s4_existence_positive_cases_carry_verified_witnesses():
 
 
 def test_s1s4_existence_reports_undecided_on_a_tiny_budget():
-    res = exists_s1s4((2, 2), node_budget=5)
+    # (2, 1, 1, 1) needs 4 nodes; (2, 2) is decided before its first one
+    res = exists_s1s4((2, 1, 1, 1), node_budget=3)
     assert res.exists is None
     assert res.certificate == "undecided"
     assert res.witness is None

@@ -6,20 +6,35 @@ one node per matrix tried.  The library narrows sets of zero-column classes
 instead, and counts S1-S3 operations by class weights.  Listing must give the
 same operations in the same order, every count must agree, and a node budget
 must trip exactly where the oracle's does.
+
+For k >= 4 the library tries for row a only pool matrices with M u = a (S4 at
+the instance (a, 0)).  Without masks the oracle walks every S3 leaf and is the
+survivor-identity check; with right_unit_masks, computed here from the
+matrices themselves, it walks the library's smaller tree node for node.
 """
 
 import pytest
 
-from effectalg import NodeBudgetExceeded, enumerate_s1sk, exists_s1s4, make_simplicial
+from effectalg import (NodeBudgetExceeded, enumerate_s1sk, exists_s1s4, has_obstruction_atom,
+                       make_simplicial, meet_boolean)
 from effectalg import search
 from effectalg.maps import enumerate_subunital
 from effectalg.operations import _identity, check_s4, check_s5, matrix_actions
 
 
-def pool_index_survivors(alg, pool, k, node_budget, stats=None):
+def right_unit_masks(alg, pool):
+    """Per element a in 0..N-2, the bitmask of pool indices with M u = a."""
+    u = alg.shape.u
+    image = [tuple(sum(m * c for m, c in zip(row, u)) for row in M) for M in pool]
+    return [sum(1 << mi for mi, x in enumerate(image) if x == coords)
+            for coords in alg.shape.all_coords[:-1]]
+
+
+def pool_index_survivors(alg, pool, k, node_budget, stats=None, masks=None):
     """Yield (pool indices of rows 0..N-2, product table) for every S1..Sk
-    operation, depth-first over pool indices; stats["nodes"] gets the node
-    count of a complete run."""
+    operation, depth-first over pool indices, row a restricted to masks[a]
+    when masks is given; stats["nodes"] gets the node count of a complete
+    run."""
     n = alg.size
     npool = len(pool)
     action = matrix_actions(alg, pool)
@@ -34,6 +49,8 @@ def pool_index_survivors(alg, pool, k, node_budget, stats=None):
     leaf_checks = (check_s4, check_s5)[:k - 3]
     top_zero = rows_zero_at[n - 1]
     allowed = [top_zero] + [((1 << npool) - 1) & ~top_zero] * (n - 2)
+    if masks is not None:
+        allowed = [a & m for a, m in zip(allowed, masks)]
     if not all(allowed):
         return
     last = n - 2
@@ -77,12 +94,15 @@ def pool_index_survivors(alg, pool, k, node_budget, stats=None):
         stats["nodes"] = nodes
 
 
-def _oracle(u, k, node_budget=10**9):
-    """(pool, survivors, nodes of the complete run); a budget trip raises."""
+def _oracle(u, k, node_budget=10**9, filtered=False):
+    """(pool, survivors, nodes of the complete run); a budget trip raises.
+    filtered restricts rows by right_unit_masks, as the library does for
+    k >= 4."""
     alg = make_simplicial(u)
     pool = [M.rows for M in enumerate_subunital(u, u)]
-    stats = {}
-    leaves = list(pool_index_survivors(alg, pool, k, node_budget, stats))
+    masks = right_unit_masks(alg, pool) if filtered else None
+    stats = {"nodes": 0}  # kept when the search ends before its first node
+    leaves = list(pool_index_survivors(alg, pool, k, node_budget, stats, masks))
     return pool, leaves, stats["nodes"]
 
 
@@ -102,6 +122,9 @@ def test_listing_and_counts_match_the_oracle(u):
         assert [op.matrices for op in res.operations] == [
             tuple(pool[i] for i in choice) + (ident,) for choice, _ in leaves]
         assert enumerate_s1sk(u, k, cap=0).count == len(leaves), (u, k)
+        if k >= 4:
+            # the right-unit masks drop no S1-Sk operation
+            assert _oracle(u, k, filtered=True)[1] == leaves, (u, k)
 
 
 def _outcome(count, u, k, budget):
@@ -113,30 +136,74 @@ def _outcome(count, u, k, budget):
 
 def test_budget_trips_where_the_oracle_trips():
     def oracle_count(u, k, budget):
-        return len(_oracle(u, k, budget)[1])
+        return len(_oracle(u, k, budget, filtered=True)[1])
 
     def library_count(u, k, budget):
         return enumerate_s1sk(u, k, node_budget=budget).count
 
-    for u in [(2, 2), (3, 1), (2, 1, 1)]:
+    trips = 0
+    for u in [(2, 2), (3, 1), (2, 1, 1), (1, 1, 1), (2, 1, 1, 1)]:
         for k in (4, 5):
             for budget in (1, 37, 1000, 5000):
                 want = _outcome(oracle_count, u, k, budget)
                 assert _outcome(library_count, u, k, budget) == want, (u, k, budget)
-                undecided = exists_s1s4(u, node_budget=budget).exists is None
-                assert undecided == (want[0] == "budget"), (u, k, budget)
+                if has_obstruction_atom(make_simplicial(u)):
+                    # a Boolean box gets its witness without a search
+                    undecided = exists_s1s4(u, node_budget=budget).exists is None
+                    assert undecided == (want[0] == "budget"), (u, k, budget)
+                trips += want[0] == "budget"
+    # (3, 1), (2, 1, 1) and (2, 1, 1, 1) trip at budget 1, (1, 1, 1) also at 37
+    assert trips == 10
 
 
 def test_node_count_of_a_complete_run_matches_the_oracle():
     # a complete run of T nodes passes at budget T and trips at T - 1; at
-    # k = 3 the listing pass is the one with the oracle's nodes
-    for u in [(2, 2), (3, 1)]:
-        for k in (3, 4, 5):
-            _, leaves, total = _oracle(u, k)
-            assert enumerate_s1sk(u, k, node_budget=total).count == len(leaves)
-            with pytest.raises(NodeBudgetExceeded) as exc:
-                enumerate_s1sk(u, k, node_budget=total - 1)
-            assert exc.value.nodes == total
+    # k = 3 the listing pass is the one with the oracle's nodes, and at k >= 4
+    # the oracle walks the right-unit-filtered tree
+    runs = [(u, 3) for u in [(2, 2), (3, 1)]]
+    runs += [(u, k) for u in [(1, 1), (3, 1), (2, 1, 1), (1, 1, 1)] for k in (4, 5)]
+    for u, k in runs:
+        _, leaves, total = _oracle(u, k, filtered=k >= 4)
+        assert total >= 1, (u, k)
+        assert enumerate_s1sk(u, k, node_budget=total).count == len(leaves)
+        with pytest.raises(NodeBudgetExceeded) as exc:
+            enumerate_s1sk(u, k, node_budget=total - 1)
+        assert exc.value.nodes == total
+    # (1, 1) and (1, 1, 1) keep one survivor each at k = 4 and 5
+    assert [len(_oracle(u, k, filtered=True)[1]) for u in [(1, 1), (1, 1, 1)]
+            for k in (4, 5)] == [1, 1, 1, 1]
+
+
+def test_an_index_level_obstruction_ends_the_search_at_zero_nodes():
+    # on (2, 2) no pool matrix has M u = (1, 0), so no S1-S4 row exists for
+    # that element and the search ends before its first node
+    alg = make_simplicial((2, 2))
+    pool = [M.rows for M in enumerate_subunital((2, 2), (2, 2))]
+    assert right_unit_masks(alg, pool)[alg.shape.index_of((1, 0))] == 0
+    res = exists_s1s4((2, 2), node_budget=0)
+    assert (res.exists, res.certificate) == (False, "exhaustive")
+
+
+def test_frozen_s4_s5_counts_on_boolean_boxes():
+    # the meet is the only S1-S4 (and S1-S5) operation on B2 and B3.  (1, 1)
+    # is confirmed by the unfiltered oracle in the listing test above; (1, 1, 1)
+    # was confirmed once by a complete unfiltered oracle run over its
+    # 14,250,600 S3 leaves, with S5 checked on its S4 survivors
+    for u in [(1, 1), (1, 1, 1)]:
+        meet = meet_boolean(make_simplicial(u)).product_table()
+        for k in (4, 5):
+            res = enumerate_s1sk(u, k)
+            assert (res.count, res.certificate) == (1, "exhaustive"), (u, k)
+            assert res.operations[0].product_table() == meet, (u, k)
+
+
+@pytest.mark.parametrize("u", [(2, 1, 1), (1, 2, 1), (2, 2, 1), (3, 1, 1), (2, 2, 2),
+                               (2, 1, 1, 1)])
+def test_frozen_s1s4_nonexistence_on_obstructed_rank_3_and_4_boxes(u):
+    # the obstruction-atom theorem is the second route
+    assert has_obstruction_atom(make_simplicial(u))
+    res = exists_s1s4(u)
+    assert (res.exists, res.certificate, res.witness) == (False, "exhaustive", None)
 
 
 def test_frozen_class_counts():
