@@ -53,6 +53,51 @@ def _orthogonal_pairs(sums) -> SumPairs:
     )
 
 
+def _bits(indices) -> int:
+    """The bitmask with bit i set for each i in `indices` (repeats allowed)."""
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
+def _nothing(row) -> tuple:
+    """What itemgetter over an empty index set would give."""
+    return ()
+
+
+def _sum_generators(sums, pairs: SumPairs, zero: int) -> tuple[int, ...]:
+    """Zero and the elements that are not a sum of two others, in index order,
+    provided the table is commutative and they generate every element under
+    the defined sums of `pairs`; otherwise every element.
+
+    In an effect algebra these are zero and the atoms, and every element is a
+    sum of atoms, so the fallback is taken only by tables that break the laws.
+    Either way, two maps that are additive over `pairs` agree everywhere once
+    they agree on the elements returned.
+    """
+    n = len(sums)
+    if any(row != col for row, col in zip(sums, zip(*sums))):
+        return tuple(range(n))
+    split = [False] * n
+    for b, row_pairs in enumerate(pairs):
+        for c, k in row_pairs:
+            if b != k and c != k:
+                split[k] = True
+    gens = tuple(x for x in range(n) if x == zero or not split[x])
+    # close gens under the sums: k is reached once both summands are
+    reached = [False] * n
+    for x in gens:
+        reached[x] = True
+    todo = list(gens)
+    while todo:
+        for y, k in enumerate(sums[todo.pop()]):
+            if k is not None and reached[y] and not reached[k]:
+                reached[k] = True
+                todo.append(k)
+    return gens if all(reached) else tuple(range(n))
+
+
 @dataclass(frozen=True)
 class Shape:
     """A box shape u = (u_1, ..., u_r), every u_i >= 1."""
@@ -148,6 +193,7 @@ class SimplicialAlgebra:
         self._sums: Optional[tuple[tuple[Optional[int], ...], ...]] = None
         self._ortho: Optional[tuple[int, ...]] = None
         self._pairs: Optional[SumPairs] = None
+        self._gens: Optional[tuple[int, ...]] = None
 
     def __repr__(self):
         return f"SimplicialAlgebra(u={self.shape.u})"
@@ -210,6 +256,13 @@ class SimplicialAlgebra:
             self._pairs = _orthogonal_pairs(self.oplus_table())
         return self._pairs
 
+    def sum_generators(self) -> tuple[int, ...]:
+        """Zero and the atoms (see _sum_generators), memoized."""
+        if self._gens is None:
+            self._gens = _sum_generators(self.oplus_table(), self.orthogonal_pairs(),
+                                         self.zero_index)
+        return self._gens
+
     def to_table(self) -> "TableAlgebra":
         """Export the box as an explicit sum table (validation is the caller's call)."""
         return TableAlgebra(self.size, self.zero_index, self.one_index, self.oplus_table())
@@ -249,6 +302,7 @@ class TableAlgebra:
         self.sum_table = tuple(rows)
         self._ortho: Optional[tuple[int, ...]] = None
         self._pairs: Optional[SumPairs] = None
+        self._gens: Optional[tuple[int, ...]] = None
 
     def __repr__(self):
         return f"TableAlgebra(size={self.size})"
@@ -265,16 +319,16 @@ class TableAlgebra:
     def ortho_table(self) -> tuple[int, ...]:
         """Orthosupplement of each element; requires the table to determine it uniquely."""
         if self._ortho is None:
+            one = self.one_index
             out = []
-            for a in range(self.size):
-                partners = [b for b in range(self.size)
-                            if self.sum_table[a][b] == self.one_index]
-                if len(partners) != 1:
+            for a, row in enumerate(self.sum_table):
+                count = row.count(one)
+                if count != 1:
                     raise ValueError(
-                        f"element {a} has {len(partners)} orthosupplements; "
+                        f"element {a} has {count} orthosupplements; "
                         "validate the table first"
                     )
-                out.append(partners[0])
+                out.append(row.index(one))
             self._ortho = tuple(out)
         return self._ortho
 
@@ -283,6 +337,13 @@ class TableAlgebra:
         if self._pairs is None:
             self._pairs = _orthogonal_pairs(self.oplus_table())
         return self._pairs
+
+    def sum_generators(self) -> tuple[int, ...]:
+        """Zero and the atoms (see _sum_generators), memoized."""
+        if self._gens is None:
+            self._gens = _sum_generators(self.oplus_table(), self.orthogonal_pairs(),
+                                         self.zero_index)
+        return self._gens
 
     def to_json(self) -> dict:
         return {
@@ -453,9 +514,18 @@ def validate_table_algebra(alg: TableAlgebra) -> ValidationReport:
     order: commutativity over pairs (a, b); associativity with definedness
     agreement over triples (a, b, c); unique orthosupplement per element;
     the zero-one law (a (+) 1 defined forces a = 0); and positivity
-    (a (+) b = 0 forces a = b = 0) as a derived sanity check.  The
-    associativity law is tested a whole row of c at a time, and c is scanned
-    only in a failing row, so the witness is the same least triple.
+    (a (+) b = 0 forces a = b = 0) as a derived sanity check.
+
+    Each law is tested a row at a time and single entries are read only in a
+    failing row, to pick its least witness, so the witnesses are those of the
+    plain element-by-element scan.  Commutativity compares row a with column
+    a; positivity scans only the rows that contain zero.  Associativity reads
+    only the entries that can break it: with D[b] the c for which b (+) c is
+    defined, at a pair (a, b) one side is defined only at some c in D[b] or
+    in D[a (+) b].  So when a (+) b is undefined the pair holds iff no
+    b (+) c with c in D[b] is summable with a, and when a (+) b = k it holds
+    iff D[k] lies inside D[b] and the two sides agree, undefined included,
+    on D[b].
     """
     n = alg.size
     s = alg.sum_table
@@ -463,36 +533,47 @@ def validate_table_algebra(alg: TableAlgebra) -> ValidationReport:
     checks: dict[str, Optional[dict]] = {}
 
     def commutativity():
-        for a in range(n):
-            for b in range(n):
-                if s[a][b] != s[b][a]:
-                    return {"a": a, "b": b}
+        for a, (row, col) in enumerate(zip(s, zip(*s))):
+            if row != col:
+                for b in range(n):
+                    if row[b] != col[b]:
+                        return {"a": a, "b": b}
         return None
 
     def associativity():
-        # Undefined is the sentinel index n, with a sentinel row and column,
-        # so (a (+) b) (+) c and a (+) (b (+) c) are both plain lookups that
-        # agree exactly when the law (definedness included) holds.  Row
-        # ext[ab] is compared with ext[a] read through row ext[b] in one
-        # step; c is scanned only on a mismatch, for the least witness.
-        ext = [tuple(n if v is None else v for v in row) + (n,) for row in s]
-        through = [itemgetter(*row) for row in ext]
-        ext.append((n,) * (n + 1))
-        for a in range(n):
-            row_a = ext[a]
+        # mask[b] has the bits of D[b] and reach[b] those of every defined
+        # b (+) c; at_dom[b](row) reads row at D[b], through[b](row) at each
+        # b (+) c in the same order
+        mask, reach, at_dom, through = [], [], [], []
+        for row in s:
+            dom = [c for c, v in enumerate(row) if v is not None]
+            sums = [row[c] for c in dom]
+            mask.append(_bits(dom))
+            reach.append(_bits(sums))
+            at_dom.append(itemgetter(*dom) if dom else _nothing)
+            through.append(itemgetter(*sums) if dom else _nothing)
+        for a, row_a in enumerate(s):
+            mask_a = mask[a]
             for b in range(n):
-                if ext[row_a[b]] != through[b](row_a):
-                    row_ab, row_b = ext[row_a[b]], ext[b]
-                    for c in range(n):
-                        if row_ab[c] != row_a[row_b[c]]:
-                            return {"a": a, "b": b, "c": c}
+                k = row_a[b]
+                if k is None:
+                    if not mask_a & reach[b]:
+                        continue
+                elif (not mask[k] & ~mask[b]
+                      and at_dom[b](s[k]) == through[b](row_a)):
+                    continue
+                row_b = s[b]
+                for c in range(n):
+                    bc = row_b[c]
+                    if ((None if k is None else s[k][c])
+                            != (None if bc is None else row_a[bc])):
+                        return {"a": a, "b": b, "c": c}
         return None
 
     def orthosupplement_law():
-        for a in range(n):
-            partners = [b for b in range(n) if s[a][b] == one]
-            if len(partners) != 1:
-                return {"a": a, "partners": partners}
+        for a, row in enumerate(s):
+            if row.count(one) != 1:
+                return {"a": a, "partners": [b for b in range(n) if row[b] == one]}
         return None
 
     def zero_one():
@@ -502,10 +583,11 @@ def validate_table_algebra(alg: TableAlgebra) -> ValidationReport:
         return None
 
     def positivity():
-        for a in range(n):
-            for b in range(n):
-                if s[a][b] == zero and (a != zero or b != zero):
-                    return {"a": a, "b": b}
+        for a, row in enumerate(s):
+            if zero in row:
+                for b in range(n):
+                    if row[b] == zero and (a != zero or b != zero):
+                        return {"a": a, "b": b}
         return None
 
     checks["commutativity"] = commutativity()

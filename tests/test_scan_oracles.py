@@ -4,15 +4,21 @@ loops they replaced.
 The reference functions below are the plain triple loops, kept here as
 oracles: every scan must report exactly the same least witness (or None) on
 every table, including tables that fail late, fail in definedness only, or
-have a single element.
+have a single element.  That covers the restricted scans too: S4's
+composition clause read only at the sum generators once S1 holds, and
+associativity read only where one side is defined.
 """
 
+import math
 import random
 from itertools import product
 
 from effectalg import (
+    Operation,
     TableAlgebra,
+    atoms,
     chain_table,
+    check_axioms,
     enumerate_s1sk,
     make_simplicial,
     meet_boolean,
@@ -22,7 +28,7 @@ from effectalg import (
     validate_table_algebra,
 )
 from effectalg.fixtures import load_fixture
-from effectalg.operations import check_s1, check_s4, check_s5
+from effectalg.operations import _s4_scan, check_s1, check_s4, check_s5
 
 
 def s1_reference(alg, prod):
@@ -139,9 +145,14 @@ SCANS = ((check_s1, s1_reference), (check_s4, s4_reference), (check_s5, s5_refer
 
 
 def assert_same_witnesses(alg, tables):
+    """Each scan, and check_axioms, which takes the restricted S4 scan
+    whenever S1 holds, against the reference loops."""
     for prod in tables:
-        for scan, reference in SCANS:
-            assert scan(alg, prod) == reference(alg, prod), (scan.__name__, prod)
+        results = check_axioms(Operation(alg, table=prod), 5).results
+        for (scan, reference), name in zip(SCANS, ("s1", "s4", "s5")):
+            want = reference(alg, prod)
+            assert scan(alg, prod) == want, (scan.__name__, prod)
+            assert results[name] == want, (name, prod)
 
 
 def random_tables(n, rng, count):
@@ -161,19 +172,22 @@ def perturbed(table, rng, count, max_cells=3):
     return out
 
 
-def cube_meet(rank, rng):
+def cube_meet(rank, rng, perm=None):
     """The Boolean cube 2^rank as a relabelled table algebra (x (+) y = x | y
-    on disjoint bitmasks) and its meet table x o y = x & y."""
+    on disjoint bitmasks) and its meet table x o y = x & y; with `perm`, the
+    twisted meet x o y = P(x & y), where P moves coordinate i to perm[i]."""
     n = 1 << rank
     lab = list(range(n))
     rng.shuffle(lab)
+    twist = list(range(n)) if perm is None else [
+        sum(1 << perm[i] for i in range(rank) if x >> i & 1) for x in range(n)]
     sums = [[None] * n for _ in range(n)]
     table = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
             if a & b == 0:
                 sums[lab[a]][lab[b]] = lab[a | b]
-            table[lab[a]][lab[b]] = lab[a & b]
+            table[lab[a]][lab[b]] = lab[twist[a & b]]
     alg = TableAlgebra(n, lab[0], lab[n - 1], sums)
     return alg, tuple(tuple(row) for row in table)
 
@@ -304,3 +318,149 @@ def test_validation_reports_on_flipped_sum_tables():
         count = 10 if base.size > 16 else 60
         for alg in flipped_sum_tables(base, rng, count):
             assert validate_table_algebra(alg).checks == validation_reference(alg)
+
+
+def twisted_meets(rank, rng, count):
+    """Relabelled cubes with x o y = P(x & y), P a random permutation of the
+    coordinates.  Each row is additive and the product is commutative, so S1
+    holds and S4 can fail only in its composition clause; the relabelling
+    puts atoms above composite elements."""
+    out = []
+    for _ in range(count):
+        perm = list(range(rank))
+        rng.shuffle(perm)
+        out.append(cube_meet(rank, rng, perm))
+    return out
+
+
+def test_s4_composition_failures_outside_the_generators():
+    rng = random.Random("scan-oracles/twists")
+    outside = 0
+    for rank in (2, 3, 4):
+        for alg, table in twisted_meets(rank, rng, 30):
+            assert validate_table_algebra(alg).ok
+            results = check_axioms(Operation(alg, table=table), 4).results
+            assert results["s1"] is None
+            want = s4_reference(alg, table)
+            assert results["s4"] == want
+            if want is not None and len(want) == 3 and want[2] not in alg.sum_generators():
+                outside += 1
+    # the least failing c is often a composite element, not zero or an atom
+    assert outside >= 20
+
+
+def test_generators_fall_back_to_every_element_where_they_do_not_generate():
+    # {0, x, y} with x (+) x = y and y (+) y = x: both x and y are sums of two
+    # others, so zero alone is left, and it does not generate x or y
+    alg = TableAlgebra(3, 0, 1, [[0, 1, 2], [1, 2, None], [2, None, 1]])
+    assert alg.sum_generators() == (0, 1, 2)
+    # the additive maps are zero, the identity and the swap of x and y; with
+    # zero as the only generator the composition-clause failures among these
+    # tables would be missed
+    rows = [(0, 0, 0), (0, 1, 2), (0, 2, 1)]
+    outside = 0
+    for prod in product(rows, repeat=3):
+        results = check_axioms(Operation(alg, table=prod), 4).results
+        assert results["s1"] is None
+        want = s4_reference(alg, prod)
+        assert results["s4"] == want
+        outside += want is not None and len(want) == 3
+    assert outside > 0
+    # a sum table that is not commutative falls back as well
+    skew = TableAlgebra(3, 0, 1, [[0, 1, 2], [1, 2, None], [2, 0, None]])
+    assert skew.sum_generators() == (0, 1, 2)
+
+
+def test_restricted_s4_scan_on_lists_and_one_element():
+    rng = random.Random("scan-oracles/s4-lists")
+    for alg, t in twisted_meets(3, rng, 20):
+        rows = [list(row) for row in t]
+        assert (_s4_scan(alg, rows, alg.sum_generators())
+                == _s4_scan(alg, t, alg.sum_generators()) == s4_reference(alg, t))
+    one = TableAlgebra(1, 0, 0, [[0]])
+    assert one.sum_generators() == (0,)
+    assert check_axioms(Operation(one, table=[[0]]), 5).all_pass
+    assert _s4_scan(one, [[0]], (0,)) is None
+
+
+def test_generators_are_zero_and_the_atoms():
+    def shapes(limit, prefix=()):
+        if prefix:
+            yield prefix
+        size = math.prod(ui + 1 for ui in prefix)
+        for ui in range(1, limit):
+            if size * (ui + 1) <= limit:
+                yield from shapes(limit, prefix + (ui,))
+
+    boxes = [make_simplicial(u) for u in shapes(64)]
+    assert len(boxes) == 440
+    for alg in boxes:
+        assert alg.sum_generators() == (0,) + tuple(rec.atom.index for rec in atoms(alg))
+    rng = random.Random("scan-oracles/generators")
+    tables = [mo2(), cube_meet(4, rng)[0], hsum_sigma((2, 3, 4), rng)[0]]
+    tables += [load_fixture(name) for name in ("c1", "c2", "c3", "c4")]
+    tables += [chain_table(n) for n in (1, 2, 5, 9)]
+    for alg in tables:
+        assert validate_table_algebra(alg).ok
+        want = sorted({alg.zero_index} | {rec.atom for rec in atoms(alg)})
+        assert alg.sum_generators() == tuple(want)
+
+
+def undefined_sums(alg, rng, count):
+    """Copies of the sum table with one to four defined sums a (+) b, and
+    b (+) a with them, made undefined.  Where both sides of the associative
+    law are still defined they still agree, so the law can fail only in
+    definedness."""
+    n = alg.size
+    defined = [(a, b) for a in range(n) for b in range(a, n) if alg.sum_table[a][b] is not None]
+    out = []
+    for _ in range(count):
+        rows = [list(row) for row in alg.sum_table]
+        for a, b in rng.sample(defined, min(len(defined), rng.randint(1, 4))):
+            rows[a][b] = rows[b][a] = None
+        out.append(TableAlgebra(n, alg.zero_index, alg.one_index, rows))
+    return out
+
+
+def random_partial_sums(n, rng, count):
+    """Random sum tables, each entry undefined with a random probability;
+    every other one mirrored so that it is commutative."""
+    out = []
+    for i in range(count):
+        p = rng.random()
+        rows = [[None if rng.random() < p else rng.randrange(n) for _ in range(n)]
+                for _ in range(n)]
+        if i % 2:
+            rows = [[rows[min(a, b)][max(a, b)] for b in range(n)] for a in range(n)]
+        out.append(TableAlgebra(n, rng.randrange(n), rng.randrange(n), rows))
+    return out
+
+
+def test_validation_on_tables_that_fail_in_definedness_only():
+    rng = random.Random("scan-oracles/definedness")
+    bases = [chain_table(3), mo2(), make_simplicial((2, 1)).to_table(),
+             make_simplicial((1, 1, 1)).to_table(), cube_meet(4, rng)[0],
+             hsum_sigma((2, 3, 4), rng)[0]]
+    failures = 0
+    for base in bases:
+        for alg in undefined_sums(base, rng, 40):
+            report = validate_table_algebra(alg)
+            assert report.checks == validation_reference(alg)
+            w = report.checks["associativity"]
+            if w is not None:
+                failures += 1
+                s, (a, b, c) = alg.sum_table, (w["a"], w["b"], w["c"])
+                left = None if s[a][b] is None else s[s[a][b]][c]
+                right = None if s[b][c] is None else s[a][s[b][c]]
+                assert (left is None) != (right is None)
+    assert failures >= 100
+
+
+def test_validation_on_random_partial_sum_tables():
+    rng = random.Random("scan-oracles/partial")
+    for n in (1, 2, 3, 4, 6, 9):
+        for alg in random_partial_sums(n, rng, 60):
+            assert validate_table_algebra(alg).checks == validation_reference(alg)
+    for rows in ([[0]], [[None]]):
+        alg = TableAlgebra(1, 0, 0, rows)
+        assert validate_table_algebra(alg).checks == validation_reference(alg)
