@@ -2,7 +2,8 @@
 
 An effect algebra is a set with a partial commutative and associative sum, a
 zero and a one, a unique orthosupplement a' satisfying a (+) a' = 1, and the
-law that a (+) 1 defined forces a = 0.  Two concrete carriers live here:
+law that a (+) 1 defined forces a = 0.  Two concrete carriers live here, on
+one base, FiniteEffectAlgebra, that memoizes what derives from the sum table:
 
 * SimplicialAlgebra -- the integer box [0, u] in Z^r, where x (+) y equals
   x + y when x + y <= u coordinatewise and is undefined otherwise;
@@ -23,7 +24,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence, Union
 
-from .errors import CapExceeded, InvalidTableAlgebra
+from .errors import CapExceeded, InvalidTableAlgebra, count_text
 
 # Refuse to build boxes with more elements than this.
 CARRIER_LIMIT = 10**6
@@ -42,15 +43,6 @@ def _is_int(v) -> bool:
 def _is_grid(obj) -> bool:
     """A JSON list of lists."""
     return isinstance(obj, list) and all(isinstance(row, list) for row in obj)
-
-
-def _orthogonal_pairs(sums) -> SumPairs:
-    """Per b, the defined sums as pairs (c, b (+) c) with c >= b, in c order."""
-    n = len(sums)
-    return tuple(
-        tuple((c, row[c]) for c in range(b, n) if row[c] is not None)
-        for b, row in enumerate(sums)
-    )
 
 
 def _bits(indices) -> int:
@@ -109,7 +101,7 @@ class Shape:
         if not u:
             raise ValueError("shape needs at least one coordinate")
         for ui in u:
-            if not isinstance(ui, int) or isinstance(ui, bool) or ui < 1:
+            if not _is_int(ui) or ui < 1:
                 raise ValueError(f"shape coordinates must be integers >= 1, got {ui!r}")
         object.__setattr__(self, "u", u)
 
@@ -162,7 +154,7 @@ class Elem:
         if len(coords) != self.shape.r:
             raise ValueError(f"expected {self.shape.r} coordinates, got {len(coords)}")
         for c, ui in zip(coords, self.shape.u):
-            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c <= ui:
+            if not _is_int(c) or not 0 <= c <= ui:
                 raise ValueError(f"coordinate {c!r} outside [0, {ui}]")
         object.__setattr__(self, "coords", coords)
 
@@ -174,26 +166,58 @@ class Elem:
         return not any(self.coords)
 
 
-class SimplicialAlgebra:
-    """The interval [0, u] in Z^r under truncated vector addition."""
+class FiniteEffectAlgebra:
+    """The index-level interface of both carriers: elements 0 .. size-1, a
+    zero and a one, the sum table oplus_table() (None where undefined) and
+    the orthosupplements ortho_table(), each defined by the carrier.  The
+    tables derived from the sum table are memoized here."""
 
-    def __init__(self, shape: Shape):
-        if shape.size > CARRIER_LIMIT:
-            raise CapExceeded(
-                f"box [0, {shape.u}] has {shape.size} elements, over the "
-                f"carrier limit {CARRIER_LIMIT}",
-                count=shape.size,
-            )
-        self.shape = shape
-        self.size = shape.size
-        self.zero = Elem((0,) * shape.r, shape)
-        self.one = Elem(shape.u, shape)
-        self.zero_index = 0
-        self.one_index = shape.size - 1
-        self._sums: Optional[tuple[tuple[Optional[int], ...], ...]] = None
+    def __init__(self, size: int, zero: int, one: int):
+        self.size = size
+        self.zero_index = zero
+        self.one_index = one
         self._ortho: Optional[tuple[int, ...]] = None
         self._pairs: Optional[SumPairs] = None
         self._gens: Optional[tuple[int, ...]] = None
+
+    def orthogonal_pairs(self) -> SumPairs:
+        """Per b, the defined sums (c, b (+) c) with c >= b, in c order, memoized."""
+        if self._pairs is None:
+            n = self.size
+            self._pairs = tuple(
+                tuple((c, row[c]) for c in range(b, n) if row[c] is not None)
+                for b, row in enumerate(self.oplus_table())
+            )
+        return self._pairs
+
+    def sum_generators(self) -> tuple[int, ...]:
+        """Zero and the atoms (see _sum_generators), memoized."""
+        if self._gens is None:
+            self._gens = _sum_generators(self.oplus_table(), self.orthogonal_pairs(),
+                                         self.zero_index)
+        return self._gens
+
+
+def _check_carrier(shape: Shape) -> None:
+    """Refuse (CapExceeded) a box of more than CARRIER_LIMIT elements."""
+    if shape.size > CARRIER_LIMIT:
+        raise CapExceeded(
+            f"box [0, {shape.u}] has {count_text(shape.size)} elements, over the "
+            f"carrier limit {CARRIER_LIMIT}",
+            count=shape.size,
+        )
+
+
+class SimplicialAlgebra(FiniteEffectAlgebra):
+    """The interval [0, u] in Z^r under truncated vector addition."""
+
+    def __init__(self, shape: Shape):
+        _check_carrier(shape)
+        super().__init__(shape.size, 0, shape.size - 1)
+        self.shape = shape
+        self.zero = Elem((0,) * shape.r, shape)
+        self.one = Elem(shape.u, shape)
+        self._sums: Optional[tuple[tuple[Optional[int], ...], ...]] = None
 
     def __repr__(self):
         return f"SimplicialAlgebra(u={self.shape.u})"
@@ -229,7 +253,7 @@ class SimplicialAlgebra:
                     count=self.size * self.size,
                 )
             u = self.shape.u
-            coords = [self.shape.coords_of(i) for i in range(self.size)]
+            coords = self.shape.all_coords
             rows = []
             for a in coords:
                 row = []
@@ -245,23 +269,10 @@ class SimplicialAlgebra:
         if self._ortho is None:
             u = self.shape.u
             self._ortho = tuple(
-                self.shape.index_of(tuple(ui - c for c, ui in zip(self.shape.coords_of(i), u)))
-                for i in range(self.size)
+                self.shape.index_of(tuple(ui - c for c, ui in zip(x, u)))
+                for x in self.shape.all_coords
             )
         return self._ortho
-
-    def orthogonal_pairs(self) -> SumPairs:
-        """Per b, the defined sums (c, b (+) c) with c >= b, memoized."""
-        if self._pairs is None:
-            self._pairs = _orthogonal_pairs(self.oplus_table())
-        return self._pairs
-
-    def sum_generators(self) -> tuple[int, ...]:
-        """Zero and the atoms (see _sum_generators), memoized."""
-        if self._gens is None:
-            self._gens = _sum_generators(self.oplus_table(), self.orthogonal_pairs(),
-                                         self.zero_index)
-        return self._gens
 
     def to_table(self) -> "TableAlgebra":
         """Export the box as an explicit sum table (validation is the caller's call)."""
@@ -271,7 +282,7 @@ class SimplicialAlgebra:
         return {"type": "simplicial", "u": list(self.shape.u)}
 
 
-class TableAlgebra:
+class TableAlgebra(FiniteEffectAlgebra):
     """A finite effect-algebra candidate given by an explicit partial sum table.
 
     The constructor checks only well-formedness: table dimensions, index
@@ -296,13 +307,8 @@ class TableAlgebra:
                 if v is not None and (not _is_int(v) or not 0 <= v < size):
                     raise ValueError(f"sum entry {v!r} is not None or an index below {size}")
             rows.append(tuple(row))
-        self.size = size
-        self.zero_index = zero
-        self.one_index = one
+        super().__init__(size, zero, one)
         self.sum_table = tuple(rows)
-        self._ortho: Optional[tuple[int, ...]] = None
-        self._pairs: Optional[SumPairs] = None
-        self._gens: Optional[tuple[int, ...]] = None
 
     def __repr__(self):
         return f"TableAlgebra(size={self.size})"
@@ -332,19 +338,6 @@ class TableAlgebra:
             self._ortho = tuple(out)
         return self._ortho
 
-    def orthogonal_pairs(self) -> SumPairs:
-        """Per b, the defined sums (c, b (+) c) with c >= b, memoized."""
-        if self._pairs is None:
-            self._pairs = _orthogonal_pairs(self.oplus_table())
-        return self._pairs
-
-    def sum_generators(self) -> tuple[int, ...]:
-        """Zero and the atoms (see _sum_generators), memoized."""
-        if self._gens is None:
-            self._gens = _sum_generators(self.oplus_table(), self.orthogonal_pairs(),
-                                         self.zero_index)
-        return self._gens
-
     def to_json(self) -> dict:
         return {
             "type": "table",
@@ -353,9 +346,6 @@ class TableAlgebra:
             "one": self.one_index,
             "sum": [[-1 if v is None else v for v in row] for row in self.sum_table],
         }
-
-
-FiniteEffectAlgebra = Union[SimplicialAlgebra, TableAlgebra]
 
 
 @dataclass(frozen=True)
@@ -596,10 +586,6 @@ def validate_table_algebra(alg: TableAlgebra) -> ValidationReport:
     checks["zero_one"] = zero_one()
     checks["positivity"] = positivity()
     return ValidationReport(size=n, checks=checks)
-
-
-def algebra_to_json(alg: FiniteEffectAlgebra) -> dict:
-    return alg.to_json()
 
 
 def algebra_from_json(obj: dict) -> FiniteEffectAlgebra:

@@ -20,7 +20,7 @@ from .algebra import (
     load_algebra,
     make_simplicial,
 )
-from .errors import CapExceeded, InvalidTableAlgebra, NodeBudgetExceeded
+from .errors import COUNT_LIMIT, CapExceeded, InvalidTableAlgebra, NodeBudgetExceeded, count_text
 from .maps import DEFAULT_MATRIX_CAP, count_subunital, enumerate_subunital
 from .operations import (
     Operation,
@@ -41,8 +41,6 @@ from .search import (
     enumerate_s1sk,
 )
 from .verify import run_suite
-
-NAMED_OPS = ("sigma", "meet")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -199,12 +197,12 @@ def cmd_matrices(args) -> int:
 
 
 def cmd_count(args) -> int:
-    total = count_s1s2(args.u)
+    total = count_text(count_s1s2(args.u))
     _note(f"{total} operations satisfying S1+S2 on the box {list(args.u)}")
     _emit({
         "u": list(args.u),
         "axioms": "s1s2",
-        "count": str(total),
+        "count": total,
         "certificate": "formula",
     })
     return 0
@@ -308,7 +306,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except CapExceeded as exc:
         out = {"error": "cap_exceeded"}
-        if exc.count is not None:
+        if exc.count is not None and exc.count < COUNT_LIMIT:
             out["count"] = str(exc.count)
         _emit(out)
         _note(str(exc))

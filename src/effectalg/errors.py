@@ -15,6 +15,19 @@ class CapExceeded(RuntimeError):
         self.count = count
 
 
+# Python writes no int of more than 4300 decimal digits as text (its default
+# int_max_str_digits), so a count at or past this bound is refused as over a
+# cap instead of being printed.
+COUNT_LIMIT = 10**4300
+
+
+def count_text(count: int) -> str:
+    """count in decimal; CapExceeded, with no count, at or past COUNT_LIMIT."""
+    if count >= COUNT_LIMIT:
+        raise CapExceeded(f"a count of {count.bit_length()} bits has more than 4300 digits")
+    return str(count)
+
+
 class NodeBudgetExceeded(RuntimeError):
     """A backtracking search crossed its node budget before finishing.
 

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from operator import mul
 from typing import Iterator, Optional, Sequence, Union
 
-from .algebra import Elem, Shape, SimplicialAlgebra
+from .algebra import Elem, Shape, SimplicialAlgebra, _check_carrier, _is_int
 from .errors import CapExceeded
 
 DEFAULT_MATRIX_CAP = 10**6
@@ -49,24 +48,26 @@ def enumerate_rows(u: Sequence[int], budget: int) -> list[tuple[int, ...]]:
 
 
 def count_rows(u: Sequence[int], budget: int) -> int:
-    """Count rows alpha >= 0 with alpha . u <= budget without listing them."""
+    """Count rows alpha >= 0 with alpha . u <= budget without listing them:
+    f(i, b) = f(i + 1, b) + f(i, b - u_i) counts the rows over coordinates
+    i.. within b, as running sums along each residue class mod u_i."""
     u = tuple(u)
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-
-    @lru_cache(maxsize=None)
-    def f(i: int, rem: int) -> int:
-        if i == len(u):
-            return 1
-        return sum(f(i + 1, rem - a * u[i]) for a in range(rem // u[i] + 1))
-
-    return f(0, budget)
+    f = [1] * (budget + 1)
+    for ui in reversed(u):
+        for c in range(min(ui, budget + 1)):
+            f[c::ui] = accumulate(f[c::ui])
+    return f[budget]
 
 
 def count_subunital(u: Sequence[int], v: Optional[Sequence[int]] = None) -> int:
-    """#M(u, v): the product over codomain rows of the per-row counts."""
+    """#M(u, v): the product over codomain rows of the per-row counts.
+    Refuses (CapExceeded) a u or v box over CARRIER_LIMIT elements."""
     u = tuple(u)
     v = u if v is None else tuple(v)
+    _check_carrier(Shape(u))
+    _check_carrier(Shape(v))
     return math.prod(count_rows(u, vi) for vi in v)
 
 
@@ -86,7 +87,7 @@ class SubunitalMatrix:
             if len(row) != self.domain.r:
                 raise ValueError(f"expected rows of length {self.domain.r}")
             for m in row:
-                if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+                if not _is_int(m) or m < 0:
                     raise ValueError(f"matrix entries must be integers >= 0, got {m!r}")
             if sum(m * ui for m, ui in zip(row, self.domain.u)) > vi:
                 raise ValueError(f"row {row} breaks subunitality against v_i = {vi}")
@@ -143,16 +144,7 @@ def enumerate_subunital(u: Sequence[int], v: Optional[Sequence[int]] = None,
         raise CapExceeded(f"{total} subunital matrices exceed the cap {cap}", count=total)
     dom, cod = Shape(u), Shape(v)
     pools = [enumerate_rows(u, vi) for vi in v]
-
-    def gen():
-        for rows in product(*pools):
-            yield SubunitalMatrix(rows, dom, cod)
-
-    return gen()
-
-
-def apply_matrix(M: SubunitalMatrix, x: Elem) -> Elem:
-    return M.apply(x)
+    return (SubunitalMatrix(rows, dom, cod) for rows in product(*pools))
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ from typing import Optional, Sequence, Union
 from .algebra import (
     Elem,
     FiniteEffectAlgebra,
-    Shape,
     SimplicialAlgebra,
     TableAlgebra,
     _is_grid,
@@ -456,28 +455,6 @@ def right_unit_holds(op: Operation) -> tuple[bool, Optional[int]]:
         if prod[a][one] != a:
             return (False, a)
     return (True, None)
-
-
-def commutes(op: Operation, a: Union[int, Elem], b: Union[int, Elem]) -> bool:
-    """a o b = b o a."""
-    ai = _as_index(op.algebra, a)
-    bi = _as_index(op.algebra, b)
-    return op.apply(ai, bi) == op.apply(bi, ai)
-
-
-def _as_index(alg: FiniteEffectAlgebra, x: Union[int, Elem]) -> int:
-    if isinstance(x, Elem):
-        if not isinstance(alg, SimplicialAlgebra):
-            raise ValueError("coordinate elements only address boxes")
-        return alg.index(x)
-    if isinstance(x, int) and 0 <= x < alg.size:
-        return x
-    raise ValueError(f"{x!r} is not an element of the algebra")
-
-
-def to_full_table(op: Operation) -> Operation:
-    """The same operation re-represented as a full table."""
-    return Operation(op.algebra, table=op.product_table())
 
 
 @dataclass(frozen=True)

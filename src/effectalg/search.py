@@ -32,11 +32,12 @@ all; full_bruteforce_ops is its list for one k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .algebra import Shape, FiniteEffectAlgebra, SimplicialAlgebra, has_obstruction_atom, make_simplicial
-from .errors import CapExceeded, NodeBudgetExceeded
+from .algebra import FiniteEffectAlgebra, Shape, has_obstruction_atom, make_simplicial
+from .errors import COUNT_LIMIT, CapExceeded, NodeBudgetExceeded, count_text
 from .maps import count_subunital, enumerate_subunital
 from .operations import (
     AXIOM_CHECKS,
@@ -73,7 +74,7 @@ class SearchResult:
         out: dict = {
             "u": list(self.u),
             "k": self.k,
-            "count": str(self.count),
+            "count": count_text(self.count),
             "certificate": self.certificate,
         }
         if self.operations is not None:
@@ -143,10 +144,54 @@ class ChainReport:
     s5_witness: Optional[Operation]
 
 
+def _families(u: tuple[int, ...], free: int) -> int:
+    """#M(u) ** free: one u-subunital matrix for each of `free` elements.
+    M(u) holds the zero and identity matrices, so once 2 ** free reaches
+    COUNT_LIMIT the count is refused (CapExceeded) before it is computed."""
+    if free >= COUNT_LIMIT.bit_length():
+        raise CapExceeded(f"#M({u}) ** {free} has more than 4300 digits")
+    return count_subunital(u, u) ** free
+
+
 def count_s1s2(u: Sequence[int]) -> int:
     """#M(u) ** (N - 1): free matrix choices everywhere except the top row."""
     u = tuple(u)
-    return count_subunital(u, u) ** (Shape(u).size - 1)
+    return _families(u, Shape(u).size - 1)
+
+
+class _Pool:
+    """The box [0, u] and its u-subunital matrices, the choices for each row
+    of an operation.  The matrices and their actions (the product-table row
+    of each) are built on first use, so a count by classes builds no action."""
+
+    def __init__(self, u: Sequence[int]):
+        self.alg = make_simplicial(u)
+
+    @cached_property
+    def matrices(self) -> list[Matrix]:
+        u = self.alg.shape.u
+        return [M.rows for M in enumerate_subunital(u, u)]
+
+    @cached_property
+    def actions(self) -> Table:
+        return matrix_actions(self.alg, self.matrices)
+
+    @cached_property
+    def top(self) -> int:
+        """The pool index of the identity, the top row under S2."""
+        return self.matrices.index(_identity(self.alg.shape.r))
+
+    def with_top(self, choice: Sequence[int]) -> tuple[int, ...]:
+        """Pool indices for rows 0..N-2, then the identity's for the top row."""
+        return (*choice, self.top)
+
+    def table(self, rows: Sequence[int]) -> Table:
+        """The product table of the operation whose row a is matrix rows[a]."""
+        return tuple(map(self.actions.__getitem__, rows))
+
+    def operation(self, rows: Sequence[int], table: Table) -> Operation:
+        """That operation, with its table self.table(rows) given."""
+        return _search_survivor(self.alg, tuple(map(self.matrices.__getitem__, rows)), table)
 
 
 def _matrix_families(u: Sequence[int], pin_top: bool, cap: int) -> Iterator[Operation]:
@@ -155,21 +200,16 @@ def _matrix_families(u: Sequence[int], pin_top: bool, cap: int) -> Iterator[Oper
     fixes the top row to the identity (axiom S2)."""
     u = tuple(u)
     free = Shape(u).size - int(pin_top)
-    total = count_subunital(u, u) ** free
+    total = _families(u, free)
     if total > cap:
         label = "S1+S2" if pin_top else "S1"
-        raise CapExceeded(f"{total} {label} operations exceed the cap {cap}", count=total)
-    alg = make_simplicial(u)
-    pool = [M.rows for M in enumerate_subunital(u, u)]
-    action = matrix_actions(alg, pool)
+        raise CapExceeded(f"{count_text(total)} {label} operations exceed the cap {cap}",
+                          count=total)
+    pool = _Pool(u)
+    choices = product(range(len(pool.matrices)), repeat=free)
     if pin_top:
-        # the identity's action is the identity row
-        tail, tail_rows = (_identity(alg.shape.r),), (tuple(range(alg.size)),)
-    else:
-        tail, tail_rows = (), ()
-    return (_search_survivor(alg, tuple(pool[i] for i in choice) + tail,
-                             tuple(action[i] for i in choice) + tail_rows)
-            for choice in product(range(len(pool)), repeat=free))
+        choices = map(pool.with_top, choices)
+    return (pool.operation(rows, pool.table(rows)) for rows in choices)
 
 
 def enumerate_s1(u: Sequence[int], cap: int = DEFAULT_OP_CAP) -> Iterator[Operation]:
@@ -183,8 +223,7 @@ def enumerate_s1s2(u: Sequence[int], cap: int = DEFAULT_OP_CAP) -> Iterator[Oper
     return _matrix_families(u, True, cap)
 
 
-def _s3_assignments(alg: SimplicialAlgebra, pool: list[Matrix], by_class: bool,
-                    node_budget: int,
+def _s3_assignments(pool: _Pool, by_class: bool, node_budget: int,
                     masks: Optional[list[int]] = None) -> Iterator[tuple[list[int], int]]:
     """Yield (choices for rows 0..N-2, weight) for every assignment of rows
     that keeps M_a b = 0 iff M_b a = 0 for every pair of elements, with the
@@ -207,10 +246,11 @@ def _s3_assignments(alg: SimplicialAlgebra, pool: list[Matrix], by_class: bool,
     One node = one class or matrix tried for a row; crossing node_budget
     raises.  The yielded list is reused: copy it to keep it.
     """
-    n = alg.size
-    r = alg.shape.r
-    supports = [sum(1 << j for j, c in enumerate(x) if c) for x in alg.shape.all_coords]
-    zcols = [sum(1 << j for j in range(r) if not any(row[j] for row in M)) for M in pool]
+    shape = pool.alg.shape
+    n = shape.size
+    supports = [sum(1 << j for j, c in enumerate(x) if c) for x in shape.all_coords]
+    zcols = [sum(1 << j for j in range(shape.r) if not any(row[j] for row in M))
+             for M in pool.matrices]
     classes = sorted(set(zcols))
     # kills[c]: elements that class c sends to 0; zero_at[b]: classes sending b to 0
     kills = [sum(1 << b for b, s in enumerate(supports) if not s & ~z) for z in classes]
@@ -221,7 +261,7 @@ def _s3_assignments(alg: SimplicialAlgebra, pool: list[Matrix], by_class: bool,
     else:
         index = {z: c for c, z in enumerate(classes)}
         class_of = [index[z] for z in zcols]
-        weight = [1] * len(pool)
+        weight = [1] * len(zcols)
     # members[c]: the choices of class c, as a bitmask
     members = [0] * len(classes)
     for i, c in enumerate(class_of):
@@ -299,34 +339,34 @@ def _s3_assignments(alg: SimplicialAlgebra, pool: list[Matrix], by_class: bool,
                 untried[pos] &= masks[pos]
 
 
-def _s1sk_survivors(alg: SimplicialAlgebra, pool: list[Matrix], k: int,
+def _s1sk_survivors(pool: _Pool, k: int,
                     node_budget: int) -> Iterator[tuple[tuple[int, ...], Table]]:
-    """Yield (pool indices of rows 0..N-2, product table) for every S1..Sk
-    operation: the matrix-by-matrix assignments of _s3_assignments, each
-    leaf's table assembled from the pool matrices' actions and, for k >= 4,
-    filtered by S4 (and S5).
+    """Yield (pool indices of every row, product table) for every S1..Sk
+    operation: the matrix-by-matrix assignments of _s3_assignments under
+    the identity top row, each leaf's table assembled from the pool
+    matrices' actions and, for k >= 4, filtered by S4 (and S5).
 
     For k >= 4 row a may only take a pool matrix with M u = a.  Row 0 is the
     zero map and the top row the identity, so a o 0 = 0 = 0 o a, and S4's
     b'-clause at the instance (a, 0) demands a o 1 = 1 o a = a: a row with
     M u != a fails that one S4 instance whatever the other rows are."""
+    alg = pool.alg
     n = alg.size
-    action = matrix_actions(alg, pool)
-    top_row = tuple(range(n))  # the identity's action
     leaf_checks = (check_s4, check_s5)[:k - 3]
     masks = None
     if k >= 4:
         masks = [0] * (n - 1)
-        for i, act in enumerate(action):
+        for i, act in enumerate(pool.actions):
             if act[-1] < n - 1:
                 masks[act[-1]] |= 1 << i
-    for choice, _ in _s3_assignments(alg, pool, False, node_budget, masks):
-        table = tuple(map(action.__getitem__, choice)) + (top_row,)
+    for choice, _ in _s3_assignments(pool, False, node_budget, masks):
+        rows = pool.with_top(choice)
+        table = pool.table(rows)
         for check in leaf_checks:
             if check(alg, table) is not None:
                 break
         else:
-            yield tuple(choice), table
+            yield rows, table
 
 
 def enumerate_s1sk(u: Sequence[int], k: int, cap: int = DEFAULT_OP_CAP,
@@ -342,22 +382,19 @@ def enumerate_s1sk(u: Sequence[int], k: int, cap: int = DEFAULT_OP_CAP,
     if k not in (3, 4, 5):
         raise ValueError(f"k must be in 3..5, got {k}")
     u = tuple(u)
-    alg = make_simplicial(u)
-    pool = [M.rows for M in enumerate_subunital(u, u)]
+    pool = _Pool(u)
     if k == 3:
-        class_count = sum(w for _, w in _s3_assignments(alg, pool, True, node_budget))
+        class_count = sum(w for _, w in _s3_assignments(pool, True, node_budget))
         if class_count > cap:
             return SearchResult(u=u, k=k, count=class_count, certificate="exhaustive",
                                 operations=None)
-    ident = _identity(alg.shape.r)
     count = 0
     ops: Optional[list[Operation]] = []
-    for choice, table in _s1sk_survivors(alg, pool, k, node_budget):
+    for rows, table in _s1sk_survivors(pool, k, node_budget):
         count += 1
         if ops is not None:
             if count <= cap:
-                matrices = tuple(pool[mi] for mi in choice) + (ident,)
-                ops.append(_search_survivor(alg, matrices, table))
+                ops.append(pool.operation(rows, table))
             else:
                 ops = None
     if k == 3 and count != class_count:
@@ -378,17 +415,16 @@ def exists_s1s4(u: Sequence[int],
     budget trip reports undecided rather than guessing.
     """
     u = tuple(u)
-    alg = make_simplicial(u)
-    if not has_obstruction_atom(alg):
-        op = meet_boolean(alg)
+    pool = _Pool(u)
+    if not has_obstruction_atom(pool.alg):
+        op = meet_boolean(pool.alg)
         if not check_axioms(op, 4).all_pass:
             raise RuntimeError("componentwise meet failed S1-S4 on a Boolean box; "
                                "internal inconsistency")
         return S4Existence(u=u, exists=True, certificate="witness", witness=op)
 
-    pool = [M.rows for M in enumerate_subunital(u, u)]
     try:
-        found = next(_s1sk_survivors(alg, pool, 4, node_budget), None)
+        found = next(_s1sk_survivors(pool, 4, node_budget), None)
     except NodeBudgetExceeded:
         return S4Existence(u=u, exists=None, certificate="undecided", witness=None)
     if found is not None:

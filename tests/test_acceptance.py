@@ -7,7 +7,6 @@ value being judged.
 
 from effectalg import (
     additive_maps_bruteforce,
-    apply_matrix,
     check_axioms,
     classify_b2,
     count_subunital,
@@ -43,7 +42,7 @@ def test_criterion_02_additive_map_oracle_equivalence():
         alg = make_simplicial(u)
         brute = {tuple(x.index for x in images)
                  for images in additive_maps_bruteforce(alg, alg)}
-        structured = {tuple(apply_matrix(M, x).index for x in alg.elements())
+        structured = {tuple(M.apply(x).index for x in alg.elements())
                       for M in enumerate_subunital(u, u)}
         assert brute == structured, u
 

@@ -106,6 +106,35 @@ def test_count(capsys):
                    "certificate": "formula"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--u", "100,100", "--axioms", "s1s2"),
+    ("enumerate", "--u", "100,100", "--axioms", "s1s2"),
+    ("enumerate", "--u", "100,100", "--axioms", "s1s2", "--count-only"),
+    ("algebra", "--u", ",".join(["1000000000"] * 500)),
+])
+def test_counts_past_4300_digits_are_over_a_cap(capsys, argv):
+    # 9 ** 10200 S1+S2 operations and a box of 1000000001 ** 500 elements:
+    # Python writes neither count as text, so none is reported
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert len(out.splitlines()) == 1
+    assert json.loads(out) == {"error": "cap_exceeded"}
+
+
+def test_matrices_refuses_boxes_over_the_carrier_limit(capsys):
+    code, out, _ = run(capsys, "matrices", "--u", "1", "--v", "100000000000", "--count-only")
+    assert code == 3
+    assert json.loads(out) == {"error": "cap_exceeded", "count": "100000000001"}
+    code, doc, _ = run_json(capsys, "matrices", "--u", "1000,1000", "--v", "1", "--count-only")
+    assert code == 3
+    assert doc == {"error": "cap_exceeded", "count": "1002001"}
+    # within the limit a large budget is counted, not listed row by row
+    code, doc, _ = run_json(capsys, "matrices", "--u", "1,1,1,1", "--v", "4000",
+                            "--count-only")
+    assert code == 0
+    assert doc["count"] == "10693356675001"  # C(4004, 4)
+
+
 def test_count_rejects_other_axioms(capsys):
     code, doc, _ = run_json(capsys, "count", "--u", "1,1", "--axioms", "s1s3")
     assert code == 2 and doc["error"] == "malformed_input"

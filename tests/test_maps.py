@@ -5,6 +5,8 @@ is the oracle here; the matrix route must reproduce it exactly on every shape
 small enough to brute-force.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,6 @@ from effectalg import (
     Shape,
     SubunitalMatrix,
     additive_maps_bruteforce,
-    apply_matrix,
     count_subunital,
     enumerate_subunital,
     is_coordinate_picker,
@@ -42,6 +43,25 @@ def test_row_count_matches_the_listing(u, budget):
     assert len(rows) == count_rows(u, budget)
     assert rows == sorted(rows)
     assert all(sum(a * ui for a, ui in zip(row, u)) <= budget for row in rows)
+
+
+def test_row_counts_on_large_budgets():
+    # rows alpha >= 0 with sum(alpha) <= b number C(b + r, r), and with
+    # 2 a + 3 c <= b one for each c and each a <= (b - 3 c) // 2
+    assert count_rows((1, 1, 1, 1), 999_999) == math.comb(1_000_003, 4)
+    b = 10**6 - 1
+    assert count_rows((2, 3), b) == sum((b - 3 * c) // 2 + 1 for c in range(b // 3 + 1))
+    assert count_rows((10**6,), 5) == 1
+
+
+def test_matrix_counts_refuse_boxes_over_the_carrier_limit():
+    with pytest.raises(CapExceeded) as exc:
+        count_subunital((1,), (10**11,))
+    assert exc.value.count == 10**11 + 1
+    with pytest.raises(CapExceeded):
+        count_subunital((10**6,), (1,))
+    with pytest.raises(ValueError):
+        count_subunital((0,))
 
 
 def test_matrix_counts():
@@ -96,7 +116,7 @@ def test_matrix_action_lands_in_the_codomain(u, data):
     M = data.draw(st.sampled_from(ms))
     alg = make_simplicial(u)
     x = alg.element(data.draw(st.integers(0, alg.size - 1)))
-    y = apply_matrix(M, x)
+    y = M.apply(x)
     assert all(0 <= c <= ui for c, ui in zip(y.coords, u))
 
 
@@ -111,10 +131,10 @@ def test_matrix_action_is_additive(u, data):
     k = alg.oplus_index(i, j)
     if k is None:
         return
-    left = apply_matrix(M, alg.element(k))
+    left = M.apply(alg.element(k))
     right = tuple(a + b for a, b in zip(
-        apply_matrix(M, alg.element(i)).coords,
-        apply_matrix(M, alg.element(j)).coords,
+        M.apply(alg.element(i)).coords,
+        M.apply(alg.element(j)).coords,
     ))
     assert left.coords == right
 
@@ -126,7 +146,7 @@ def test_bruteforce_equals_matrix_route():
         brute = {tuple(x.index for x in images)
                  for images in additive_maps_bruteforce(alg, alg)}
         via_matrices = {
-            tuple(apply_matrix(M, x).index for x in alg.elements())
+            tuple(M.apply(x).index for x in alg.elements())
             for M in enumerate_subunital(u, u)
         }
         assert brute == via_matrices
@@ -137,7 +157,7 @@ def test_bruteforce_across_different_shapes():
     dom, cod = make_simplicial((2,)), make_simplicial((1, 1))
     brute = {tuple(x.index for x in images)
              for images in additive_maps_bruteforce(dom, cod)}
-    via = {tuple(apply_matrix(M, x).index for x in dom.elements())
+    via = {tuple(M.apply(x).index for x in dom.elements())
            for M in enumerate_subunital((2,), (1, 1))}
     assert brute == via
     assert len(brute) == count_subunital((2,), (1, 1))
@@ -152,7 +172,7 @@ def test_bruteforce_cap():
 def test_matrix_of_map_round_trip():
     alg = make_simplicial((2, 1))
     for M in enumerate_subunital((2, 1)):
-        images = [apply_matrix(M, x) for x in alg.elements()]
+        images = [M.apply(x) for x in alg.elements()]
         back = matrix_of_map(alg, alg, images)
         assert isinstance(back, SubunitalMatrix)
         assert back.rows == M.rows

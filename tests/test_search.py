@@ -24,6 +24,7 @@ from effectalg import (
     CapExceeded,
     NodeBudgetExceeded,
     Operation,
+    SearchResult,
     bruteforce_prefixes,
     chain_report,
     check_axioms,
@@ -42,6 +43,7 @@ from effectalg import (
     tau_perm,
 )
 from effectalg import search
+from effectalg.errors import count_text
 from effectalg.operations import AXIOM_NAMES
 
 B2_ELEMS = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -164,6 +166,27 @@ def test_s1s2_cap_refusal_carries_the_exact_count():
     with pytest.raises(CapExceeded) as exc:
         enumerate_s1s2((1, 1), cap=10)
     assert exc.value.count == 729
+
+
+def test_counts_past_4300_digits_are_refused_as_over_a_cap():
+    # Python writes no int of more than 4300 digits as text
+    assert count_text(10**4300 - 1) == "9" * 4300
+    with pytest.raises(CapExceeded) as exc:
+        count_text(10**4300)
+    assert exc.value.count is None
+    # 9 ** 10200 S1+S2 operations on (100, 100): exact as a number, refused
+    # as a listing or as JSON
+    assert count_s1s2((100, 100)) == 9**10200
+    with pytest.raises(CapExceeded) as exc:
+        enumerate_s1s2((100, 100))
+    assert exc.value.count is None
+    res = SearchResult(u=(100, 100), k=2, count=9**10200, certificate="formula",
+                       operations=None)
+    with pytest.raises(CapExceeded):
+        res.to_json()
+    # at least 2 ** (N - 1): refused before #M(u) or the power is computed
+    with pytest.raises(CapExceeded):
+        count_s1s2((10**9, 10**9))
 
 
 def test_s1s2_enumeration_is_deterministic():
