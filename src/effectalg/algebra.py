@@ -24,7 +24,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence, Union
 
-from .errors import CapExceeded, InvalidTableAlgebra, count_text
+from .errors import InvalidTableAlgebra, refuse_over
 
 # Refuse to build boxes with more elements than this.
 CARRIER_LIMIT = 10**6
@@ -200,12 +200,7 @@ class FiniteEffectAlgebra:
 
 def _check_carrier(shape: Shape) -> None:
     """Refuse (CapExceeded) a box of more than CARRIER_LIMIT elements."""
-    if shape.size > CARRIER_LIMIT:
-        raise CapExceeded(
-            f"box [0, {shape.u}] has {count_text(shape.size)} elements, over the "
-            f"carrier limit {CARRIER_LIMIT}",
-            count=shape.size,
-        )
+    refuse_over(shape.size, CARRIER_LIMIT, f"elements in the box [0, {shape.u}]")
 
 
 class SimplicialAlgebra(FiniteEffectAlgebra):
@@ -246,12 +241,8 @@ class SimplicialAlgebra(FiniteEffectAlgebra):
     def oplus_table(self) -> tuple[tuple[Optional[int], ...], ...]:
         """Full index-level sum table, memoized; None marks undefined sums."""
         if self._sums is None:
-            if self.size > SUM_TABLE_LIMIT:
-                raise CapExceeded(
-                    f"sum table for {self.size} elements is over the "
-                    f"limit {SUM_TABLE_LIMIT}",
-                    count=self.size * self.size,
-                )
+            refuse_over(self.size * self.size, SUM_TABLE_LIMIT**2,
+                        f"sum-table entries for {self.size} elements")
             u = self.shape.u
             coords = self.shape.all_coords
             rows = []
@@ -607,12 +598,8 @@ def algebra_from_json(obj: dict) -> FiniteEffectAlgebra:
             if key not in obj:
                 raise ValueError(f'table algebra needs a "{key}" field')
         size = obj["size"]
-        if _is_int(size) and size > SUM_TABLE_LIMIT:
-            raise CapExceeded(
-                f"table algebra of {size} elements is over the sum table "
-                f"limit {SUM_TABLE_LIMIT}",
-                count=size,
-            )
+        if _is_int(size):
+            refuse_over(size, SUM_TABLE_LIMIT, "elements in a table algebra")
         raw = obj["sum"]
         if not _is_grid(raw):
             raise ValueError('"sum" must be a list of rows')

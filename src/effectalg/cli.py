@@ -20,7 +20,7 @@ from .algebra import (
     load_algebra,
     make_simplicial,
 )
-from .errors import COUNT_LIMIT, CapExceeded, InvalidTableAlgebra, NodeBudgetExceeded, count_text
+from .errors import CapExceeded, InvalidTableAlgebra, NodeBudgetExceeded, count_text
 from .maps import DEFAULT_MATRIX_CAP, count_subunital, enumerate_subunital
 from .operations import (
     Operation,
@@ -306,7 +306,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except CapExceeded as exc:
         out = {"error": "cap_exceeded"}
-        if exc.count is not None and exc.count < COUNT_LIMIT:
+        if exc.count is not None:
             out["count"] = str(exc.count)
         _emit(out)
         _note(str(exc))

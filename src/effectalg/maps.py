@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 from operator import mul
 from typing import Iterator, Optional, Sequence, Union
 
 from .algebra import Elem, Shape, SimplicialAlgebra, _check_carrier, _is_int
-from .errors import CapExceeded
+from .errors import capped_power, refuse_over
 
 DEFAULT_MATRIX_CAP = 10**6
 DEFAULT_FUNCTION_CAP = 10**7
@@ -81,16 +81,11 @@ class SubunitalMatrix:
 
     def __post_init__(self):
         rows = tuple(tuple(r) for r in self.rows)
-        if len(rows) != self.codomain.r:
-            raise ValueError(f"expected {self.codomain.r} rows, got {len(rows)}")
-        for row, vi in zip(rows, self.codomain.u):
-            if len(row) != self.domain.r:
-                raise ValueError(f"expected rows of length {self.domain.r}")
-            for m in row:
-                if not _is_int(m) or m < 0:
-                    raise ValueError(f"matrix entries must be integers >= 0, got {m!r}")
-            if sum(m * ui for m, ui in zip(row, self.domain.u)) > vi:
-                raise ValueError(f"row {row} breaks subunitality against v_i = {vi}")
+        if not all(map(_is_int, chain.from_iterable(rows))):
+            raise ValueError(f"matrix entries must be integers, got {rows}")
+        if not is_subunital(rows, self.domain.u, self.codomain.u):
+            raise ValueError(f"rows {rows} are not subunital for u = {self.domain.u}, "
+                             f"v = {self.codomain.u}")
         object.__setattr__(self, "rows", rows)
 
     def apply(self, x: Elem) -> Elem:
@@ -126,9 +121,7 @@ def is_subunital(rows: Sequence[Sequence[int]], u: Sequence[int],
     for row, vi in zip(rows, v):
         if len(row) != len(u):
             raise ValueError(f"expected rows of length {len(u)}")
-        if any(m < 0 for m in row):
-            return False
-        if sum(m * ui for m, ui in zip(row, u)) > vi:
+        if min(row, default=0) < 0 or sum(map(mul, row, u)) > vi:
             return False
     return True
 
@@ -139,9 +132,7 @@ def enumerate_subunital(u: Sequence[int], v: Optional[Sequence[int]] = None,
     the last row varying fastest.  Refuses up front when the count exceeds cap."""
     u = tuple(u)
     v = u if v is None else tuple(v)
-    total = count_subunital(u, v)
-    if total > cap:
-        raise CapExceeded(f"{total} subunital matrices exceed the cap {cap}", count=total)
+    refuse_over(count_subunital(u, v), cap, "subunital matrices")
     dom, cod = Shape(u), Shape(v)
     pools = [enumerate_rows(u, vi) for vi in v]
     return (SubunitalMatrix(rows, dom, cod) for rows in product(*pools))
@@ -163,9 +154,7 @@ def additive_maps_bruteforce(dom: SimplicialAlgebra, cod: SimplicialAlgebra,
     canonical function order (the image of the last element varies fastest).
     """
     n, m = dom.size, cod.size
-    total = m**n
-    if total > cap:
-        raise CapExceeded(f"{total} candidate functions exceed the cap {cap}", count=total)
+    capped_power(m, n, cap, "candidate functions")
     pairs = []
     for i in range(n):
         for j in range(i, n):

@@ -67,7 +67,7 @@ class Operation:
         self.algebra = algebra
         if _assembled:
             # a search candidate: pool matrices and the table of their actions,
-            # both valid by construction (see _search_survivor)
+            # both valid by construction (see search._Pool.operation)
             self.matrices = matrices
             self._table = table
             return
@@ -163,15 +163,6 @@ def matrix_actions(alg: SimplicialAlgebra,
               for x in coords)
         for M in matrices
     )
-
-
-def _search_survivor(alg: SimplicialAlgebra, matrices: tuple[Matrix, ...],
-                     table: tuple[tuple[int, ...], ...]) -> Operation:
-    """A search candidate: pool matrices from enumerate_subunital and the
-    table matrix_actions gave for them.  Neither is re-checked: the matrices
-    are u-subunital, and every entry of the table is the index of some
-    M x <= M u <= u, so it lies in the box."""
-    return Operation(alg, matrices=matrices, table=table, _assembled=True)
 
 
 def _identity(r: int) -> Matrix:

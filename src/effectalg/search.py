@@ -37,7 +37,7 @@ from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from .algebra import FiniteEffectAlgebra, Shape, has_obstruction_atom, make_simplicial
-from .errors import COUNT_LIMIT, CapExceeded, NodeBudgetExceeded, count_text
+from .errors import NodeBudgetExceeded, capped_power, count_text, refuse_over
 from .maps import count_subunital, enumerate_subunital
 from .operations import (
     AXIOM_CHECKS,
@@ -45,7 +45,6 @@ from .operations import (
     Operation,
     Table,
     _identity,
-    _search_survivor,
     check_axioms,
     check_s1,
     check_s4,
@@ -144,19 +143,11 @@ class ChainReport:
     s5_witness: Optional[Operation]
 
 
-def _families(u: tuple[int, ...], free: int) -> int:
-    """#M(u) ** free: one u-subunital matrix for each of `free` elements.
-    M(u) holds the zero and identity matrices, so once 2 ** free reaches
-    COUNT_LIMIT the count is refused (CapExceeded) before it is computed."""
-    if free >= COUNT_LIMIT.bit_length():
-        raise CapExceeded(f"#M({u}) ** {free} has more than 4300 digits")
-    return count_subunital(u, u) ** free
-
-
 def count_s1s2(u: Sequence[int]) -> int:
-    """#M(u) ** (N - 1): free matrix choices everywhere except the top row."""
+    """#M(u) ** (N - 1): free matrix choices everywhere except the top row.
+    Exact, but refused (capped_power) once 2 ** (N - 1) alone is unwritable."""
     u = tuple(u)
-    return _families(u, Shape(u).size - 1)
+    return capped_power(count_subunital(u, u), Shape(u).size - 1, None, "S1+S2 operations")
 
 
 class _Pool:
@@ -190,8 +181,11 @@ class _Pool:
         return tuple(map(self.actions.__getitem__, rows))
 
     def operation(self, rows: Sequence[int], table: Table) -> Operation:
-        """That operation, with its table self.table(rows) given."""
-        return _search_survivor(self.alg, tuple(map(self.matrices.__getitem__, rows)), table)
+        """That operation, with its table self.table(rows) given.  Neither is
+        re-checked: the pool matrices are u-subunital, and every entry of the
+        table is the index of some M x <= M u <= u, so it lies in the box."""
+        return Operation(self.alg, matrices=tuple(map(self.matrices.__getitem__, rows)),
+                         table=table, _assembled=True)
 
 
 def _matrix_families(u: Sequence[int], pin_top: bool, cap: int) -> Iterator[Operation]:
@@ -200,11 +194,8 @@ def _matrix_families(u: Sequence[int], pin_top: bool, cap: int) -> Iterator[Oper
     fixes the top row to the identity (axiom S2)."""
     u = tuple(u)
     free = Shape(u).size - int(pin_top)
-    total = _families(u, free)
-    if total > cap:
-        label = "S1+S2" if pin_top else "S1"
-        raise CapExceeded(f"{count_text(total)} {label} operations exceed the cap {cap}",
-                          count=total)
+    capped_power(count_subunital(u, u), free, cap,
+                 "S1+S2 operations" if pin_top else "S1 operations")
     pool = _Pool(u)
     choices = product(range(len(pool.matrices)), repeat=free)
     if pin_top:
@@ -444,8 +435,7 @@ def classify_b2(cap: int = DEFAULT_OP_CAP,
     blocks of 9 and 25; any structural violation is an internal error.
     """
     res = enumerate_s1sk((1, 1), 3, cap=cap, node_budget=node_budget)
-    if res.operations is None:
-        raise CapExceeded("classification needs the materialized operations", count=res.count)
+    refuse_over(res.count, cap, "S1-S3 operations to list for the classification")
     zero_m: Matrix = ((0, 0), (0, 0))
     ident = _identity(2)
     p, q = 1, 2  # canonical indices of (1,0) and (0,1)
@@ -510,9 +500,7 @@ def bruteforce_prefixes(alg: FiniteEffectAlgebra, upto: int = 5,
     if not 1 <= upto <= 5:
         raise ValueError(f"upto must be in 1..5, got {upto}")
     n = alg.size
-    total = n ** (n * n)
-    if total > cap:
-        raise CapExceeded(f"{total} candidate tables exceed the cap {cap}", count=total)
+    capped_power(n, n * n, cap, "candidate tables")
     passing: list[list[Operation]] = [[] for _ in range(upto)]
     later = tuple(zip(passing[1:], AXIOM_CHECKS[1:upto]))
     starts = range(0, n * n, n)

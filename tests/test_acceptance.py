@@ -75,8 +75,6 @@ def test_criterion_05_boolean_box_classification():
 def test_criterion_06_s1s4_existence():
     for u in OBSTRUCTED_SHAPES:
         res = exists_s1s4(u)
-        if u == (2, 2) and res.certificate == "undecided":
-            continue  # an allowed outcome on the largest shape
         assert res.exists is False, u
         assert res.certificate == "exhaustive", u
     for u in BOOLEAN_SHAPES:

@@ -121,6 +121,18 @@ def test_counts_past_4300_digits_are_over_a_cap(capsys, argv):
     assert json.loads(out) == {"error": "cap_exceeded"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--u", "1000000000,1000000000", "--axioms", "s1s2"),
+    ("algebra", "--u", "1000000000,1000000000"),
+])
+def test_boxes_over_the_carrier_limit_are_refused_with_their_size(capsys, argv):
+    # ea count checks the carrier before the 2 ** (N - 1) rule, so its
+    # refusal carries the box size, as ea algebra's does
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert out == '{"error": "cap_exceeded", "count": "1000000002000000001"}\n'
+
+
 def test_matrices_refuses_boxes_over_the_carrier_limit(capsys):
     code, out, _ = run(capsys, "matrices", "--u", "1", "--v", "100000000000", "--count-only")
     assert code == 3

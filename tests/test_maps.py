@@ -169,6 +169,15 @@ def test_bruteforce_cap():
         additive_maps_bruteforce(alg, alg, cap=100)
 
 
+def test_bruteforce_refuses_past_4300_digits():
+    # 2001 ** 2001 candidate functions: CapExceeded with no count, not a
+    # ValueError from writing the count into the message
+    big = make_simplicial((2000,))
+    with pytest.raises(CapExceeded) as exc:
+        additive_maps_bruteforce(big, big)
+    assert exc.value.count is None
+
+
 def test_matrix_of_map_round_trip():
     alg = make_simplicial((2, 1))
     for M in enumerate_subunital((2, 1)):

@@ -43,7 +43,7 @@ from effectalg import (
     tau_perm,
 )
 from effectalg import search
-from effectalg.errors import count_text
+from effectalg.errors import COUNT_LIMIT, capped_power, count_text, refuse_over
 from effectalg.operations import AXIOM_NAMES
 
 B2_ELEMS = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -184,9 +184,51 @@ def test_counts_past_4300_digits_are_refused_as_over_a_cap():
                        operations=None)
     with pytest.raises(CapExceeded):
         res.to_json()
-    # at least 2 ** (N - 1): refused before #M(u) or the power is computed
+    # a box over the carrier limit: refused before #M(u) or the power is computed
     with pytest.raises(CapExceeded):
         count_s1s2((10**9, 10**9))
+
+
+def test_refusal_helpers_keep_only_writable_counts():
+    assert CapExceeded("x", count=10**4300).count is None
+    assert CapExceeded("x", count=10**4300 - 1).count == 10**4300 - 1
+    refuse_over(5, 5, "items")
+    with pytest.raises(CapExceeded) as exc:
+        refuse_over(6, 5, "items")
+    assert exc.value.count == 6
+    with pytest.raises(CapExceeded) as exc:
+        refuse_over(10**4300, 5, "items")
+    assert exc.value.count is None and "14285-bit number of items" in str(exc.value)
+    # exact below the 2 ** exp rule, however many digits; refused at it
+    assert capped_power(9, 10200, None, "items") == 9**10200
+    assert capped_power(3, 4, 81, "items") == 81
+    with pytest.raises(CapExceeded) as exc:
+        capped_power(3, 4, 80, "items")
+    assert exc.value.count == 81
+    limit_exp = COUNT_LIMIT.bit_length()
+    assert capped_power(2, limit_exp - 1, None, "items") == 2 ** (limit_exp - 1)
+    with pytest.raises(CapExceeded) as exc:
+        capped_power(2, limit_exp, None, "items")
+    assert exc.value.count is None
+    # 0 ** exp and 1 ** exp are written, whatever exp
+    assert capped_power(1, 10**12, 1, "items") == 1
+    assert capped_power(0, 10**12, 1, "items") == 0
+    # 2 ** 20000 S1+S2 operations on (20000,): past the rule, before any power
+    with pytest.raises(CapExceeded) as exc:
+        count_s1s2((20000,))
+    assert exc.value.count is None
+
+
+def test_raw_table_oracle_refuses_past_4300_digits():
+    # 100 ** 10000 candidate tables: CapExceeded with no count, not a ValueError
+    # from writing the count into the message
+    with pytest.raises(CapExceeded) as exc:
+        bruteforce_prefixes(make_simplicial((99,)))
+    assert exc.value.count is None
+    # 2048 ** (2048 * 2048): refused before the power is computed
+    with pytest.raises(CapExceeded) as exc:
+        bruteforce_prefixes(make_simplicial((2047,)))
+    assert exc.value.count is None
 
 
 def test_s1s2_enumeration_is_deterministic():
