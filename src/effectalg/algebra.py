@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import InvalidTableAlgebra, refuse_over
@@ -127,7 +127,17 @@ class Shape:
         return tuple(self.coords_of(i) for i in range(self.size))
 
     def index_of(self, coords: Sequence[int]) -> int:
-        return sum(c * p for c, p in zip(coords, self._places))
+        return sum(map(mul, coords, self._places))
+
+    def linear_indices(self, w: Sequence[int]) -> list[int]:
+        """sum_j x_j w[j] for every x of the box in canonical order, by the
+        mixed-radix expansion, coordinate 1 first.  The index is linear in
+        the coordinates, so when w[j] is the index of column j of a matrix M
+        (of M e_j), this is the index of M x for every x."""
+        out = [0]
+        for ui, wj in zip(self.u, w):
+            out = [v + c * wj for c in range(ui + 1) for v in out]
+        return out
 
     def coords_of(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.size:

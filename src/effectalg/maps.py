@@ -206,11 +206,9 @@ def _matrix_rows(dom: SimplicialAlgebra, cod: SimplicialAlgebra,
     w = [images[p] for p in dom.shape._places]
     # The index is linear in the coordinates on [0, v].  So t = M exactly
     # when M u = t(u), which puts every M x in [0, v], and t(x) is
-    # sum_i x_i w[i] as an index for every x.
-    linear = [0]
-    for ui, wi in zip(u, w):
-        linear = [x + c * wi for c in range(ui + 1) for x in linear]
-    if linear != list(images):
+    # sum_i x_i w[i] as an index for every x: the expansion Shape.linear_indices
+    # that operations.matrix_actions builds every product-table row with.
+    if dom.shape.linear_indices(w) != list(images):
         return None
     ccoords = cod.shape.all_coords
     rows = tuple(zip(*[ccoords[wi] for wi in w]))

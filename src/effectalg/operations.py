@@ -42,6 +42,7 @@ from typing import Optional, Sequence, Union
 from .algebra import (
     Elem,
     FiniteEffectAlgebra,
+    Shape,
     SimplicialAlgebra,
     TableAlgebra,
     _is_grid,
@@ -155,14 +156,18 @@ def op_from_json(obj: dict) -> Operation:
 def matrix_actions(alg: SimplicialAlgebra,
                    matrices: Sequence[Matrix]) -> tuple[tuple[int, ...], ...]:
     """Per matrix, the index of M x for every element x of the box in
-    canonical order: the product-table row of a matrix-family element."""
-    coords = alg.shape.all_coords
-    index_of = alg.shape.index_of
-    return tuple(
-        tuple(index_of(tuple(sum(m * c for m, c in zip(row, x)) for row in M))
-              for x in coords)
-        for M in matrices
-    )
+    canonical order: the product-table row of a matrix-family element.
+    Each row is expanded from M's column indices (see column_indices); its
+    entries lie in the box because M x <= M u <= u."""
+    shape = alg.shape
+    return tuple(tuple(shape.linear_indices(column_indices(shape, M))) for M in matrices)
+
+
+def column_indices(shape: Shape, M: Matrix) -> tuple[int, ...]:
+    """w_j = the index of column j of M (of M e_j) in the box of shape, so
+    that index(M x) = sum_j x_j w_j: M u's index is sum_j u_j w_j, and
+    column j is zero exactly when w_j = 0."""
+    return tuple(map(shape.index_of, zip(*M)))
 
 
 def _identity(r: int) -> Matrix:

@@ -14,14 +14,21 @@ zero-column set is exactly Z, and the count is the sum over class
 assignments of the product of their weights.  When tables are needed (the
 listed S1-S3 operations, every S4/S5 leaf) each choice is one pool matrix of
 an allowed class; the leaves are index tables assembled from the pool
-matrices' actions, computed once, S4 and S5 are filtered on those tables,
-and an Operation is built only for a survivor that is kept.  An S4/S5
-search also tries, for row a, only the pool matrices with M u = a: with the
-zero and identity rows pinned, any other row breaks S4 at the instance
-(a, 0), so this removes no survivor, and an element with no such matrix
-(as on (2, 2), where M u = (1, 0) has no solution) ends the search at 0
-nodes.  Nonexistence results are exhaustive or explicitly undecided, never
-guessed.
+matrices' actions, S4 and S5 are filtered on those tables, and an Operation
+is built only for a survivor that is kept.  An S4/S5 search also tries, for
+row a, only the pool matrices with M u = a: with the zero and identity rows
+pinned, any other row breaks S4 at the instance (a, 0), so this removes no
+survivor, and an element with no such matrix (as on (2, 2), where
+M u = (1, 0) has no solution) ends the search at 0 nodes.
+
+The box index is linear in the coordinates, so a matrix is known to the
+search by its column indices w_j = index(M e_j): column j is zero iff
+w_j = 0, M u has the index sum_j u_j w_j, and the row of M x is their
+mixed-radix expansion.  Classes and S4 masks come from these r numbers per
+matrix, and the pool's actions are first built at the first leaf, so a
+search that ends before one (every obstructed box tried so far) builds no
+product-table row.  Nonexistence results are exhaustive or explicitly
+undecided, never guessed.
 
 bruteforce_prefixes is the independent oracle: one pass over the raw N x N
 tables runs each through check_s1, check_s2, ... until its first failure, so
@@ -34,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .algebra import FiniteEffectAlgebra, Shape, has_obstruction_atom, make_simplicial
@@ -49,6 +57,7 @@ from .operations import (
     check_s1,
     check_s4,
     check_s5,
+    column_indices,
     matrix_actions,
     meet_boolean,
     sigma_universal,
@@ -152,8 +161,13 @@ def count_s1s2(u: Sequence[int]) -> int:
 
 class _Pool:
     """The box [0, u] and its u-subunital matrices, the choices for each row
-    of an operation.  The matrices and their actions (the product-table row
-    of each) are built on first use, so a count by classes builds no action."""
+    of an operation.  Everything is built on first use.  The searches read a
+    matrix through its column indices alone (w_j, the index of M e_j): its
+    zero columns, which give its class, and the index of M u, which gives
+    the S4 row filter.  The actions (the product-table row of each matrix)
+    are built for the whole pool at the first leaf that needs a table, so a
+    count by classes, or a search that ends before its first leaf, builds
+    none."""
 
     def __init__(self, u: Sequence[int]):
         self.alg = make_simplicial(u)
@@ -162,6 +176,23 @@ class _Pool:
     def matrices(self) -> list[Matrix]:
         u = self.alg.shape.u
         return [M.rows for M in enumerate_subunital(u, u)]
+
+    @cached_property
+    def columns(self) -> list[tuple[int, ...]]:
+        """Per matrix, its column indices (operations.column_indices)."""
+        shape = self.alg.shape
+        return [column_indices(shape, M) for M in self.matrices]
+
+    @cached_property
+    def zero_columns(self) -> list[int]:
+        """Per matrix, the bitmask of its zero columns: j with w_j = 0."""
+        return [sum(1 << j for j, wj in enumerate(w) if not wj) for w in self.columns]
+
+    @cached_property
+    def unit_images(self) -> list[int]:
+        """Per matrix, the index of M u: sum_j u_j w_j."""
+        u = self.alg.shape.u
+        return [sum(map(mul, u, w)) for w in self.columns]
 
     @cached_property
     def actions(self) -> Table:
@@ -240,8 +271,7 @@ def _s3_assignments(pool: _Pool, by_class: bool, node_budget: int,
     shape = pool.alg.shape
     n = shape.size
     supports = [sum(1 << j for j, c in enumerate(x) if c) for x in shape.all_coords]
-    zcols = [sum(1 << j for j in range(shape.r) if not any(row[j] for row in M))
-             for M in pool.matrices]
+    zcols = pool.zero_columns
     classes = sorted(set(zcols))
     # kills[c]: elements that class c sends to 0; zero_at[b]: classes sending b to 0
     kills = [sum(1 << b for b, s in enumerate(supports) if not s & ~z) for z in classes]
@@ -347,9 +377,9 @@ def _s1sk_survivors(pool: _Pool, k: int,
     masks = None
     if k >= 4:
         masks = [0] * (n - 1)
-        for i, act in enumerate(pool.actions):
-            if act[-1] < n - 1:
-                masks[act[-1]] |= 1 << i
+        for i, a in enumerate(pool.unit_images):
+            if a < n - 1:
+                masks[a] |= 1 << i
     for choice, _ in _s3_assignments(pool, False, node_budget, masks):
         rows = pool.with_top(choice)
         table = pool.table(rows)

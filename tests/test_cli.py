@@ -5,7 +5,7 @@ import json
 import pytest
 
 from effectalg import fixture_path, make_simplicial, mo2, sigma_universal, tau_perm
-from effectalg import cli
+from effectalg import cli, verify
 from effectalg.cli import main
 
 
@@ -358,6 +358,32 @@ def test_verify_json_rows(capsys):
     assert doc["passed"] == len(doc["rows"]) == 54
     assert {row["status"] for row in doc["rows"]} == {"PASS"}
     assert err.count("\n") >= 54  # the human table goes to stderr
+
+
+def test_verify_budget_trip_in_the_classification_is_undecided(capsys):
+    # budget 6 lets every criterion-4 search finish but stops the Boolean-cube
+    # classification of criterion 5: its three rows are undecided, not failed
+    code, doc, _ = run_json(capsys, "--node-budget", "6", "verify", "--suite", "paper",
+                            "--json")
+    assert code == 0
+    assert (doc["ok"], doc["passed"], doc["failed"], doc["undecided"]) == (True, 51, 0, 3)
+    undecided = [row for row in doc["rows"] if row["status"] == "UNDECIDED"]
+    assert [(row["criterion"], row["actual"]) for row in undecided] == [
+        (5, "undecided (node budget)")] * 3
+
+
+def test_verify_internal_error_in_the_classification_fails(capsys, monkeypatch):
+    def broken(**kwargs):
+        raise RuntimeError("survivor violates the cross-zero condition; "
+                           "internal inconsistency")
+
+    monkeypatch.setattr(verify, "classify_b2", broken)
+    code, doc, _ = run_json(capsys, "verify", "--suite", "paper", "--json")
+    assert code == 1
+    assert (doc["ok"], doc["failed"], doc["undecided"]) == (False, 1, 0)
+    failed = [row for row in doc["rows"] if row["status"] == "FAIL"]
+    assert [row["criterion"] for row in failed] == [5]
+    assert "internal inconsistency" in failed[0]["actual"]
 
 
 def test_unknown_subcommand_is_malformed(capsys):

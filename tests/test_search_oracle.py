@@ -11,15 +11,32 @@ For k >= 4 the library tries for row a only pool matrices with M u = a (S4 at
 the instance (a, 0)).  Without masks the oracle walks every S3 leaf and is the
 survivor-identity check; with right_unit_masks, computed here from the
 matrices themselves, it walks the library's smaller tree node for node.
+
+The oracle's product-table rows come from coordinate_actions, which forms
+every M x as a coordinate tuple and looks up its index.  The library expands
+each row from M's column indices instead; the two are compared directly
+below, as are the pool's M u indices and zero-column sets.
 """
 
 import pytest
 
 from effectalg import (NodeBudgetExceeded, enumerate_s1sk, exists_s1s4, has_obstruction_atom,
-                       make_simplicial, meet_boolean)
+                       make_simplicial, meet_boolean, sigma_universal, tau_perm)
 from effectalg import search
 from effectalg.maps import enumerate_subunital
 from effectalg.operations import _identity, check_s4, check_s5, matrix_actions
+
+
+def coordinate_actions(alg, matrices):
+    """Per matrix, the index of M x for every x in canonical order, each M x
+    formed as a coordinate tuple: the reference for matrix_actions."""
+    coords = alg.shape.all_coords
+    index_of = alg.shape.index_of
+    return tuple(
+        tuple(index_of(tuple(sum(m * c for m, c in zip(row, x)) for row in M))
+              for x in coords)
+        for M in matrices
+    )
 
 
 def right_unit_masks(alg, pool):
@@ -37,7 +54,7 @@ def pool_index_survivors(alg, pool, k, node_budget, stats=None, masks=None):
     run."""
     n = alg.size
     npool = len(pool)
-    action = matrix_actions(alg, pool)
+    action = coordinate_actions(alg, pool)
     top_row = tuple(range(n))
     zmask = [0] * npool
     rows_zero_at = [0] * n
@@ -198,9 +215,17 @@ def test_frozen_s4_s5_counts_on_boolean_boxes():
 
 
 @pytest.mark.parametrize("u", [(2, 1, 1), (1, 2, 1), (2, 2, 1), (3, 1, 1), (2, 2, 2),
-                               (2, 1, 1, 1)])
+                               (2, 1, 1, 1), (2, 2, 1, 1), (3, 1, 1, 1), (2, 2, 2, 1)])
 def test_frozen_s1s4_nonexistence_on_obstructed_rank_3_and_4_boxes(u):
     # the obstruction-atom theorem is the second route
+    assert has_obstruction_atom(make_simplicial(u))
+    res = exists_s1s4(u)
+    assert (res.exists, res.certificate, res.witness) == (False, "exhaustive", None)
+
+
+def test_frozen_s1s4_nonexistence_on_a_rank_5_box():
+    # 10,000 pool matrices; the obstruction-atom theorem is the second route
+    u = (2, 1, 1, 1, 1)
     assert has_obstruction_atom(make_simplicial(u))
     res = exists_s1s4(u)
     assert (res.exists, res.certificate, res.witness) == (False, "exhaustive", None)
@@ -217,6 +242,46 @@ def test_frozen_class_counts():
 def test_a_long_chain_does_not_recurse():
     # 1499 rows deep: a recursive search would overflow the interpreter stack
     assert enumerate_s1sk((1500,), 3, cap=0).count == 1
+
+
+ACTION_SHAPES = [(1,), (2,), (3,), (4,), (2, 2), (3, 1), (4, 2), (1, 1, 1), (2, 1, 1),
+                 (1, 1, 1, 1), (2, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("u", ACTION_SHAPES)
+def test_pool_actions_match_the_coordinate_route(u):
+    pool = search._Pool(u)
+    alg, matrices = pool.alg, pool.matrices
+    assert matrix_actions(alg, matrices) == coordinate_actions(alg, matrices)
+    # M u and the zero columns, read off the entries, against the column indices
+    coords = alg.shape.all_coords
+    assert [coords[a] for a in pool.unit_images] == [
+        tuple(sum(m * c for m, c in zip(row, u)) for row in M) for M in matrices]
+    assert pool.zero_columns == [
+        sum(1 << j for j in range(len(u)) if not any(row[j] for row in M))
+        for M in matrices]
+
+
+@pytest.mark.parametrize("u", [(1,), (3,), (1, 1), (2, 1), (2, 2), (1, 1, 1), (3, 1, 2)])
+def test_named_operation_tables_match_the_coordinate_route(u):
+    alg = make_simplicial(u)
+    ops = [sigma_universal(alg)]
+    if all(ui == 1 for ui in u):
+        ops.append(meet_boolean(alg))
+    if len(u) > 1 and len(set(u)) == 1:
+        ops.append(tau_perm(alg, tuple(range(len(u), 0, -1))))
+    for op in ops:
+        assert op.product_table() == coordinate_actions(alg, op.matrices), op
+
+
+def test_an_early_ending_s1s4_search_builds_no_table(monkeypatch):
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a product table was built before the first leaf")
+
+    monkeypatch.setattr(search, "matrix_actions", no_tables)
+    for u in [(2, 2), (4, 1), (3, 1), (2, 1, 1), (2, 1, 1, 1)]:
+        res = exists_s1s4(u)
+        assert (res.exists, res.certificate) == (False, "exhaustive"), u
 
 
 def test_counting_builds_no_table(monkeypatch):
