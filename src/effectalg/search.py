@@ -21,13 +21,17 @@ pinned, any other row breaks S4 at the instance (a, 0), so this removes no
 survivor, and an element with no such matrix (as on (2, 2), where
 M u = (1, 0) has no solution) ends the search at 0 nodes.
 
-The box index is linear in the coordinates, so a matrix is known to the
-search by its column indices w_j = index(M e_j): column j is zero iff
-w_j = 0, M u has the index sum_j u_j w_j, and the row of M x is their
-mixed-radix expansion.  Classes and S4 masks come from these r numbers per
-matrix, and the pool's actions are first built at the first leaf, so a
-search that ends before one (every obstructed box tried so far) builds no
-product-table row.  Nonexistence results are exhaustive or explicitly
+Row i of a u-subunital M only has to satisfy row_i . u <= u_i, so the pool
+is the product of r per-row lists, and the box index is linear in the
+coordinates.  Each number the search reads of a matrix is therefore a fold
+over its row choices, computed for the whole pool one row at a time and
+never from matrix entries: the zero-column set (column j is zero iff it is
+zero in every row), which gives the class; the index of M u, which gives the
+S4 row filter; and the column indices w_j = index(M e_j), whose mixed-radix
+expansion is the row of M x.  The matrices are listed, and the pool's
+actions built, only at the first listing or leaf, so a search that ends
+before one (every obstructed box tried so far) builds neither, and no search
+builds a SubunitalMatrix.  Nonexistence results are exhaustive or explicitly
 undecided, never guessed.
 
 bruteforce_prefixes is the independent oracle: one pass over the raw N x N
@@ -41,12 +45,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from operator import mul
-from typing import Iterator, Optional, Sequence
+from operator import add, and_, mul
+from typing import Callable, Iterator, Optional, Sequence
 
 from .algebra import FiniteEffectAlgebra, Shape, has_obstruction_atom, make_simplicial
 from .errors import NodeBudgetExceeded, capped_power, count_text, refuse_over
-from .maps import count_subunital, enumerate_subunital
+from .maps import DEFAULT_MATRIX_CAP, count_subunital, enumerate_rows
 from .operations import (
     AXIOM_CHECKS,
     Matrix,
@@ -57,8 +61,6 @@ from .operations import (
     check_s1,
     check_s4,
     check_s5,
-    column_indices,
-    matrix_actions,
     meet_boolean,
     sigma_universal,
 )
@@ -161,47 +163,76 @@ def count_s1s2(u: Sequence[int]) -> int:
 
 class _Pool:
     """The box [0, u] and its u-subunital matrices, the choices for each row
-    of an operation.  Everything is built on first use.  The searches read a
-    matrix through its column indices alone (w_j, the index of M e_j): its
-    zero columns, which give its class, and the index of M u, which gives
-    the S4 row filter.  The actions (the product-table row of each matrix)
-    are built for the whole pool at the first leaf that needs a table, so a
-    count by classes, or a search that ends before its first leaf, builds
-    none."""
+    of an operation: the product of the per-row lists (maps.enumerate_rows),
+    in enumerate_subunital's order (last row fastest), subunital by
+    construction.  Everything is built on first use.  The per-matrix numbers
+    (zero columns, M u, column indices) are row folds over the product
+    (_fold), so a count by classes, or a search that ends before its first
+    leaf, lists no matrix and builds no action row."""
 
     def __init__(self, u: Sequence[int]):
         self.alg = make_simplicial(u)
 
     @cached_property
-    def matrices(self) -> list[Matrix]:
+    def rows(self) -> list[list[tuple[int, ...]]]:
+        """Per row i, the rows alpha with alpha . u <= u_i, lexicographic.
+        A pool over DEFAULT_MATRIX_CAP is refused first, with its count."""
         u = self.alg.shape.u
-        return [M.rows for M in enumerate_subunital(u, u)]
+        refuse_over(count_subunital(u, u), DEFAULT_MATRIX_CAP, "subunital matrices")
+        return [enumerate_rows(u, ui) for ui in u]
+
+    def _fold(self, combine: Callable[[int, int], int], start: int,
+              value: Callable[[int, tuple[int, ...]], int]) -> list[int]:
+        """Per matrix, in pool order, start combined with value(i, row_i) for
+        each of its rows i: every partial fold meets every choice of the
+        next row, so the last row varies fastest, as in the pool."""
+        out = [start]
+        for i, choices in enumerate(self.rows):
+            values = [value(i, row) for row in choices]
+            out = [combine(x, y) for x in out for y in values]
+        return out
+
+    @cached_property
+    def matrices(self) -> list[Matrix]:
+        return list(product(*self.rows))
 
     @cached_property
     def columns(self) -> list[tuple[int, ...]]:
-        """Per matrix, its column indices (operations.column_indices)."""
-        shape = self.alg.shape
-        return [column_indices(shape, M) for M in self.matrices]
+        """Per matrix, its column indices w_j = index(M e_j) = sum_i M_ij place_i,
+        so that index(M x) = sum_j x_j w_j (operations.column_indices)."""
+        places = self.alg.shape._places
+
+        def column(j: int) -> list[int]:
+            return self._fold(add, 0, lambda i, row: row[j] * places[i])
+
+        return list(zip(*map(column, range(self.alg.shape.r))))
 
     @cached_property
     def zero_columns(self) -> list[int]:
-        """Per matrix, the bitmask of its zero columns: j with w_j = 0."""
-        return [sum(1 << j for j, wj in enumerate(w) if not wj) for w in self.columns]
+        """Per matrix, the bitmask of its zero columns: those zero in every row."""
+        r = self.alg.shape.r
+        return self._fold(and_, (1 << r) - 1,
+                          lambda i, row: sum(1 << j for j, m in enumerate(row) if not m))
 
     @cached_property
     def unit_images(self) -> list[int]:
-        """Per matrix, the index of M u: sum_j u_j w_j."""
-        u = self.alg.shape.u
-        return [sum(map(mul, u, w)) for w in self.columns]
+        """Per matrix, the index of M u: sum_i (row_i . u) place_i."""
+        u, places = self.alg.shape.u, self.alg.shape._places
+        return self._fold(add, 0, lambda i, row: sum(map(mul, row, u)) * places[i])
 
     @cached_property
     def actions(self) -> Table:
-        return matrix_actions(self.alg, self.matrices)
+        shape = self.alg.shape
+        return tuple(tuple(shape.linear_indices(w)) for w in self.columns)
 
     @cached_property
     def top(self) -> int:
-        """The pool index of the identity, the top row under S2."""
-        return self.matrices.index(_identity(self.alg.shape.r))
+        """The pool index of the identity, the top row under S2: the mixed
+        radix number of the unit row's position in each row list."""
+        index = 0
+        for choices, e in zip(self.rows, _identity(self.alg.shape.r)):
+            index = index * len(choices) + choices.index(e)
+        return index
 
     def with_top(self, choice: Sequence[int]) -> tuple[int, ...]:
         """Pool indices for rows 0..N-2, then the identity's for the top row."""
@@ -245,6 +276,18 @@ def enumerate_s1s2(u: Sequence[int], cap: int = DEFAULT_OP_CAP) -> Iterator[Oper
     return _matrix_families(u, True, cap)
 
 
+def _bitmasks(keys: Sequence[int], size: int) -> list[int]:
+    """Per v in range(size), the bitmask of the positions i with keys[i] = v
+    (keys past the range are skipped).  Set in one byte array per v and
+    converted once, so the cost is linear in the number of keys; OR-ing
+    1 << i into an int would copy it for every key."""
+    bits = [bytearray(len(keys) // 8 + 1) for _ in range(size)]
+    for i, v in enumerate(keys):
+        if v < size:
+            bits[v][i >> 3] |= 1 << (i & 7)
+    return [int.from_bytes(b, "little") for b in bits]
+
+
 def _s3_assignments(pool: _Pool, by_class: bool, node_budget: int,
                     masks: Optional[list[int]] = None) -> Iterator[tuple[list[int], int]]:
     """Yield (choices for rows 0..N-2, weight) for every assignment of rows
@@ -284,9 +327,7 @@ def _s3_assignments(pool: _Pool, by_class: bool, node_budget: int,
         class_of = [index[z] for z in zcols]
         weight = [1] * len(zcols)
     # members[c]: the choices of class c, as a bitmask
-    members = [0] * len(classes)
-    for i, c in enumerate(class_of):
-        members[c] |= 1 << i
+    members = _bitmasks(class_of, len(classes))
     expanded: dict[int, int] = {}
 
     def choices(class_mask: int) -> int:
@@ -376,10 +417,7 @@ def _s1sk_survivors(pool: _Pool, k: int,
     leaf_checks = (check_s4, check_s5)[:k - 3]
     masks = None
     if k >= 4:
-        masks = [0] * (n - 1)
-        for i, a in enumerate(pool.unit_images):
-            if a < n - 1:
-                masks[a] |= 1 << i
+        masks = _bitmasks(pool.unit_images, n - 1)
     for choice, _ in _s3_assignments(pool, False, node_budget, masks):
         rows = pool.with_top(choice)
         table = pool.table(rows)

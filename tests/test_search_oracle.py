@@ -12,19 +12,29 @@ the instance (a, 0)).  Without masks the oracle walks every S3 leaf and is the
 survivor-identity check; with right_unit_masks, computed here from the
 matrices themselves, it walks the library's smaller tree node for node.
 
-The oracle's product-table rows come from coordinate_actions, which forms
-every M x as a coordinate tuple and looks up its index.  The library expands
-each row from M's column indices instead; the two are compared directly
-below, as are the pool's M u indices and zero-column sets.
+The oracle's pool is enumerate_subunital's list of SubunitalMatrix rows, and
+its product-table rows come from coordinate_actions, which forms every M x as
+a coordinate tuple and looks up its index.  The library builds its pool from
+the per-row lists, reads its zero columns, M u indices and column indices as
+folds over the row choices, and expands each action row from the column
+indices; all of these are compared with the oracle's directly below.
 """
 
-import pytest
+import json
+from operator import mul
 
-from effectalg import (NodeBudgetExceeded, enumerate_s1sk, exists_s1s4, has_obstruction_atom,
-                       make_simplicial, meet_boolean, sigma_universal, tau_perm)
-from effectalg import search
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from effectalg import (CapExceeded, NodeBudgetExceeded, enumerate_s1sk, exists_s1s4,
+                       has_obstruction_atom, make_simplicial, meet_boolean, sigma_universal,
+                       tau_perm)
+from effectalg import maps, search
+from effectalg.algebra import Shape
+from effectalg.cli import main
 from effectalg.maps import enumerate_subunital
-from effectalg.operations import _identity, check_s4, check_s5, matrix_actions
+from effectalg.operations import _identity, check_s4, check_s5, column_indices, matrix_actions
 
 
 def coordinate_actions(alg, matrices):
@@ -231,6 +241,15 @@ def test_frozen_s1s4_nonexistence_on_a_rank_5_box():
     assert (res.exists, res.certificate, res.witness) == (False, "exhaustive", None)
 
 
+@pytest.mark.parametrize("u", [(2, 1, 1, 1, 1, 1), (2, 2, 1, 1, 1, 1)])
+def test_frozen_s1s4_nonexistence_on_rank_6_boxes(u):
+    # 171,072 and 180,625 pool matrices, decided before the first leaf; the
+    # obstruction-atom theorem is the second route
+    assert has_obstruction_atom(make_simplicial(u))
+    res = exists_s1s4(u)
+    assert (res.exists, res.certificate, res.witness) == (False, "exhaustive", None)
+
+
 def test_frozen_class_counts():
     # (3, 3) and (1, 1, 1) were each confirmed once by a complete run of the
     # oracle above with no budget (about 2 s and 40 s)
@@ -252,14 +271,54 @@ ACTION_SHAPES = [(1,), (2,), (3,), (4,), (2, 2), (3, 1), (4, 2), (1, 1, 1), (2, 
 def test_pool_actions_match_the_coordinate_route(u):
     pool = search._Pool(u)
     alg, matrices = pool.alg, pool.matrices
-    assert matrix_actions(alg, matrices) == coordinate_actions(alg, matrices)
-    # M u and the zero columns, read off the entries, against the column indices
-    coords = alg.shape.all_coords
-    assert [coords[a] for a in pool.unit_images] == [
-        tuple(sum(m * c for m, c in zip(row, u)) for row in M) for M in matrices]
+    want = coordinate_actions(alg, matrices)
+    assert pool.actions == want
+    assert matrix_actions(alg, matrices) == want
+
+
+def assert_pool_matches_the_matrix_route(u):
+    """The pool against enumerate_subunital's SubunitalMatrix rows: the same
+    matrices in the same order, and their column indices, zero columns, M u
+    indices and the identity's position read off the entries."""
+    pool = search._Pool(u)
+    shape = pool.alg.shape
+    matrices = [M.rows for M in enumerate_subunital(u, u)]
+    assert pool.matrices == matrices
+    assert pool.columns == [column_indices(shape, M) for M in matrices]
     assert pool.zero_columns == [
         sum(1 << j for j in range(len(u)) if not any(row[j] for row in M))
         for M in matrices]
+    assert pool.unit_images == [
+        shape.index_of(tuple(sum(map(mul, row, u)) for row in M)) for M in matrices]
+    assert pool.top == matrices.index(_identity(len(u)))
+
+
+@pytest.mark.parametrize("u", ACTION_SHAPES + [(3, 1, 2), (1, 2, 3)])
+def test_pool_matches_the_matrix_route(u):
+    assert_pool_matches_the_matrix_route(u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple))
+def test_pool_matches_the_matrix_route_on_random_boxes(u):
+    assert_pool_matches_the_matrix_route(u)
+
+
+def test_pool_refusals_keep_their_counts(capsys):
+    # an oversized pool is refused with its exact count
+    with pytest.raises(CapExceeded) as exc:
+        enumerate_s1sk((1,) * 7, 4)
+    assert exc.value.count == 2097152
+    with pytest.raises(CapExceeded) as exc:
+        exists_s1s4((2, 1, 1, 1, 1, 1, 1))
+    assert exc.value.count == 3411821
+    assert main(["enumerate", "--u", "1,1,1,1,1,1,1", "--axioms", "s1s4",
+                 "--count-only"]) == 3
+    assert json.loads(capsys.readouterr().out) == {"error": "cap_exceeded",
+                                                   "count": "2097152"}
+    # a Boolean box needs no pool: its witness is the meet
+    res = exists_s1s4((1,) * 7)
+    assert (res.exists, res.certificate) == (True, "witness")
 
 
 @pytest.mark.parametrize("u", [(1,), (3,), (1, 1), (2, 1), (2, 2), (1, 1, 1), (3, 1, 2)])
@@ -278,17 +337,34 @@ def test_an_early_ending_s1s4_search_builds_no_table(monkeypatch):
     def no_tables(*args, **kwargs):
         raise AssertionError("a product table was built before the first leaf")
 
-    monkeypatch.setattr(search, "matrix_actions", no_tables)
+    monkeypatch.setattr(Shape, "linear_indices", no_tables)
     for u in [(2, 2), (4, 1), (3, 1), (2, 1, 1), (2, 1, 1, 1)]:
         res = exists_s1s4(u)
         assert (res.exists, res.certificate) == (False, "exhaustive"), u
+
+
+def test_the_search_builds_no_subunital_matrix(monkeypatch):
+    def no_matrices(self):
+        raise AssertionError("a SubunitalMatrix was built on the search path")
+
+    monkeypatch.setattr(maps.SubunitalMatrix, "__post_init__", no_matrices)
+    with pytest.raises(AssertionError):
+        next(enumerate_subunital((1,), (1,)))
+    for u in [(2, 2), (3, 1), (2, 1, 1), (2, 1, 1, 1, 1)]:
+        res = exists_s1s4(u)
+        assert (res.exists, res.certificate) == (False, "exhaustive"), u
+    res = enumerate_s1sk((2, 2), 3)
+    assert (res.count, len(res.operations)) == (2000, 2000)
+    res = enumerate_s1sk((1, 1), 5)
+    assert [op.product_table() for op in res.operations] == [
+        meet_boolean(make_simplicial((1, 1))).product_table()]
 
 
 def test_counting_builds_no_table(monkeypatch):
     def no_tables(*args, **kwargs):
         raise AssertionError("a product table was built for a count")
 
-    monkeypatch.setattr(search, "matrix_actions", no_tables)
+    monkeypatch.setattr(Shape, "linear_indices", no_tables)
     for cap in (0, 33):
         res = enumerate_s1sk((1, 1), 3, cap=cap)
         assert (res.count, res.operations) == (34, None)
