@@ -126,15 +126,25 @@ def is_subunital(rows: Sequence[Sequence[int]], u: Sequence[int],
     return True
 
 
+def subunital_row_lists(u: Sequence[int], v: Optional[Sequence[int]] = None,
+                        cap: int = DEFAULT_MATRIX_CAP) -> list[list[tuple[int, ...]]]:
+    """Per row i, the rows alpha with alpha . u <= v_i (enumerate_rows): the
+    (u, v)-subunital matrices are exactly their product.  Refuses up front
+    when that product has more than cap matrices."""
+    u = tuple(u)
+    v = u if v is None else tuple(v)
+    refuse_over(count_subunital(u, v), cap, "subunital matrices")
+    return [enumerate_rows(u, vi) for vi in v]
+
+
 def enumerate_subunital(u: Sequence[int], v: Optional[Sequence[int]] = None,
                         cap: int = DEFAULT_MATRIX_CAP) -> Iterator[SubunitalMatrix]:
     """Yield every (u, v)-subunital matrix, rows chosen lexicographically with
     the last row varying fastest.  Refuses up front when the count exceeds cap."""
     u = tuple(u)
     v = u if v is None else tuple(v)
-    refuse_over(count_subunital(u, v), cap, "subunital matrices")
+    pools = subunital_row_lists(u, v, cap)
     dom, cod = Shape(u), Shape(v)
-    pools = [enumerate_rows(u, vi) for vi in v]
     return (SubunitalMatrix(rows, dom, cod) for rows in product(*pools))
 
 

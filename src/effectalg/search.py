@@ -23,16 +23,15 @@ M u = (1, 0) has no solution) ends the search at 0 nodes.
 
 Row i of a u-subunital M only has to satisfy row_i . u <= u_i, so the pool
 is the product of r per-row lists, and the box index is linear in the
-coordinates.  Each number the search reads of a matrix is therefore a fold
-over its row choices, computed for the whole pool one row at a time and
-never from matrix entries: the zero-column set (column j is zero iff it is
-zero in every row), which gives the class; the index of M u, which gives the
-S4 row filter; and the column indices w_j = index(M e_j), whose mixed-radix
-expansion is the row of M x.  The matrices are listed, and the pool's
-actions built, only at the first listing or leaf, so a search that ends
-before one (every obstructed box tried so far) builds neither, and no search
-builds a SubunitalMatrix.  Nonexistence results are exhaustive or explicitly
-undecided, never guessed.
+coordinates.  The two numbers the search reads of every matrix before a
+leaf are therefore folds over its row choices, computed for the whole pool
+one row at a time and never from matrix entries: the zero-column set
+(column j is zero iff it is zero in every row), which gives the class, and
+the index of M u, which gives the S4 row filter.  The matrices are listed,
+and the pool's actions built (operations.matrix_actions), only at the first
+listing or leaf, so a search that ends before one (every obstructed box
+tried so far) builds neither, and no search builds a SubunitalMatrix.
+Nonexistence results are exhaustive or explicitly undecided, never guessed.
 
 bruteforce_prefixes is the independent oracle: one pass over the raw N x N
 tables runs each through check_s1, check_s2, ... until its first failure, so
@@ -50,7 +49,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .algebra import FiniteEffectAlgebra, Shape, has_obstruction_atom, make_simplicial
 from .errors import NodeBudgetExceeded, capped_power, count_text, refuse_over
-from .maps import DEFAULT_MATRIX_CAP, count_subunital, enumerate_rows
+from .maps import count_subunital, subunital_row_lists
 from .operations import (
     AXIOM_CHECKS,
     Matrix,
@@ -61,6 +60,7 @@ from .operations import (
     check_s1,
     check_s4,
     check_s5,
+    matrix_actions,
     meet_boolean,
     sigma_universal,
 )
@@ -166,7 +166,7 @@ class _Pool:
     of an operation: the product of the per-row lists (maps.enumerate_rows),
     in enumerate_subunital's order (last row fastest), subunital by
     construction.  Everything is built on first use.  The per-matrix numbers
-    (zero columns, M u, column indices) are row folds over the product
+    the search reads (zero columns, M u) are row folds over the product
     (_fold), so a count by classes, or a search that ends before its first
     leaf, lists no matrix and builds no action row."""
 
@@ -176,10 +176,8 @@ class _Pool:
     @cached_property
     def rows(self) -> list[list[tuple[int, ...]]]:
         """Per row i, the rows alpha with alpha . u <= u_i, lexicographic.
-        A pool over DEFAULT_MATRIX_CAP is refused first, with its count."""
-        u = self.alg.shape.u
-        refuse_over(count_subunital(u, u), DEFAULT_MATRIX_CAP, "subunital matrices")
-        return [enumerate_rows(u, ui) for ui in u]
+        A pool over maps.DEFAULT_MATRIX_CAP is refused first, with its count."""
+        return subunital_row_lists(self.alg.shape.u)
 
     def _fold(self, combine: Callable[[int, int], int], start: int,
               value: Callable[[int, tuple[int, ...]], int]) -> list[int]:
@@ -197,17 +195,6 @@ class _Pool:
         return list(product(*self.rows))
 
     @cached_property
-    def columns(self) -> list[tuple[int, ...]]:
-        """Per matrix, its column indices w_j = index(M e_j) = sum_i M_ij place_i,
-        so that index(M x) = sum_j x_j w_j (operations.column_indices)."""
-        places = self.alg.shape._places
-
-        def column(j: int) -> list[int]:
-            return self._fold(add, 0, lambda i, row: row[j] * places[i])
-
-        return list(zip(*map(column, range(self.alg.shape.r))))
-
-    @cached_property
     def zero_columns(self) -> list[int]:
         """Per matrix, the bitmask of its zero columns: those zero in every row."""
         r = self.alg.shape.r
@@ -222,8 +209,7 @@ class _Pool:
 
     @cached_property
     def actions(self) -> Table:
-        shape = self.alg.shape
-        return tuple(tuple(shape.linear_indices(w)) for w in self.columns)
+        return matrix_actions(self.alg, self.matrices)
 
     @cached_property
     def top(self) -> int:
@@ -276,18 +262,6 @@ def enumerate_s1s2(u: Sequence[int], cap: int = DEFAULT_OP_CAP) -> Iterator[Oper
     return _matrix_families(u, True, cap)
 
 
-def _bitmasks(keys: Sequence[int], size: int) -> list[int]:
-    """Per v in range(size), the bitmask of the positions i with keys[i] = v
-    (keys past the range are skipped).  Set in one byte array per v and
-    converted once, so the cost is linear in the number of keys; OR-ing
-    1 << i into an int would copy it for every key."""
-    bits = [bytearray(len(keys) // 8 + 1) for _ in range(size)]
-    for i, v in enumerate(keys):
-        if v < size:
-            bits[v][i >> 3] |= 1 << (i & 7)
-    return [int.from_bytes(b, "little") for b in bits]
-
-
 def _s3_assignments(pool: _Pool, by_class: bool, node_budget: int,
                     masks: Optional[list[int]] = None) -> Iterator[tuple[list[int], int]]:
     """Yield (choices for rows 0..N-2, weight) for every assignment of rows
@@ -327,7 +301,9 @@ def _s3_assignments(pool: _Pool, by_class: bool, node_budget: int,
         class_of = [index[z] for z in zcols]
         weight = [1] * len(zcols)
     # members[c]: the choices of class c, as a bitmask
-    members = _bitmasks(class_of, len(classes))
+    members = [0] * len(classes)
+    for i, c in enumerate(class_of):
+        members[c] |= 1 << i
     expanded: dict[int, int] = {}
 
     def choices(class_mask: int) -> int:
@@ -417,7 +393,10 @@ def _s1sk_survivors(pool: _Pool, k: int,
     leaf_checks = (check_s4, check_s5)[:k - 3]
     masks = None
     if k >= 4:
-        masks = _bitmasks(pool.unit_images, n - 1)
+        masks = [0] * (n - 1)
+        for i, a in enumerate(pool.unit_images):
+            if a < n - 1:
+                masks[a] |= 1 << i
     for choice, _ in _s3_assignments(pool, False, node_budget, masks):
         rows = pool.with_top(choice)
         table = pool.table(rows)

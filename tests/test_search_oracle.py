@@ -15,9 +15,9 @@ matrices themselves, it walks the library's smaller tree node for node.
 The oracle's pool is enumerate_subunital's list of SubunitalMatrix rows, and
 its product-table rows come from coordinate_actions, which forms every M x as
 a coordinate tuple and looks up its index.  The library builds its pool from
-the per-row lists, reads its zero columns, M u indices and column indices as
-folds over the row choices, and expands each action row from the column
-indices; all of these are compared with the oracle's directly below.
+the per-row lists, reads its zero columns and M u indices as folds over the
+row choices, and expands each action row from M's column indices; all of
+these are compared with the oracle's directly below.
 """
 
 import json
@@ -34,7 +34,7 @@ from effectalg import maps, search
 from effectalg.algebra import Shape
 from effectalg.cli import main
 from effectalg.maps import enumerate_subunital
-from effectalg.operations import _identity, check_s4, check_s5, column_indices, matrix_actions
+from effectalg.operations import _identity, check_s4, check_s5, matrix_actions
 
 
 def coordinate_actions(alg, matrices):
@@ -278,13 +278,12 @@ def test_pool_actions_match_the_coordinate_route(u):
 
 def assert_pool_matches_the_matrix_route(u):
     """The pool against enumerate_subunital's SubunitalMatrix rows: the same
-    matrices in the same order, and their column indices, zero columns, M u
-    indices and the identity's position read off the entries."""
+    matrices in the same order, and their zero columns, M u indices and the
+    identity's position read off the entries."""
     pool = search._Pool(u)
     shape = pool.alg.shape
     matrices = [M.rows for M in enumerate_subunital(u, u)]
     assert pool.matrices == matrices
-    assert pool.columns == [column_indices(shape, M) for M in matrices]
     assert pool.zero_columns == [
         sum(1 << j for j in range(len(u)) if not any(row[j] for row in M))
         for M in matrices]
