@@ -7,7 +7,9 @@ i of M only has to satisfy row_i . u <= v_i, the matrices can be counted and
 enumerated row by row.
 
 additive_maps_bruteforce filters raw image tables with no matrix machinery at
-all; it exists so the classification can be cross-checked against it.
+all; it exists so the classification can be cross-checked against it.  It
+assigns images in index order and drops a partial table at its first broken
+sum, so it never lists the functions a broken prefix rules out.
 """
 
 from __future__ import annotations
@@ -159,29 +161,30 @@ def additive_maps_bruteforce(dom: SimplicialAlgebra, cod: SimplicialAlgebra,
                              cap: int = DEFAULT_FUNCTION_CAP) -> list[tuple[Elem, ...]]:
     """All additive maps [0, u] -> [0, v] by filtering raw image tables.
 
-    Deliberately matrix-free: every one of the |cod|**|dom| functions is
-    tested directly against t(x (+) y) = t(x) (+) t(y).  Tables come back in
-    canonical function order (the image of the last element varies fastest).
+    Deliberately matrix-free: images are assigned in index order, and each
+    defined sum (i, j, i (+) j) is tested against t(x (+) y) = t(x) (+) t(y)
+    as soon as its largest index has an image, so a partial table is dropped
+    at its first broken sum and only its additive extensions are tried.
+    Tables come back in canonical function order (the image of the last
+    element varies fastest).  The cap counts all |cod|**|dom| functions.
     """
     n, m = dom.size, cod.size
     capped_power(m, n, cap, "candidate functions")
-    pairs = []
+    # checks[t]: the defined sums whose largest index is t
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             k = dom.oplus_index(i, j)
             if k is not None:
-                pairs.append((i, j, k))
+                checks[max(j, k)].append((i, j, k))
     ov = cod.oplus_table()
+    partial: list[tuple[int, ...]] = [()]
+    for t in range(n):
+        extended = (f + (x,) for f in partial for x in range(m))
+        # an undefined sum (None) differs from every index
+        partial = [f for f in extended if all(ov[f[i]][f[j]] == f[k] for i, j, k in checks[t])]
     elems = [cod.element(i) for i in range(m)]
-    out = []
-    for f in product(range(m), repeat=n):
-        for i, j, k in pairs:
-            t = ov[f[i]][f[j]]
-            if t is None or t != f[k]:
-                break
-        else:
-            out.append(tuple(elems[x] for x in f))
-    return out
+    return [tuple(elems[x] for x in f) for f in partial]
 
 
 def matrix_of_map(dom: SimplicialAlgebra, cod: SimplicialAlgebra,

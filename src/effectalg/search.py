@@ -33,10 +33,12 @@ listing or leaf, so a search that ends before one (every obstructed box
 tried so far) builds neither, and no search builds a SubunitalMatrix.
 Nonexistence results are exhaustive or explicitly undecided, never guessed.
 
-bruteforce_prefixes is the independent oracle: one pass over the raw N x N
-tables runs each through check_s1, check_s2, ... until its first failure, so
-every axiom prefix S1..Sk is classified at once, with no matrix machinery at
-all; full_bruteforce_ops is its list for one k.
+bruteforce_prefixes is the independent oracle, on raw N x N tables with no
+matrix machinery at all.  S1 reads each row of a table on its own, so the
+S1 tables are exactly the products of the rows that pass S1 alone; they are
+generated as such, in canonical order, and each runs through check_s2,
+check_s3, ... until its first failure, so every axiom prefix S1..Sk is
+classified at once.  full_bruteforce_ops is its list for one k.
 """
 
 from __future__ import annotations
@@ -537,24 +539,24 @@ def bruteforce_prefixes(alg: FiniteEffectAlgebra, upto: int = 5,
     """Classify ALL N x N tables by the longest axiom prefix they pass.
 
     Entry k - 1 of the result lists the tables passing S1..Sk, for k in
-    1..upto, in canonical function order (last cell varying fastest).  One
-    pass runs each table through check_s1, check_s2, ... and stops at its
-    first failing axiom, so a table is checked once for every k; an
-    Operation is built only for a table that passes S1.  The independent
-    oracle for the structured searches: table representation only, no
-    matrices anywhere.
+    1..upto, in canonical function order (last cell varying fastest).
+    check_s1 reads each row of a table on its own, so a table passes S1
+    exactly when each of its rows does: the N**N candidate rows are filtered
+    once, in lexicographic order, and the product of the rows that pass is
+    every S1 table, in canonical order, with no other table generated.  Each
+    runs through check_s2, check_s3, ... until its first failure, so it is
+    checked once for every k.  The cap counts all N**(N*N) tables, filtered
+    or not.  The independent oracle for the structured searches: table
+    representation only, no matrices anywhere.
     """
     if not 1 <= upto <= 5:
         raise ValueError(f"upto must be in 1..5, got {upto}")
     n = alg.size
     capped_power(n, n * n, cap, "candidate tables")
+    rows = [row for row in product(range(n), repeat=n) if check_s1(alg, (row,)) is None]
     passing: list[list[Operation]] = [[] for _ in range(upto)]
     later = tuple(zip(passing[1:], AXIOM_CHECKS[1:upto]))
-    starts = range(0, n * n, n)
-    for flat in product(range(n), repeat=n * n):
-        table = tuple(flat[i:i + n] for i in starts)
-        if check_s1(alg, table) is not None:
-            continue
+    for table in product(rows, repeat=n):
         op = Operation(alg, table=table)
         passing[0].append(op)
         for ops, check in later:

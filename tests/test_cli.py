@@ -1,5 +1,6 @@
 """The ea command line: JSON-on-stdout contract, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -358,6 +359,15 @@ def test_verify_json_rows(capsys):
     assert doc["passed"] == len(doc["rows"]) == 54
     assert {row["status"] for row in doc["rows"]} == {"PASS"}
     assert err.count("\n") >= 54  # the human table goes to stderr
+
+
+def test_verify_json_stdout_is_pinned(capsys):
+    # the whole --json document, byte for byte: a faster oracle must not
+    # change, drop or reorder a row
+    code, out, _ = run(capsys, "verify", "--suite", "paper", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f961467466d5c6509b0610ed33936d07b9c0aa3c2c5112d640a6ada4801a7b78")
 
 
 def test_verify_budget_trip_in_the_classification_is_undecided(capsys):

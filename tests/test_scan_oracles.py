@@ -7,15 +7,24 @@ every table, including tables that fail late, fail in definedness only, or
 have a single element.  That covers the restricted scans too: S4's
 composition clause read only at the sum generators once S1 holds, and
 associativity read only where one side is defined.
+
+Two raw-table oracles that stop early are checked here too.  S1 reads each
+row on its own (the row-locality lemma that bruteforce_prefixes rests on),
+and additive_maps_bruteforce, which drops a partial image table at its first
+broken sum, must return the same list as the filter over every function.
 """
 
 import math
 import random
 from itertools import product
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from effectalg import (
     Operation,
     TableAlgebra,
+    additive_maps_bruteforce,
     atoms,
     chain_table,
     check_axioms,
@@ -85,6 +94,29 @@ def s5_reference(alg, prod):
                 if k is not None and rowc[k] != prod[k][c]:
                     return (a, b, c)
     return None
+
+
+def additive_maps_reference(dom, cod):
+    """All additive maps dom -> cod, by testing each of the |cod| ** |dom|
+    functions against every defined sum, in canonical function order."""
+    n, m = dom.size, cod.size
+    pairs = []
+    for i in range(n):
+        for j in range(i, n):
+            k = dom.oplus_index(i, j)
+            if k is not None:
+                pairs.append((i, j, k))
+    ov = cod.oplus_table()
+    elems = [cod.element(i) for i in range(m)]
+    out = []
+    for f in product(range(m), repeat=n):
+        for i, j, k in pairs:
+            t = ov[f[i]][f[j]]
+            if t is None or t != f[k]:
+                break
+        else:
+            out.append(tuple(elems[x] for x in f))
+    return out
 
 
 def validation_reference(alg):
@@ -464,3 +496,44 @@ def test_validation_on_random_partial_sum_tables():
     for rows in ([[0]], [[None]]):
         alg = TableAlgebra(1, 0, 0, rows)
         assert validate_table_algebra(alg).checks == validation_reference(alg)
+
+
+ROW_LEMMA_ALGEBRAS = {
+    **{str(u): make_simplicial(u) for u in [(1,), (2,), (1, 1)]},
+    **{name: load_fixture(name) for name in ("c1", "c2", "c3", "mo2")},
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_s1_reads_each_row_on_its_own(data):
+    # a table passes S1 exactly when each row passes as a one-row table, and
+    # a failing table's witness is the first failing row's, at that row
+    alg = ROW_LEMMA_ALGEBRAS[data.draw(st.sampled_from(sorted(ROW_LEMMA_ALGEBRAS)))]
+    n = alg.size
+    cell = st.integers(0, n - 1)
+    if data.draw(st.booleans()):
+        table = data.draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                                   min_size=n, max_size=n))
+    else:
+        table = [list(row) for row in sigma_universal(alg).product_table()]
+        for a, b, v in data.draw(st.lists(st.tuples(cell, cell, cell), max_size=3)):
+            table[a][b] = v
+    table = tuple(map(tuple, table))
+    own = [check_s1(alg, (row,)) for row in table]
+    failing = [a for a, w in enumerate(own) if w is not None]
+    if failing:
+        a = failing[0]
+        assert check_s1(alg, table) == (a,) + own[a][1:]
+    else:
+        assert check_s1(alg, table) is None
+
+
+def test_additive_map_filter_matches_the_loop_over_every_function():
+    shapes = [(1,), (2,), (3,), (1, 1), (2, 1), (1, 2)]
+    pairs = [(u, u) for u in shapes] + [((1,), (2,)), ((2,), (1, 1)), ((1, 1), (2,))]
+    for u, v in pairs:
+        dom, cod = make_simplicial(u), make_simplicial(v)
+        want = additive_maps_reference(dom, cod)
+        assert want, (u, v)
+        assert additive_maps_bruteforce(dom, cod) == want, (u, v)

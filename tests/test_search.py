@@ -6,8 +6,9 @@
    sharing no code with the library checker.
 2. full_bruteforce_ops filters raw N x N tables, exercising the checker with
    no matrix or search machinery in the loop.  Its one-pass classifier,
-   bruteforce_prefixes, is checked here against the plain per-k loop
-   (_per_k_reference below).
+   bruteforce_prefixes, which generates only the products of the rows that
+   pass S1 alone, is checked here against the plain per-k loop over every
+   table (_per_k_reference below).
 3. The unpruned route (enumerate all S1+S2 families, then check) must agree
    with the pruned backtracking search wherever both are affordable.
 
@@ -328,6 +329,30 @@ def test_one_pass_oracle_matches_the_per_k_reference():
             assert [op.product_table() for op in by_prefix[k - 1]] == want, (alg, k)
             assert [op.product_table() for op in full_bruteforce_ops(alg, k)] == want
             assert all(op.algebra is alg for op in by_prefix[k - 1])
+
+
+def test_raw_table_oracle_on_the_four_element_boxes():
+    # 4 ** 16 nominal tables, over the default cap; with the S1 rows filtered
+    # first only 9 ** 4 = 6561 (B2) and 2 ** 4 = 16 (C3) are generated
+    b2 = make_simplicial((1, 1))
+    by_prefix = bruteforce_prefixes(b2, cap=4 ** 16)
+    assert [len(ops) for ops in by_prefix] == [6561, 729, 34, 1, 1]
+    # the paper's 34, by raw tables and by the S3-pruned search
+    assert ({op.product_table() for op in by_prefix[2]}
+            == {op.product_table() for op in enumerate_s1sk((1, 1), 3).operations})
+    meet = meet_boolean(2).product_table()
+    assert [op.product_table() for op in by_prefix[3]] == [meet]
+    assert [op.product_table() for op in by_prefix[4]] == [meet]
+
+    c3 = make_simplicial((3,))
+    by_prefix = bruteforce_prefixes(c3, cap=4 ** 16)
+    assert [len(ops) for ops in by_prefix] == [16, 8, 1, 0, 0]
+    assert by_prefix[2][0].product_table() == sigma_universal(c3).product_table()
+
+    for alg in (b2, c3):
+        with pytest.raises(CapExceeded) as exc:
+            bruteforce_prefixes(alg)
+        assert exc.value.count == 4 ** 16
 
 
 def test_bruteforce_cap_refusal(monkeypatch):
