@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter, mul
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidTableAlgebra, refuse_over
 
@@ -90,20 +89,27 @@ def _sum_generators(sums, pairs: SumPairs, zero: int) -> tuple[int, ...]:
     return gens if all(reached) else tuple(range(n))
 
 
-@dataclass(frozen=True)
-class Shape:
-    """A box shape u = (u_1, ..., u_r), every u_i >= 1."""
-
+class _ShapeFields(NamedTuple):
     u: tuple[int, ...]
 
+
+class Shape(_ShapeFields):
+    """A box shape u = (u_1, ..., u_r), every u_i >= 1.
+
+    It declares no __slots__, so its instances keep the __dict__ that the
+    cached properties below are stored in."""
+
+    def __new__(cls, u: Sequence[int]):
+        self = super().__new__(cls, tuple(u))
+        self.__post_init__()
+        return self
+
     def __post_init__(self):
-        u = tuple(self.u)
-        if not u:
+        if not self.u:
             raise ValueError("shape needs at least one coordinate")
-        for ui in u:
+        for ui in self.u:
             if not _is_int(ui) or ui < 1:
                 raise ValueError(f"shape coordinates must be integers >= 1, got {ui!r}")
-        object.__setattr__(self, "u", u)
 
     @property
     def r(self) -> int:
@@ -152,21 +158,27 @@ class Shape:
         return len(set(self.u)) == 1
 
 
-@dataclass(frozen=True)
-class Elem:
-    """An element of the box [0, u], stored by coordinates."""
-
+class _ElemFields(NamedTuple):
     coords: tuple[int, ...]
     shape: Shape
 
+
+class Elem(_ElemFields):
+    """An element of the box [0, u], stored by coordinates."""
+
+    __slots__ = ()
+
+    def __new__(cls, coords: Sequence[int], shape: Shape):
+        self = super().__new__(cls, tuple(coords), shape)
+        self.__post_init__()
+        return self
+
     def __post_init__(self):
-        coords = tuple(self.coords)
-        if len(coords) != self.shape.r:
-            raise ValueError(f"expected {self.shape.r} coordinates, got {len(coords)}")
-        for c, ui in zip(coords, self.shape.u):
+        if len(self.coords) != self.shape.r:
+            raise ValueError(f"expected {self.shape.r} coordinates, got {len(self.coords)}")
+        for c, ui in zip(self.coords, self.shape.u):
             if not _is_int(c) or not 0 <= c <= ui:
                 raise ValueError(f"coordinate {c!r} outside [0, {ui}]")
-        object.__setattr__(self, "coords", coords)
 
     @property
     def index(self) -> int:
@@ -349,16 +361,14 @@ class TableAlgebra(FiniteEffectAlgebra):
         }
 
 
-@dataclass(frozen=True)
-class AtomRecord:
+class AtomRecord(NamedTuple):
     """A minimal nonzero element together with its isotropic index ord."""
 
     atom: Union[Elem, int]
     ord: int
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of checking a sum table against the effect-algebra laws.
 
     `checks` maps each law name to None (holds) or a witness dict giving the

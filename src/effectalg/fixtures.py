@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from importlib import resources
 
 from .algebra import FiniteEffectAlgebra, TableAlgebra, algebra_from_json
 
@@ -14,6 +13,10 @@ def fixture_path(name: str):
     """Filesystem location of a bundled fixture (handy for CLI --file tests)."""
     if name not in FIXTURE_NAMES:
         raise ValueError(f"unknown fixture {name!r}; have {FIXTURE_NAMES}")
+    # imported on first use: on Python 3.12 importlib.resources imports
+    # inspect, which `import effectalg` otherwise never needs
+    from importlib import resources
+
     return resources.files(__package__).joinpath(f"fixtures/{name}.json")
 
 

@@ -15,10 +15,9 @@ sum, so it never lists the functions a broken prefix rules out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, chain, product
 from operator import mul
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .algebra import Elem, Shape, SimplicialAlgebra, _check_carrier, _is_int
 from .errors import capped_power, refuse_over
@@ -73,22 +72,29 @@ def count_subunital(u: Sequence[int], v: Optional[Sequence[int]] = None) -> int:
     return math.prod(count_rows(u, vi) for vi in v)
 
 
-@dataclass(frozen=True)
-class SubunitalMatrix:
-    """A nonnegative integer matrix M with M u <= v, acting [0, u] -> [0, v]."""
-
+class _SubunitalMatrixFields(NamedTuple):
     rows: tuple[tuple[int, ...], ...]
     domain: Shape
     codomain: Shape
 
+
+class SubunitalMatrix(_SubunitalMatrixFields):
+    """A nonnegative integer matrix M with M u <= v, acting [0, u] -> [0, v]."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: Sequence[Sequence[int]], domain: Shape, codomain: Shape):
+        self = super().__new__(cls, tuple(tuple(r) for r in rows), domain, codomain)
+        self.__post_init__()
+        return self
+
     def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
+        rows = self.rows
         if not all(map(_is_int, chain.from_iterable(rows))):
             raise ValueError(f"matrix entries must be integers, got {rows}")
         if not is_subunital(rows, self.domain.u, self.codomain.u):
             raise ValueError(f"rows {rows} are not subunital for u = {self.domain.u}, "
                              f"v = {self.codomain.u}")
-        object.__setattr__(self, "rows", rows)
 
     def apply(self, x: Elem) -> Elem:
         if x.shape != self.domain:
@@ -150,8 +156,7 @@ def enumerate_subunital(u: Sequence[int], v: Optional[Sequence[int]] = None,
     return (SubunitalMatrix(rows, dom, cod) for rows in product(*pools))
 
 
-@dataclass(frozen=True)
-class NotAdditive:
+class NotAdditive(NamedTuple):
     """Refutation certificate: an orthogonal pair the map table breaks."""
 
     witness: tuple[Elem, Elem]

@@ -35,9 +35,8 @@ replay_witness re-evaluates a witness tuple against the operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .algebra import (
     Elem,
@@ -67,8 +66,10 @@ class Operation:
                  *, _assembled: bool = False):
         self.algebra = algebra
         if _assembled:
-            # a search candidate: pool matrices and the table of their actions,
-            # both valid by construction (see search._Pool.operation)
+            # valid by construction, so not re-checked: a search candidate's
+            # pool matrices and the table of their actions (search._Pool.operation),
+            # or a raw-table oracle's tuple of generated in-range rows, with no
+            # matrices (search.bruteforce_prefixes)
             self.matrices = matrices
             self._table = table
             return
@@ -250,8 +251,7 @@ def meet_boolean(r) -> Operation:
     return Operation(alg, matrices=tuple(matrices))
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Per-axiom verdicts for s1..s<upto>; a value of None means the axiom
     holds, otherwise it is the least witness tuple."""
 
@@ -453,8 +453,7 @@ def right_unit_holds(op: Operation) -> tuple[bool, Optional[int]]:
     return (True, None)
 
 
-@dataclass(frozen=True)
-class NotS1:
+class NotS1(NamedTuple):
     """Refutation: row `row` of the table is not an additive left translation."""
 
     row: int

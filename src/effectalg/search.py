@@ -43,11 +43,10 @@ classified at once.  full_bruteforce_ops is its list for one k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from operator import add, and_, mul
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .algebra import FiniteEffectAlgebra, Shape, has_obstruction_atom, make_simplicial
 from .errors import NodeBudgetExceeded, capped_power, count_text, refuse_over
@@ -72,15 +71,31 @@ DEFAULT_NODE_BUDGET = 10**7
 DEFAULT_TABLE_CAP = 10**7
 
 
-@dataclass
 class SearchResult:
-    """Outcome of an operation search on the box [0, u] at axiom prefix k."""
+    """Outcome of an operation search on the box [0, u] at axiom prefix k.
 
-    u: tuple[int, ...]
-    k: int
-    count: int
-    certificate: str  # "exhaustive" or "formula"
-    operations: Optional[list[Operation]]
+    A plain class, not a NamedTuple like the other records: a caller may
+    drop a long listing by setting operations to None."""
+
+    __slots__ = ("u", "k", "count", "certificate", "operations")
+
+    def __init__(self, u: tuple[int, ...], k: int, count: int,
+                 certificate: str,  # "exhaustive" or "formula"
+                 operations: Optional[list[Operation]]):
+        self.u = u
+        self.k = k
+        self.count = count
+        self.certificate = certificate
+        self.operations = operations
+
+    def __eq__(self, other):
+        if type(other) is not SearchResult:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"SearchResult({fields})"
 
     def to_json(self) -> dict:
         out: dict = {
@@ -96,8 +111,7 @@ class SearchResult:
         return out
 
 
-@dataclass
-class S4Existence:
+class S4Existence(NamedTuple):
     """Whether some S1-S4 operation exists on [0, u].
 
     exists is None when the search ran out of node budget; the certificate is
@@ -121,8 +135,7 @@ class S4Existence:
         return out
 
 
-@dataclass
-class B2Record:
+class B2Record(NamedTuple):
     """One survivor on the four-element Boolean box: its row maps A (at p)
     and B (at q) and the values (u, v, s, t) = (A p, A q, B p, B q)."""
 
@@ -132,8 +145,7 @@ class B2Record:
     uvst: tuple[int, int, int, int]
 
 
-@dataclass
-class B2Classification:
+class B2Classification(NamedTuple):
     records: list[B2Record]
     block_v_zero: list[int]
     block_v_nonzero: list[int]
@@ -143,8 +155,7 @@ class B2Classification:
         return len(self.records)
 
 
-@dataclass
-class ChainReport:
+class ChainReport(NamedTuple):
     """The full axiom-by-axiom picture on the chain [0, n]."""
 
     n: int
@@ -264,6 +275,30 @@ def enumerate_s1s2(u: Sequence[int], cap: int = DEFAULT_OP_CAP) -> Iterator[Oper
     return _matrix_families(u, True, cap)
 
 
+# positions per block in _bitmasks: an OR there copies at most 512 bytes
+_MASK_BLOCK = 4096
+
+
+def _bitmasks(keys: Sequence[int], size: int) -> list[int]:
+    """Per key k in range(size), the bitmask of the positions i with
+    keys[i] == k.  OR-ing 1 << i into one growing int per key copies that
+    int every time, which is quadratic in len(keys); here the ints grow only
+    within a block of _MASK_BLOCK positions, and the blocks are joined as
+    bytes once per key."""
+    blocks = []
+    for start in range(0, len(keys), _MASK_BLOCK):
+        part = [0] * size
+        for i, k in enumerate(keys[start:start + _MASK_BLOCK]):
+            if k < size:
+                part[k] |= 1 << i
+        blocks.append(part)
+    if len(blocks) == 1:
+        return blocks[0]
+    width = _MASK_BLOCK // 8
+    return [int.from_bytes(b"".join(part[k].to_bytes(width, "little") for part in blocks),
+                           "little") for k in range(size)]
+
+
 def _s3_assignments(pool: _Pool, by_class: bool, node_budget: int,
                     masks: Optional[list[int]] = None) -> Iterator[tuple[list[int], int]]:
     """Yield (choices for rows 0..N-2, weight) for every assignment of rows
@@ -303,9 +338,7 @@ def _s3_assignments(pool: _Pool, by_class: bool, node_budget: int,
         class_of = [index[z] for z in zcols]
         weight = [1] * len(zcols)
     # members[c]: the choices of class c, as a bitmask
-    members = [0] * len(classes)
-    for i, c in enumerate(class_of):
-        members[c] |= 1 << i
+    members = _bitmasks(class_of, len(classes))
     expanded: dict[int, int] = {}
 
     def choices(class_mask: int) -> int:
@@ -393,12 +426,7 @@ def _s1sk_survivors(pool: _Pool, k: int,
     alg = pool.alg
     n = alg.size
     leaf_checks = (check_s4, check_s5)[:k - 3]
-    masks = None
-    if k >= 4:
-        masks = [0] * (n - 1)
-        for i, a in enumerate(pool.unit_images):
-            if a < n - 1:
-                masks[a] |= 1 << i
+    masks = _bitmasks(pool.unit_images, n - 1) if k >= 4 else None
     for choice, _ in _s3_assignments(pool, False, node_budget, masks):
         rows = pool.with_top(choice)
         table = pool.table(rows)
@@ -557,7 +585,8 @@ def bruteforce_prefixes(alg: FiniteEffectAlgebra, upto: int = 5,
     passing: list[list[Operation]] = [[] for _ in range(upto)]
     later = tuple(zip(passing[1:], AXIOM_CHECKS[1:upto]))
     for table in product(rows, repeat=n):
-        op = Operation(alg, table=table)
+        # its rows were generated in range(n): built without re-checking
+        op = Operation(alg, table=table, _assembled=True)
         passing[0].append(op)
         for ops, check in later:
             if check(alg, table) is not None:

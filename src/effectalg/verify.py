@@ -11,7 +11,7 @@ FAIL does; any other error in the classification is a FAIL row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import fixtures
 from .algebra import make_simplicial
@@ -38,8 +38,7 @@ from .search import (
 PASS, FAIL, UNDECIDED = "PASS", "FAIL", "UNDECIDED"
 
 
-@dataclass
-class SuiteRow:
+class SuiteRow(NamedTuple):
     criterion: int
     name: str
     expected: str
@@ -56,8 +55,7 @@ class SuiteRow:
         }
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     rows: list[SuiteRow]
 
     @property

@@ -303,6 +303,38 @@ def test_pool_matches_the_matrix_route_on_random_boxes(u):
     assert_pool_matches_the_matrix_route(u)
 
 
+def or_loop_masks(keys, size):
+    """The search's bitmasks as first built: 1 << i OR-ed into a growing int."""
+    masks = [0] * size
+    for i, k in enumerate(keys):
+        if k < size:
+            masks[k] |= 1 << i
+    return masks
+
+
+def test_bitmasks_of_a_short_key_list():
+    # keys at or above the size set no bit; a key that never occurs gets 0
+    assert search._bitmasks([2, 0, 2, 5, 3], 4) == [0b10, 0, 0b101, 0b10000]
+    assert search._bitmasks([], 2) == [0, 0]
+
+
+def test_bitmasks_across_blocks():
+    block = search._MASK_BLOCK
+    for length in (block - 1, block, block + 1, 3 * block + 17):
+        keys = [(i * i) % 7 for i in range(length)]
+        assert search._bitmasks(keys, 5) == or_loop_masks(keys, 5), length
+
+
+@pytest.mark.parametrize("u", [(2, 2), (4, 1), (2, 1, 1), (1, 1, 1, 1), (1,) * 6])
+def test_bitmasks_match_the_or_loop(u):
+    # the class members of the S3 search and the k >= 4 right-unit masks
+    pool = search._Pool(u)
+    index = {z: c for c, z in enumerate(sorted(set(pool.zero_columns)))}
+    class_of = [index[z] for z in pool.zero_columns]
+    for keys, size in [(class_of, len(index)), (pool.unit_images, pool.alg.size - 1)]:
+        assert search._bitmasks(keys, size) == or_loop_masks(keys, size)
+
+
 def test_pool_refusals_keep_their_counts(capsys):
     # an oversized pool is refused with its exact count
     with pytest.raises(CapExceeded) as exc:
