@@ -128,6 +128,13 @@ class Shape(_ShapeFields):
         return tuple(places)
 
     @cached_property
+    def levels(self) -> list[int]:
+        """The coordinate sum of every index.  Adding indices adds coordinates,
+        and every carry lowers the coordinate sum, so x (+) y is the index
+        i + j exactly when i + j < size and levels[i] + levels[j] == levels[i + j]."""
+        return self.linear_indices((1,) * self.r)
+
+    @cached_property
     def all_coords(self) -> tuple[tuple[int, ...], ...]:
         """The coordinates of every index, in canonical order."""
         return tuple(self.coords_of(i) for i in range(self.size))
@@ -183,9 +190,6 @@ class Elem(_ElemFields):
     @property
     def index(self) -> int:
         return self.shape.index_of(self.coords)
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
 
 
 class FiniteEffectAlgebra:
@@ -253,38 +257,30 @@ class SimplicialAlgebra(FiniteEffectAlgebra):
             yield self.element(i)
 
     def oplus_index(self, i: int, j: int) -> Optional[int]:
-        a = self.shape.coords_of(i)
-        b = self.shape.coords_of(j)
-        s = tuple(x + y for x, y in zip(a, b))
-        if any(c > ui for c, ui in zip(s, self.shape.u)):
-            return None
-        return self.shape.index_of(s)
+        for x in (i, j):
+            if not 0 <= x < self.size:
+                raise ValueError(f"index {x} out of range for shape {self.shape.u}")
+        levels = self.shape.levels
+        k = i + j
+        return k if k < self.size and levels[i] + levels[j] == levels[k] else None
 
     def oplus_table(self) -> tuple[tuple[Optional[int], ...], ...]:
         """Full index-level sum table, memoized; None marks undefined sums."""
         if self._sums is None:
-            refuse_over(self.size * self.size, SUM_TABLE_LIMIT**2,
-                        f"sum-table entries for {self.size} elements")
-            u = self.shape.u
-            coords = self.shape.all_coords
-            rows = []
-            for a in coords:
-                row = []
-                for b in coords:
-                    s = tuple(x + y for x, y in zip(a, b))
-                    row.append(None if any(c > ui for c, ui in zip(s, u))
-                               else self.shape.index_of(s))
-                rows.append(tuple(row))
-            self._sums = tuple(rows)
+            n = self.size
+            refuse_over(n * n, SUM_TABLE_LIMIT**2, f"sum-table entries for {n} elements")
+            levels = self.shape.levels
+            # the rule of oplus_index, row i read only where i + j < n
+            self._sums = tuple(
+                tuple(i + j if li + lj == levels[i + j] else None
+                      for j, lj in enumerate(levels[:n - i])) + (None,) * i
+                for i, li in enumerate(levels))
         return self._sums
 
     def ortho_table(self) -> tuple[int, ...]:
+        """x' = u - x, whose index is N - 1 - i since the index is linear."""
         if self._ortho is None:
-            u = self.shape.u
-            self._ortho = tuple(
-                self.shape.index_of(tuple(ui - c for c, ui in zip(x, u)))
-                for x in self.shape.all_coords
-            )
+            self._ortho = tuple(range(self.size - 1, -1, -1))
         return self._ortho
 
     def to_table(self) -> "TableAlgebra":
@@ -416,15 +412,16 @@ def oplus(alg: FiniteEffectAlgebra, x, y):
 def orthosupplement(alg: FiniteEffectAlgebra, x):
     """The unique x' with x (+) x' = 1."""
     if isinstance(alg, SimplicialAlgebra):
-        u = alg.shape.u
-        return Elem(tuple(ui - c for c, ui in zip(x.coords, u)), alg.shape)
+        return alg.element(alg.ortho_table()[alg.index(x)])
     return alg.ortho_table()[x]
 
 
 def leq(alg: FiniteEffectAlgebra, x, y) -> bool:
     """True iff some z satisfies x (+) z = y."""
     if isinstance(alg, SimplicialAlgebra):
-        return all(a <= b for a, b in zip(x.coords, y.coords))
+        # the only candidate z has index j - i
+        i, j = alg.index(x), alg.index(y)
+        return j >= i and alg.oplus_index(i, j - i) == j
     return any(alg.sum_table[x][z] == y for z in range(alg.size))
 
 
@@ -434,7 +431,7 @@ def isotropic_index(alg: FiniteEffectAlgebra, x) -> int:
     Undefined (raises ValueError) at x = 0, where every multiple exists.
     """
     if isinstance(alg, SimplicialAlgebra):
-        if x.is_zero():
+        if alg.index(x) == alg.zero_index:
             raise ValueError("ord(0) is undefined")
         return min(ui // c for c, ui in zip(x.coords, alg.shape.u) if c)
     if x == alg.zero_index:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from .algebra import FiniteEffectAlgebra, TableAlgebra, algebra_from_json
+from .algebra import FiniteEffectAlgebra, TableAlgebra, algebra_from_json, make_simplicial
 
 FIXTURE_NAMES = ("mo2", "c1", "c2", "c3", "c4")
 
@@ -33,9 +33,7 @@ def mo2() -> TableAlgebra:
 
 
 def chain_table(n: int) -> TableAlgebra:
-    """The chain {0, ..., n} as an explicit sum table (any n, built in code)."""
+    """The chain {0, ..., n} as the box [0, n]'s sum table, refused past SUM_TABLE_LIMIT."""
     if n < 1:
         raise ValueError(f"chains need n >= 1, got {n}")
-    size = n + 1
-    sums = [[i + j if i + j <= n else None for j in range(size)] for i in range(size)]
-    return TableAlgebra(size, 0, n, sums)
+    return make_simplicial((n,)).to_table()

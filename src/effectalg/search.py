@@ -43,6 +43,7 @@ classified at once.  full_bruteforce_ops is its list for one k.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property
 from itertools import product
 from operator import add, and_, mul
@@ -314,6 +315,12 @@ def _s3_assignments(pool: _Pool, by_class: bool, node_budget: int,
     assignment is the product along it; otherwise a choice is one pool matrix
     of an allowed class, tried in ascending pool index, with weight 1.
 
+    A choice narrows a later element only through that element's support,
+    so elements with the same support and the same starting class set are
+    always narrowed alike: they form one group, which keeps one class set and
+    is narrowed only while it has an element deeper than the current one.  A
+    node then costs one step per such group, not one per later element.
+
     masks, when given, holds per element 0..N-2 a bitmask of the choices it
     may take at all: each element's class set starts at the classes with an
     admissible member, and only admissible choices are tried.  Since it only
@@ -324,12 +331,17 @@ def _s3_assignments(pool: _Pool, by_class: bool, node_budget: int,
     """
     shape = pool.alg.shape
     n = shape.size
-    supports = [sum(1 << j for j, c in enumerate(x) if c) for x in shape.all_coords]
+    # per element, the bitmask of its nonzero coordinates
+    supports = [0]
+    for j, uj in enumerate(shape.u):
+        supports = [s | (c > 0) << j for c in range(uj + 1) for s in supports]
     zcols = pool.zero_columns
     classes = sorted(set(zcols))
-    # kills[c]: elements that class c sends to 0; zero_at[b]: classes sending b to 0
-    kills = [sum(1 << b for b, s in enumerate(supports) if not s & ~z) for z in classes]
-    zero_at = [sum(1 << c for c, z in enumerate(classes) if not s & ~z) for s in supports]
+
+    def zero_at(support: int) -> int:
+        """The classes sending an element of this support to 0."""
+        return sum(1 << c for c, z in enumerate(classes) if not support & ~z)
+
     if by_class:
         class_of = list(range(len(classes)))
         weight = [zcols.count(z) for z in classes]
@@ -355,18 +367,31 @@ def _s3_assignments(pool: _Pool, by_class: bool, node_budget: int,
     # Against the identity top row, I a = 0 iff a = 0: element 0 needs a
     # class sending u to 0 (the zero matrix) and every other element one
     # that does not.
-    top_zero = zero_at[n - 1]
+    top_zero = zero_at(supports[n - 1])
     allowed = [top_zero] + [((1 << len(classes)) - 1) & ~top_zero] * (n - 2)
     if masks is not None:
         allowed = [a & sum(1 << c for c, m in enumerate(members) if m & mask)
                    for a, mask in zip(allowed, masks)]
     if not all(allowed):
         return
+    # the groups, numbered by their deepest element, so the groups still
+    # narrowed below depth pos are those from bisect_right(deepest, pos) on
+    keys = list(zip(supports, allowed))
+    deepest_of = {key: a for a, key in enumerate(keys)}
+    group_keys = sorted(deepest_of, key=deepest_of.get)
+    deepest = [deepest_of[key] for key in group_keys]
+    number = {key: g for g, key in enumerate(group_keys)}
+    group = [number[key] for key in keys]
+    # kills[c]: the groups that class c sends to 0; zero_at_group[g]: the
+    # classes sending group g to 0
+    kills = [sum(1 << g for g, (s, _) in enumerate(group_keys) if not s & ~z)
+             for z in classes]
+    zero_at_group = [zero_at(s) for s, _ in group_keys]
     last = n - 2
     choice = [0] * (n - 1)
-    # per depth: the classes still allowed below it, the weight of the path
-    # above it, and the untried choices at it
-    allowed_at = [allowed] + [None] * last
+    # per depth: the class sets of the groups, the weight of the path above
+    # it, and the untried choices at it
+    allowed_at = [[a for _, a in group_keys]] + [None] * last
     weight_at = [1] * (n - 1)
     untried = [choices(allowed[0])] + [0] * last
     if masks is not None:
@@ -392,21 +417,21 @@ def _s3_assignments(pool: _Pool, by_class: bool, node_budget: int,
             yield choice, w
             continue
         zm = kills[class_of[i]]
-        za = zero_at[pos]
+        za = zero_at_group[group[pos]]
         narrowed = allowed_at[pos].copy()
-        for a in range(pos + 1, n - 1):
-            if (zm >> a) & 1:
-                na = narrowed[a] & za
+        for g in range(bisect_right(deepest, pos), len(deepest)):
+            if (zm >> g) & 1:
+                na = narrowed[g] & za
             else:
-                na = narrowed[a] & ~za
+                na = narrowed[g] & ~za
             if na == 0:
                 break
-            narrowed[a] = na
+            narrowed[g] = na
         else:
             pos += 1
             allowed_at[pos] = narrowed
             weight_at[pos] = w
-            nxt = narrowed[pos]
+            nxt = narrowed[group[pos]]
             untried[pos] = expanded.get(nxt) or choices(nxt)
             if masks is not None:
                 untried[pos] &= masks[pos]

@@ -118,9 +118,32 @@ def test_fixture_algebras_validate():
         assert validate_table_algebra(alg).ok, name
 
 
+def test_orthosupplement_refuses_an_element_of_another_box():
+    with pytest.raises(ValueError, match="different box"):
+        orthosupplement(make_simplicial((2,)), make_simplicial((1,)).element(1))
+
+
+def test_leq_refuses_an_element_of_another_box():
+    alg = make_simplicial((2, 1))
+    stranger = make_simplicial((1, 2)).element(1)
+    with pytest.raises(ValueError, match="different box"):
+        leq(alg, stranger, alg.one)
+    with pytest.raises(ValueError, match="different box"):
+        leq(alg, alg.zero, stranger)
+
+
+def test_isotropic_index_refuses_an_element_of_another_box():
+    with pytest.raises(ValueError, match="different box"):
+        isotropic_index(make_simplicial((4, 2)), make_simplicial((1,)).element(1))
+
+
 def test_chain_fixtures_match_the_generated_tables():
     for n in (1, 2, 3, 4):
         assert load_fixture(f"c{n}").to_json() == chain_table(n).to_json()
+    # a chain is the box [0, n], so it shares the box sum-table limit
+    for n in (2048, 10**5):
+        with pytest.raises(CapExceeded):
+            chain_table(n)
 
 
 def test_mo2_sum_structure():

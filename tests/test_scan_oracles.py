@@ -8,6 +8,10 @@ have a single element.  That covers the restricted scans too: S4's
 composition clause read only at the sum generators once S1 holds, and
 associativity read only where one side is defined.
 
+The box sum and orthosupplement tables are read by index arithmetic (i + j
+when no coordinate carries, N - 1 - i); the coordinate-tuple loops they
+replaced are kept below as their references.
+
 Two raw-table oracles that stop early are checked here too.  S1 reads each
 row on its own (the row-locality lemma that bruteforce_prefixes rests on),
 and additive_maps_bruteforce, which drops a partial image table at its first
@@ -18,6 +22,7 @@ import math
 import random
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +43,28 @@ from effectalg import (
 )
 from effectalg.fixtures import load_fixture
 from effectalg.operations import _s4_scan, check_s1, check_s4, check_s5
+
+
+def oplus_table_reference(alg):
+    """The box sum table by coordinates: x + y where it stays below u."""
+    u = alg.shape.u
+    coords = alg.shape.all_coords
+    rows = []
+    for a in coords:
+        row = []
+        for b in coords:
+            s = tuple(x + y for x, y in zip(a, b))
+            row.append(None if any(c > ui for c, ui in zip(s, u))
+                       else alg.shape.index_of(s))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def ortho_table_reference(alg):
+    """The box orthosupplements by coordinates: u - x."""
+    u = alg.shape.u
+    return tuple(alg.shape.index_of(tuple(ui - c for c, ui in zip(x, u)))
+                 for x in alg.shape.all_coords)
 
 
 def s1_reference(alg, prod):
@@ -537,3 +564,36 @@ def test_additive_map_filter_matches_the_loop_over_every_function():
         want = additive_maps_reference(dom, cod)
         assert want, (u, v)
         assert additive_maps_bruteforce(dom, cod) == want, (u, v)
+
+
+def assert_box_tables_match_the_coordinates(u):
+    alg = make_simplicial(u)
+    sums = oplus_table_reference(alg)
+    assert alg.oplus_table() == sums, u
+    assert alg.ortho_table() == ortho_table_reference(alg), u
+    n = alg.size
+    assert [[alg.oplus_index(i, j) for j in range(n)] for i in range(n)] == list(map(list, sums))
+
+
+def test_box_sums_and_orthosupplements_match_the_coordinates_on_small_boxes():
+    boxes = [u for r in (1, 2, 3) for u in product(range(1, 5), repeat=r)]
+    assert len(boxes) == 84
+    for u in boxes:
+        assert_box_tables_match_the_coordinates(u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.lists(st.integers(1, 6), min_size=1, max_size=3),
+                 st.lists(st.integers(1, 2), min_size=4, max_size=5)).map(tuple))
+def test_box_sums_and_orthosupplements_match_the_coordinates_on_random_boxes(u):
+    assert_box_tables_match_the_coordinates(u)
+
+
+def test_box_sum_of_an_index_outside_the_box_is_refused():
+    # a bare levels[-1] would wrap round to the top element
+    for u in [(1,), (2, 1), (1, 1, 1)]:
+        alg = make_simplicial(u)
+        n = alg.size
+        for i, j in [(-1, 0), (0, -1), (n, 0), (0, n), (-1, n)]:
+            with pytest.raises(ValueError, match="out of range"):
+                alg.oplus_index(i, j)

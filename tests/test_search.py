@@ -429,6 +429,12 @@ def test_s1s4_existence_reports_undecided_on_a_tiny_budget():
     assert res.witness is None
 
 
+def test_a_chain_of_a_hundred_thousand_elements_counts_in_linear_time():
+    # a node costs one step per group of elements with the same support and
+    # starting classes, two groups on a chain, not one step per later element
+    assert enumerate_s1sk((10**5,), 3, cap=0).count == 1
+
+
 def test_node_budget_exception():
     with pytest.raises(NodeBudgetExceeded) as exc:
         enumerate_s1sk((2, 2), 3, node_budget=5)
