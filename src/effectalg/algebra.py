@@ -57,38 +57,6 @@ def _nothing(row) -> tuple:
     return ()
 
 
-def _sum_generators(sums, pairs: SumPairs, zero: int) -> tuple[int, ...]:
-    """Zero and the elements that are not a sum of two others, in index order,
-    provided the table is commutative and they generate every element under
-    the defined sums of `pairs`; otherwise every element.
-
-    In an effect algebra these are zero and the atoms, and every element is a
-    sum of atoms, so the fallback is taken only by tables that break the laws.
-    Either way, two maps that are additive over `pairs` agree everywhere once
-    they agree on the elements returned.
-    """
-    n = len(sums)
-    if any(row != col for row, col in zip(sums, zip(*sums))):
-        return tuple(range(n))
-    split = [False] * n
-    for b, row_pairs in enumerate(pairs):
-        for c, k in row_pairs:
-            if b != k and c != k:
-                split[k] = True
-    gens = tuple(x for x in range(n) if x == zero or not split[x])
-    # close gens under the sums: k is reached once both summands are
-    reached = [False] * n
-    for x in gens:
-        reached[x] = True
-    todo = list(gens)
-    while todo:
-        for y, k in enumerate(sums[todo.pop()]):
-            if k is not None and reached[y] and not reached[k]:
-                reached[k] = True
-                todo.append(k)
-    return gens if all(reached) else tuple(range(n))
-
-
 class _ShapeFields(NamedTuple):
     u: tuple[int, ...]
 
@@ -195,8 +163,9 @@ class Elem(_ElemFields):
 class FiniteEffectAlgebra:
     """The index-level interface of both carriers: elements 0 .. size-1, a
     zero and a one, the sum table oplus_table() (None where undefined) and
-    the orthosupplements ortho_table(), each defined by the carrier.  The
-    tables derived from the sum table are memoized here."""
+    the orthosupplements ortho_table(), each defined by the carrier, which
+    also maps its elements to indices and back with index(x) and element(k).
+    The tables derived from the sum table are memoized here."""
 
     def __init__(self, size: int, zero: int, one: int):
         self.size = size
@@ -204,6 +173,7 @@ class FiniteEffectAlgebra:
         self.one_index = one
         self._ortho: Optional[tuple[int, ...]] = None
         self._pairs: Optional[SumPairs] = None
+        self._atoms: Optional[tuple[int, ...]] = None
         self._gens: Optional[tuple[int, ...]] = None
 
     def orthogonal_pairs(self) -> SumPairs:
@@ -216,11 +186,46 @@ class FiniteEffectAlgebra:
             )
         return self._pairs
 
+    def atom_indices(self) -> tuple[int, ...]:
+        """The atoms, in index order, memoized: the nonzero elements that are
+        no sum b (+) c with b and c both different from the element.  In an
+        effect algebra, whose sum is commutative and cancellative, these are
+        exactly the minimal nonzero elements."""
+        if self._atoms is None:
+            split = [False] * self.size
+            for b, row_pairs in enumerate(self.orthogonal_pairs()):
+                for c, k in row_pairs:
+                    if b != k and c != k:
+                        split[k] = True
+            self._atoms = tuple(x for x, s in enumerate(split)
+                                if not s and x != self.zero_index)
+        return self._atoms
+
     def sum_generators(self) -> tuple[int, ...]:
-        """Zero and the atoms (see _sum_generators), memoized."""
+        """Zero and the atoms, in index order, provided the sum table is
+        commutative and they generate every element under its defined sums;
+        otherwise every element.  Memoized.
+
+        Every element of an effect algebra is a sum of atoms, so the fallback
+        is taken only by tables that break the laws.  Either way, two maps
+        that are additive over orthogonal_pairs() agree everywhere once they
+        agree on the elements returned.
+        """
         if self._gens is None:
-            self._gens = _sum_generators(self.oplus_table(), self.orthogonal_pairs(),
-                                         self.zero_index)
+            sums, n = self.oplus_table(), self.size
+            gens = tuple(sorted((self.zero_index, *self.atom_indices())))
+            # close gens under the sums: k is reached once both summands are
+            reached = [False] * n
+            for x in gens:
+                reached[x] = True
+            todo = list(gens)
+            while todo:
+                for y, k in enumerate(sums[todo.pop()]):
+                    if k is not None and reached[y] and not reached[k]:
+                        reached[k] = True
+                        todo.append(k)
+            commutes = all(row == col for row, col in zip(sums, zip(*sums)))
+            self._gens = gens if commutes and all(reached) else tuple(range(n))
         return self._gens
 
 
@@ -231,6 +236,8 @@ def _check_carrier(shape: Shape) -> None:
 
 class SimplicialAlgebra(FiniteEffectAlgebra):
     """The interval [0, u] in Z^r under truncated vector addition."""
+
+    noun = "box"
 
     def __init__(self, shape: Shape):
         _check_carrier(shape)
@@ -250,6 +257,14 @@ class SimplicialAlgebra(FiniteEffectAlgebra):
         if x.shape != self.shape:
             raise ValueError("element belongs to a different box")
         return x.index
+
+    def atom_indices(self) -> tuple[int, ...]:
+        """The unit vectors e_i, read off the shape: e_i has index place_i."""
+        return self.shape._places
+
+    def sum_generators(self) -> tuple[int, ...]:
+        """Zero and the unit vectors, which generate the box."""
+        return (0, *self.shape._places)
 
     def elements(self) -> Iterator[Elem]:
         """All elements in canonical index order."""
@@ -290,6 +305,9 @@ class SimplicialAlgebra(FiniteEffectAlgebra):
     def to_json(self) -> dict:
         return {"type": "simplicial", "u": list(self.shape.u)}
 
+    def element_json(self, x: Elem) -> list[int]:
+        return list(x.coords)
+
 
 class TableAlgebra(FiniteEffectAlgebra):
     """A finite effect-algebra candidate given by an explicit partial sum table.
@@ -298,6 +316,8 @@ class TableAlgebra(FiniteEffectAlgebra):
     ranges, entries int-or-None.  Whether the laws actually hold is decided
     by validate_table_algebra; loading from JSON runs that check eagerly.
     """
+
+    noun = "table algebra"
 
     def __init__(self, size: int, zero: int, one: int,
                  sum_table: Sequence[Sequence[Optional[int]]]):
@@ -321,6 +341,14 @@ class TableAlgebra(FiniteEffectAlgebra):
 
     def __repr__(self):
         return f"TableAlgebra(size={self.size})"
+
+    def index(self, x: int) -> int:
+        """A table's element is its own index: an int, not a bool, below size."""
+        if not _is_int(x) or not 0 <= x < self.size:
+            raise ValueError(f"{x!r} is not an element index below {self.size}")
+        return x
+
+    element = index
 
     def elements(self) -> Iterator[int]:
         return iter(range(self.size))
@@ -355,6 +383,9 @@ class TableAlgebra(FiniteEffectAlgebra):
             "one": self.one_index,
             "sum": [[-1 if v is None else v for v in row] for row in self.sum_table],
         }
+
+    def element_json(self, x: int) -> int:
+        return x
 
 
 class AtomRecord(NamedTuple):
@@ -403,26 +434,22 @@ def make_simplicial(u: Union[Shape, Sequence[int]]) -> SimplicialAlgebra:
 
 def oplus(alg: FiniteEffectAlgebra, x, y):
     """Partial sum; None when undefined.  Elems on boxes, indices on tables."""
-    if isinstance(alg, SimplicialAlgebra):
-        k = alg.oplus_index(alg.index(x), alg.index(y))
-        return None if k is None else alg.element(k)
-    return alg.oplus_index(x, y)
+    k = alg.oplus_index(alg.index(x), alg.index(y))
+    return None if k is None else alg.element(k)
 
 
 def orthosupplement(alg: FiniteEffectAlgebra, x):
     """The unique x' with x (+) x' = 1."""
-    if isinstance(alg, SimplicialAlgebra):
-        return alg.element(alg.ortho_table()[alg.index(x)])
-    return alg.ortho_table()[x]
+    return alg.element(alg.ortho_table()[alg.index(x)])
 
 
 def leq(alg: FiniteEffectAlgebra, x, y) -> bool:
     """True iff some z satisfies x (+) z = y."""
+    i, j = alg.index(x), alg.index(y)
     if isinstance(alg, SimplicialAlgebra):
         # the only candidate z has index j - i
-        i, j = alg.index(x), alg.index(y)
         return j >= i and alg.oplus_index(i, j - i) == j
-    return any(alg.sum_table[x][z] == y for z in range(alg.size))
+    return j in alg.sum_table[i]
 
 
 def isotropic_index(alg: FiniteEffectAlgebra, x) -> int:
@@ -430,15 +457,14 @@ def isotropic_index(alg: FiniteEffectAlgebra, x) -> int:
 
     Undefined (raises ValueError) at x = 0, where every multiple exists.
     """
-    if isinstance(alg, SimplicialAlgebra):
-        if alg.index(x) == alg.zero_index:
-            raise ValueError("ord(0) is undefined")
-        return min(ui // c for c, ui in zip(x.coords, alg.shape.u) if c)
-    if x == alg.zero_index:
+    i = alg.index(x)
+    if i == alg.zero_index:
         raise ValueError("ord(0) is undefined")
-    n, s = 1, x
+    if isinstance(alg, SimplicialAlgebra):
+        return min(ui // c for c, ui in zip(x.coords, alg.shape.u) if c)
+    n, s = 1, i
     while True:
-        t = alg.sum_table[s][x]
+        t = alg.sum_table[s][i]
         if t is None:
             return n
         s, n = t, n + 1
@@ -448,31 +474,10 @@ def isotropic_index(alg: FiniteEffectAlgebra, x) -> int:
 
 
 def atoms(alg: FiniteEffectAlgebra) -> list[AtomRecord]:
-    """All minimal nonzero elements with their isotropic indices.
-
-    On a box these are the unit vectors e_i with ord(e_i) = u_i; on a table
-    they are found by scanning the order relation directly.
-    """
-    if isinstance(alg, SimplicialAlgebra):
-        shape = alg.shape
-        out = []
-        for i, ui in enumerate(shape.u):
-            e = Elem(tuple(1 if j == i else 0 for j in range(shape.r)), shape)
-            out.append(AtomRecord(e, ui))
-        return out
-    n = alg.size
-    # below[a] = nonzero strict lower bounds of a
-    below = [set() for _ in range(n)]
-    for b in range(n):
-        if b == alg.zero_index:
-            continue
-        for c in range(n):
-            a = alg.sum_table[b][c]
-            if a is not None and a != b:
-                below[a].add(b)
-    return [AtomRecord(a, isotropic_index(alg, a))
-            for a in range(n)
-            if a != alg.zero_index and not below[a]]
+    """The atoms, alg.atom_indices(), with their isotropic indices: on a box
+    the unit vectors e_i, with ord(e_i) = u_i."""
+    return [AtomRecord(x, isotropic_index(alg, x))
+            for x in map(alg.element, alg.atom_indices())]
 
 
 def has_obstruction_atom(alg: FiniteEffectAlgebra) -> bool:
@@ -491,7 +496,7 @@ def unique_atom_chain(alg: FiniteEffectAlgebra) -> Optional[int]:
     if len(recs) != 1:
         return None
     rec = recs[0]
-    p = rec.atom.index if isinstance(rec.atom, Elem) else rec.atom
+    p = alg.index(rec.atom)
     n = rec.ord
     multiples = [alg.zero_index]
     s = alg.zero_index

@@ -13,13 +13,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .algebra import (
-    SimplicialAlgebra,
-    atoms,
-    has_obstruction_atom,
-    load_algebra,
-    make_simplicial,
-)
+from .algebra import atoms, has_obstruction_atom, load_algebra, make_simplicial
 from .errors import CapExceeded, InvalidTableAlgebra, NodeBudgetExceeded, count_text
 from .maps import DEFAULT_MATRIX_CAP, count_subunital, enumerate_subunital
 from .operations import (
@@ -158,27 +152,16 @@ def _load_cli_algebra(args):
 def cmd_algebra(args) -> int:
     alg = _load_cli_algebra(args)
     recs = atoms(alg)
-    atom_json = []
-    for rec in recs:
-        a = rec.atom
-        atom_json.append({
-            "atom": list(a.coords) if isinstance(alg, SimplicialAlgebra) else a,
-            "ord": rec.ord,
-        })
     out = {
         "algebra": alg.to_json(),
         "size": alg.size,
-        "atoms": atom_json,
+        "atoms": [{"atom": alg.element_json(rec.atom), "ord": rec.ord} for rec in recs],
         "obstruction": has_obstruction_atom(alg),
         "valid": True,
     }
     if args.json:
-        if isinstance(alg, SimplicialAlgebra):
-            out["elements"] = [list(x.coords) for x in alg.elements()]
-        else:
-            out["elements"] = list(alg.elements())
-    kind = "box" if isinstance(alg, SimplicialAlgebra) else "table algebra"
-    _note(f"{kind} with {alg.size} elements, {len(recs)} atoms, obstruction atom "
+        out["elements"] = list(map(alg.element_json, alg.elements()))
+    _note(f"{alg.noun} with {alg.size} elements, {len(recs)} atoms, obstruction atom "
           + ("present" if out["obstruction"] else "absent"))
     _emit(out)
     return 0

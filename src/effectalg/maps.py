@@ -219,9 +219,9 @@ def _matrix_rows(dom: SimplicialAlgebra, cod: SimplicialAlgebra,
     """The rows of the (u, v)-subunital M with t(x) = M x for every x, where
     t(x) is the codomain index images[x], or None when t is no such action."""
     u = dom.shape.u
-    # the unit vector e_i has index _places[i]; w[i] is the index of t(e_i),
-    # the i-th column of M
-    w = [images[p] for p in dom.shape._places]
+    # the atoms are the unit vectors e_i in order; w[i] is the index of
+    # t(e_i), the i-th column of M
+    w = [images[p] for p in dom.atom_indices()]
     # The index is linear in the coordinates on [0, v].  So t = M exactly
     # when M u = t(u), which puts every M x in [0, v], and t(x) is
     # sum_i x_i w[i] as an index for every x: the expansion Shape.linear_indices

@@ -44,13 +44,21 @@ classified at once.  full_bruteforce_ops is its list for one k.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from functools import cached_property
 from itertools import product
 from operator import add, and_, mul
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .algebra import FiniteEffectAlgebra, Shape, has_obstruction_atom, make_simplicial
-from .errors import NodeBudgetExceeded, capped_power, count_text, refuse_over
+from .errors import (
+    COUNT_LIMIT,
+    CapExceeded,
+    NodeBudgetExceeded,
+    capped_power,
+    count_text,
+    refuse_over,
+)
 from .maps import count_subunital, subunital_row_lists
 from .operations import (
     AXIOM_CHECKS,
@@ -58,9 +66,9 @@ from .operations import (
     Operation,
     Table,
     _identity,
+    _s4_scan,
     check_axioms,
     check_s1,
-    check_s4,
     check_s5,
     matrix_actions,
     meet_boolean,
@@ -312,8 +320,11 @@ def _s3_assignments(pool: _Pool, by_class: bool, node_budget: int,
     distinct Z of the pool, and a choice narrows the sets of the later
     elements.  With by_class a choice is a class Z, weighted by the number of
     pool matrices whose zero-column set is exactly Z, and the weight of an
-    assignment is the product along it; otherwise a choice is one pool matrix
-    of an allowed class, tried in ascending pool index, with weight 1.
+    assignment is the product along it, capped at COUNT_LIMIT; otherwise a
+    choice is one pool matrix of an allowed class, tried in ascending pool
+    index, with weight 1.  Every class has a member, so a path's weight never
+    falls below an ancestor's, and a capped weight can only feed a count at
+    or past COUNT_LIMIT.
 
     A choice narrows a later element only through that element's support,
     so elements with the same support and the same starting class set are
@@ -344,7 +355,8 @@ def _s3_assignments(pool: _Pool, by_class: bool, node_budget: int,
 
     if by_class:
         class_of = list(range(len(classes)))
-        weight = [zcols.count(z) for z in classes]
+        sizes = Counter(zcols)
+        weight = [sizes[z] for z in classes]
     else:
         index = {z: c for c, z in enumerate(classes)}
         class_of = [index[z] for z in zcols]
@@ -396,6 +408,7 @@ def _s3_assignments(pool: _Pool, by_class: bool, node_budget: int,
     untried = [choices(allowed[0])] + [0] * last
     if masks is not None:
         untried[0] &= masks[0]
+    limit = COUNT_LIMIT
     nodes = 0
     pos = 0
     while pos >= 0:
@@ -413,6 +426,8 @@ def _s3_assignments(pool: _Pool, by_class: bool, node_budget: int,
             )
         choice[pos] = i
         w = weight_at[pos] * weight[i]
+        if w > limit:
+            w = limit
         if pos == last:
             yield choice, w
             continue
@@ -449,16 +464,15 @@ def _s1sk_survivors(pool: _Pool, k: int,
     b'-clause at the instance (a, 0) demands a o 1 = 1 o a = a: a row with
     M u != a fails that one S4 instance whatever the other rows are."""
     alg = pool.alg
-    n = alg.size
-    leaf_checks = (check_s4, check_s5)[:k - 3]
-    masks = _bitmasks(pool.unit_images, n - 1) if k >= 4 else None
+    # every leaf passes S1, so S4's composition clause need only be compared
+    # at the sum generators, as check_axioms does
+    gens = alg.sum_generators()
+    masks = _bitmasks(pool.unit_images, alg.size - 1) if k >= 4 else None
     for choice, _ in _s3_assignments(pool, False, node_budget, masks):
         rows = pool.with_top(choice)
         table = pool.table(rows)
-        for check in leaf_checks:
-            if check(alg, table) is not None:
-                break
-        else:
+        if k == 3 or (_s4_scan(alg, table, gens) is None
+                      and (k == 4 or check_s5(alg, table) is None)):
             yield rows, table
 
 
@@ -467,17 +481,23 @@ def enumerate_s1sk(u: Sequence[int], k: int, cap: int = DEFAULT_OP_CAP,
     """All operations passing S1..Sk for k in 3..5, by S3-pruned backtracking
     with the S4/S5 filter on each leaf's table.
 
-    The count is always exact; the operations list is dropped (None) when the
+    The count is exact; the operations list is dropped (None) when the
     count exceeds cap.  At k = 3 the count comes from the zero-column classes
     alone, and the operations are listed, matrix by matrix, only when it is
-    within cap; each pass has the full node budget.
+    within cap; each pass has the full node budget.  A count that reaches
+    COUNT_LIMIT, which Python cannot write as text, is refused (CapExceeded,
+    with no count) as soon as the running sum gets there.
     """
     if k not in (3, 4, 5):
         raise ValueError(f"k must be in 3..5, got {k}")
     u = tuple(u)
     pool = _Pool(u)
     if k == 3:
-        class_count = sum(w for _, w in _s3_assignments(pool, True, node_budget))
+        class_count = 0
+        for _, w in _s3_assignments(pool, True, node_budget):
+            class_count += w
+            if class_count >= COUNT_LIMIT:
+                raise CapExceeded(f"S1-S3 operations on {u}: more than 4300 digits")
         if class_count > cap:
             return SearchResult(u=u, k=k, count=class_count, certificate="exhaustive",
                                 operations=None)
@@ -504,7 +524,8 @@ def exists_s1s4(u: Sequence[int],
     through the checker before being returned).  Every other shape has an
     obstruction atom, so the S3-pruned search, with row a restricted to the
     pool matrices with M u = a (S4 at (a, 0)), is run to exhaustion expecting
-    no survivor; each of its leaves is still checked against S4 in full.  A
+    no survivor; each of its leaves is still checked against S4 (its
+    composition clause at the sum generators, which S1 makes exact).  A
     budget trip reports undecided rather than guessing.
     """
     u = tuple(u)

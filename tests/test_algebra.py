@@ -11,6 +11,7 @@ from effectalg import (
     Elem,
     InvalidTableAlgebra,
     Shape,
+    SimplicialAlgebra,
     TableAlgebra,
     algebra_from_json,
     atoms,
@@ -202,6 +203,33 @@ def test_atoms_of_tables():
     assert [(rec.atom, rec.ord) for rec in atoms(mo2())] == [
         (1, 1), (2, 1), (3, 1), (4, 1)
     ]
+
+
+def test_box_atoms_and_generators_read_no_sum_table(monkeypatch):
+    # 4096 elements, over the 2048-element sum-table limit: the atoms and the
+    # sum generators come from the shape
+    def refuse(self):
+        raise AssertionError("the sum table was read")
+
+    monkeypatch.setattr(SimplicialAlgebra, "oplus_table", refuse)
+    alg = make_simplicial((1,) * 12)
+    units = tuple(1 << i for i in range(12))
+    assert alg.atom_indices() == units
+    assert alg.sum_generators() == (0,) + units
+    assert [(alg.index(rec.atom), rec.ord) for rec in atoms(alg)] == [(p, 1) for p in units]
+    assert not has_obstruction_atom(alg)
+
+
+@pytest.mark.parametrize("bad", [-1, 6, True])
+def test_table_elements_are_int_indices_in_range(bad):
+    # mo2 has six elements; a bool is refused though it compares as an int
+    alg = mo2()
+    calls = [lambda: oplus(alg, bad, 0), lambda: oplus(alg, 0, bad),
+             lambda: orthosupplement(alg, bad), lambda: leq(alg, bad, 5),
+             lambda: leq(alg, 0, bad), lambda: isotropic_index(alg, bad)]
+    for call in calls:
+        with pytest.raises(ValueError, match="not an element index below 6"):
+            call()
 
 
 def test_isotropic_index():

@@ -112,10 +112,12 @@ def test_count(capsys):
     ("enumerate", "--u", "100,100", "--axioms", "s1s2"),
     ("enumerate", "--u", "100,100", "--axioms", "s1s2", "--count-only"),
     ("algebra", "--u", ",".join(["1000000000"] * 500)),
+    ("enumerate", "--u", "300,300", "--axioms", "s1s3", "--count-only"),
 ])
 def test_counts_past_4300_digits_are_over_a_cap(capsys, argv):
-    # 9 ** 10200 S1+S2 operations and a box of 1000000001 ** 500 elements:
-    # Python writes neither count as text, so none is reported
+    # 9 ** 10200 S1+S2 operations, a box of 1000000001 ** 500 elements and a
+    # 90,951-bit S1-S3 count on (300, 300): Python writes none of them as
+    # text, so none is reported
     code, out, _ = run(capsys, *argv)
     assert code == 3
     assert len(out.splitlines()) == 1

@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effectalg import (
+    AtomRecord,
     Operation,
     TableAlgebra,
     additive_maps_bruteforce,
@@ -34,6 +35,7 @@ from effectalg import (
     chain_table,
     check_axioms,
     enumerate_s1sk,
+    isotropic_index,
     make_simplicial,
     meet_boolean,
     mo2,
@@ -121,6 +123,23 @@ def s5_reference(alg, prod):
                 if k is not None and rowc[k] != prod[k][c]:
                     return (a, b, c)
     return None
+
+
+def atoms_reference(alg):
+    """The atoms of a table by the order relation: the nonzero elements with
+    no nonzero strict lower bound b, where b (+) c = a for some c."""
+    n = alg.size
+    below = [set() for _ in range(n)]
+    for b in range(n):
+        if b == alg.zero_index:
+            continue
+        for c in range(n):
+            a = alg.sum_table[b][c]
+            if a is not None and a != b:
+                below[a].add(b)
+    return [AtomRecord(a, isotropic_index(alg, a))
+            for a in range(n)
+            if a != alg.zero_index and not below[a]]
 
 
 def additive_maps_reference(dom, cod):
@@ -455,6 +474,12 @@ def test_generators_are_zero_and_the_atoms():
     assert len(boxes) == 440
     for alg in boxes:
         assert alg.sum_generators() == (0,) + tuple(rec.atom.index for rec in atoms(alg))
+        # the shape's unit vectors against the split rule on the exported table
+        table = alg.to_table()
+        assert alg.atom_indices() == table.atom_indices()
+        assert alg.sum_generators() == table.sum_generators()
+        assert ([(alg.index(rec.atom), rec.ord) for rec in atoms(alg)]
+                == [(rec.atom, rec.ord) for rec in atoms(table)])
     rng = random.Random("scan-oracles/generators")
     tables = [mo2(), cube_meet(4, rng)[0], hsum_sigma((2, 3, 4), rng)[0]]
     tables += [load_fixture(name) for name in ("c1", "c2", "c3", "c4")]
@@ -463,6 +488,21 @@ def test_generators_are_zero_and_the_atoms():
         assert validate_table_algebra(alg).ok
         want = sorted({alg.zero_index} | {rec.atom for rec in atoms(alg)})
         assert alg.sum_generators() == tuple(want)
+
+
+def test_atoms_match_the_below_set_loop_on_tables():
+    # the split rule and the below-set rule agree wherever the sum is
+    # commutative and cancellative, so on every effect algebra
+    rng = random.Random("scan-oracles/atoms")
+    tables = [load_fixture(name) for name in ("mo2", "c1", "c2", "c3", "c4")]
+    tables += [chain_table(n) for n in (1, 2, 5, 9)]
+    tables += [cube_meet(rank, rng)[0] for rank in (1, 2, 3, 4, 5)]
+    tables += [hsum_sigma(chains, rng)[0] for chains in ((2, 3, 4), (1, 3), (6,), (2, 2, 2))]
+    tables += [alg for rank in (2, 3, 4) for alg, _ in twisted_meets(rank, rng, 5)]
+    tables += [make_simplicial(u).to_table() for u in ((2, 1), (1, 1, 1), (3, 2), (1, 2, 1))]
+    for alg in tables:
+        assert validate_table_algebra(alg).ok
+        assert atoms(alg) == atoms_reference(alg)
 
 
 def undefined_sums(alg, rng, count):

@@ -16,6 +16,7 @@ The exact survivor counts frozen here were computed by route 1 or 2 first and
 only then compared against the library.
 """
 
+import hashlib
 from functools import lru_cache
 from itertools import product
 
@@ -188,6 +189,20 @@ def test_counts_past_4300_digits_are_refused_as_over_a_cap():
     # a box over the carrier limit: refused before #M(u) or the power is computed
     with pytest.raises(CapExceeded):
         count_s1s2((10**9, 10**9))
+
+
+def test_s1s3_counts_past_4300_digits_are_refused_on_the_way():
+    # every class weight is at least 1, so a path weight capped at COUNT_LIMIT
+    # only ever feeds a count that is refused, and each count below stays
+    # exact: (100, 100) has 10,317 bits, pinned by the digest of its text
+    count = enumerate_s1sk((100, 100), 3, cap=0).count
+    assert count.bit_length() == 10317
+    assert hashlib.sha256(str(count).encode()).hexdigest() == (
+        "c91d18f6ff15226b1d9978d7d15f4ade90cb511c601ec9a022b3fa3bf8e3966d")
+    # (200, 200) has 40,634 bits: refused once the running count gets there
+    with pytest.raises(CapExceeded) as exc:
+        enumerate_s1sk((200, 200), 3, cap=0)
+    assert exc.value.count is None
 
 
 def test_refusal_helpers_keep_only_writable_counts():
@@ -427,6 +442,25 @@ def test_s1s4_existence_reports_undecided_on_a_tiny_budget():
     assert res.exists is None
     assert res.certificate == "undecided"
     assert res.witness is None
+
+
+def test_the_leaf_filter_compares_s4_at_the_sum_generators(monkeypatch):
+    # every leaf passes S1, so its S4 composition clause is compared at zero
+    # and the atoms; no tier-1 box has a leaf where a smaller c-set, such as
+    # zero alone, would change a count, so the c-set is pinned here
+    real, seen = search._s4_scan, []
+
+    def spy(alg, table, cs):
+        seen.append((alg.shape.u, tuple(cs)))
+        return real(alg, table, cs)
+
+    monkeypatch.setattr(search, "_s4_scan", spy)
+    for u, k in [((1, 1, 1), 4), ((1, 1), 5)]:
+        seen.clear()
+        assert enumerate_s1sk(u, k).count == 1
+        gens = make_simplicial(u).sum_generators()
+        assert gens == (0,) + tuple(1 << i for i in range(len(u)))
+        assert seen and set(seen) == {(u, gens)}
 
 
 def test_a_chain_of_a_hundred_thousand_elements_counts_in_linear_time():
