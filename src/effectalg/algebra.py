@@ -251,9 +251,14 @@ class SimplicialAlgebra(FiniteEffectAlgebra):
         return f"SimplicialAlgebra(u={self.shape.u})"
 
     def element(self, index: int) -> Elem:
+        if not _is_int(index):
+            raise ValueError(f"{index!r} is not an element index")
         return Elem(self.shape.coords_of(index), self.shape)
 
     def index(self, x: Elem) -> int:
+        """A box's element is an Elem of this box."""
+        if not isinstance(x, Elem):
+            raise ValueError(f"{x!r} is not an element of the box {self.shape.u}")
         if x.shape != self.shape:
             raise ValueError("element belongs to a different box")
         return x.index
@@ -483,31 +488,6 @@ def atoms(alg: FiniteEffectAlgebra) -> list[AtomRecord]:
 def has_obstruction_atom(alg: FiniteEffectAlgebra) -> bool:
     """True iff some atom has isotropic index >= 2."""
     return any(rec.ord >= 2 for rec in atoms(alg))
-
-
-def unique_atom_chain(alg: FiniteEffectAlgebra) -> Optional[int]:
-    """If the algebra has exactly one atom p, return n = ord(p), else None.
-
-    When the atom is unique the carrier must be exactly {0, p, 2p, ..., np}
-    with np = 1; anything else means the input was not a valid effect algebra,
-    reported as a RuntimeError.
-    """
-    recs = atoms(alg)
-    if len(recs) != 1:
-        return None
-    rec = recs[0]
-    p = alg.index(rec.atom)
-    n = rec.ord
-    multiples = [alg.zero_index]
-    s = alg.zero_index
-    for _ in range(n):
-        s = alg.oplus_index(s, p)
-        if s is None:
-            raise RuntimeError("ord(p) multiples of the unique atom stopped early")
-        multiples.append(s)
-    if (len(set(multiples)) != alg.size or s != alg.one_index):
-        raise RuntimeError("carrier is not the chain of multiples of its unique atom")
-    return n
 
 
 def validate_table_algebra(alg: TableAlgebra) -> ValidationReport:

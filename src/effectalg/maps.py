@@ -110,15 +110,6 @@ class SubunitalMatrix(_SubunitalMatrixFields):
         }
 
 
-def matrix_from_json(obj: dict) -> SubunitalMatrix:
-    for key in ("rows", "u", "v"):
-        if key not in obj:
-            raise ValueError(f'matrix JSON needs a "{key}" field')
-    return SubunitalMatrix(
-        tuple(tuple(r) for r in obj["rows"]), Shape(tuple(obj["u"])), Shape(tuple(obj["v"]))
-    )
-
-
 def is_subunital(rows: Sequence[Sequence[int]], u: Sequence[int],
                  v: Optional[Sequence[int]] = None) -> bool:
     """Raw check that rows form a (u, v)-subunital matrix; dimension mismatch raises."""
@@ -249,23 +240,3 @@ def _broken_pair(dom: SimplicialAlgebra, cod: SimplicialAlgebra,
     raise AssertionError("map disagrees with its unit-vector matrix yet no "
                          "orthogonal pair fails; this should be impossible")
 
-
-def is_coordinate_picker(M: SubunitalMatrix) -> Optional[tuple[int, ...]]:
-    """Recognize rows that are zero or unit vectors.
-
-    For a square M, returns a tuple with entry 0 for each zero row and k for
-    each row equal to the unit vector picking coordinate k (1-based); returns
-    None when some row is neither.
-    """
-    if M.domain.r != M.codomain.r:
-        raise ValueError("coordinate pickers are only defined for square matrices")
-    picks = []
-    for row in M.rows:
-        nz = [j for j, m in enumerate(row) if m]
-        if not nz:
-            picks.append(0)
-        elif len(nz) == 1 and row[nz[0]] == 1:
-            picks.append(nz[0] + 1)
-        else:
-            return None
-    return tuple(picks)

@@ -72,7 +72,6 @@ from .operations import (
     check_s5,
     matrix_actions,
     meet_boolean,
-    sigma_universal,
 )
 
 DEFAULT_OP_CAP = 10**5
@@ -162,18 +161,6 @@ class B2Classification(NamedTuple):
     @property
     def total(self) -> int:
         return len(self.records)
-
-
-class ChainReport(NamedTuple):
-    """The full axiom-by-axiom picture on the chain [0, n]."""
-
-    n: int
-    s1s2_count: int
-    s1s3_count: int
-    s1s3_matches_sigma: bool
-    s4: S4Existence
-    s5_exists: bool
-    s5_witness: Optional[Operation]
 
 
 def count_s1s2(u: Sequence[int]) -> int:
@@ -582,30 +569,6 @@ def classify_b2(cap: int = DEFAULT_OP_CAP,
         raise RuntimeError(f"expected blocks of 9 and 25, got {len(v_zero)} and "
                            f"{len(v_nonzero)}")
     return B2Classification(records=records, block_v_zero=v_zero, block_v_nonzero=v_nonzero)
-
-
-def chain_report(n: int, cap: int = DEFAULT_OP_CAP,
-                 node_budget: int = DEFAULT_NODE_BUDGET) -> ChainReport:
-    """Compute the axiom-by-axiom counts on the chain [0, n]."""
-    if n < 1:
-        raise ValueError(f"chains need n >= 1, got {n}")
-    u = (n,)
-    alg = make_simplicial(u)
-    res3 = enumerate_s1sk(u, 3, cap=cap, node_budget=node_budget)
-    sigma_table = sigma_universal(alg).product_table()
-    matches = (res3.count == 1 and res3.operations is not None
-               and res3.operations[0].product_table() == sigma_table)
-    s4 = exists_s1s4(u, node_budget=node_budget)
-    s5_ops = [op for op in (res3.operations or []) if check_axioms(op, 5).all_pass]
-    return ChainReport(
-        n=n,
-        s1s2_count=count_s1s2(u),
-        s1s3_count=res3.count,
-        s1s3_matches_sigma=matches,
-        s4=s4,
-        s5_exists=bool(s5_ops),
-        s5_witness=s5_ops[0] if s5_ops else None,
-    )
 
 
 def bruteforce_prefixes(alg: FiniteEffectAlgebra, upto: int = 5,

@@ -25,7 +25,6 @@ from effectalg import (
     mo2,
     oplus,
     orthosupplement,
-    unique_atom_chain,
     validate_table_algebra,
 )
 
@@ -232,6 +231,26 @@ def test_table_elements_are_int_indices_in_range(bad):
             call()
 
 
+@pytest.mark.parametrize("bad", [1, True, None])
+def test_box_elements_are_elems_of_the_box(bad):
+    # the box twin of the test above: an index is no element of a box
+    alg = make_simplicial((2,))
+    calls = [lambda: oplus(alg, bad, alg.zero), lambda: oplus(alg, alg.zero, bad),
+             lambda: orthosupplement(alg, bad), lambda: leq(alg, bad, alg.one),
+             lambda: leq(alg, alg.zero, bad), lambda: isotropic_index(alg, bad)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"is not an element of the box \(2,\)"):
+            call()
+
+
+@pytest.mark.parametrize("bad, message", [(True, "not an element index"),
+                                          (1.0, "not an element index"),
+                                          (-1, "out of range"), (3, "out of range")])
+def test_box_element_takes_an_int_index_in_range(bad, message):
+    with pytest.raises(ValueError, match=message):
+        make_simplicial((2,)).element(bad)
+
+
 def test_isotropic_index():
     alg = make_simplicial((4, 2))
     assert isotropic_index(alg, alg.element(1)) == 4
@@ -249,13 +268,6 @@ def test_obstruction_atoms():
     assert has_obstruction_atom(chain_table(2))
     assert not has_obstruction_atom(chain_table(1))
     assert not has_obstruction_atom(mo2())
-
-
-def test_unique_atom_chain():
-    assert unique_atom_chain(chain_table(4)) == 4
-    assert unique_atom_chain(make_simplicial((3,))) == 3
-    assert unique_atom_chain(mo2()) is None
-    assert unique_atom_chain(make_simplicial((1, 1))) is None
 
 
 def test_json_round_trips(tmp_path):

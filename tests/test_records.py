@@ -20,7 +20,6 @@ from effectalg import (
     AtomRecord,
     AxiomReport,
     B2Classification,
-    ChainReport,
     Elem,
     NotAdditive,
     NotS1,
@@ -41,7 +40,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SHAPE = Shape((2, 1))
 P, Q = Elem((1, 0), SHAPE), Elem((0, 1), SHAPE)
 OP = sigma_universal(make_simplicial((1, 1)))
-S4 = S4Existence((2, 1), False, "exhaustive", None)
 ROW = SuiteRow(1, "count", "9", "9", "PASS")
 
 # per record type, its fields in order with a sample value for each
@@ -59,8 +57,6 @@ SAMPLES = {
     S4Existence: {"u": (2, 1), "exists": False, "certificate": "exhaustive", "witness": None},
     B2Record: {"op": OP, "A": ((1, 0), (0, 0)), "B": ((0, 0), (0, 1)), "uvst": (1, 0, 0, 2)},
     B2Classification: {"records": [], "block_v_zero": [0], "block_v_nonzero": [1, 2]},
-    ChainReport: {"n": 2, "s1s2_count": 9, "s1s3_count": 1, "s1s3_matches_sigma": True,
-                  "s4": S4, "s5_exists": False, "s5_witness": None},
     SuiteRow: {"criterion": 1, "name": "count", "expected": "9", "actual": "9",
                "status": "PASS"},
     SuiteReport: {"rows": [ROW]},

@@ -28,7 +28,6 @@ from effectalg import (
     Operation,
     SearchResult,
     bruteforce_prefixes,
-    chain_report,
     check_axioms,
     classify_b2,
     count_s1s2,
@@ -473,24 +472,6 @@ def test_node_budget_exception():
     with pytest.raises(NodeBudgetExceeded) as exc:
         enumerate_s1sk((2, 2), 3, node_budget=5)
     assert exc.value.nodes > 5
-
-
-def test_chain_reports():
-    rep = chain_report(1)
-    assert (rep.s1s2_count, rep.s1s3_count) == (2, 1)
-    assert rep.s1s3_matches_sigma
-    assert rep.s4.exists is True and rep.s5_exists
-    assert rep.s5_witness.product_table() == sigma_universal(
-        make_simplicial((1,))).product_table()
-    for n in (2, 3, 4):
-        rep = chain_report(n)
-        assert rep.s1s2_count == 2**n
-        assert rep.s1s3_count == 1
-        assert rep.s1s3_matches_sigma
-        assert rep.s4.exists is False and rep.s4.certificate == "exhaustive"
-        assert not rep.s5_exists and rep.s5_witness is None
-    with pytest.raises(ValueError):
-        chain_report(0)
 
 
 def test_search_result_json():
