@@ -207,18 +207,21 @@ def test_matrix_of_map_input_validation():
         matrix_of_map(alg, alg, [other.element(0), other.element(1)])
 
 
-def test_homogeneous_maps_are_exactly_the_coordinate_pickers():
+def _picks(M):
     # a coordinate picker's rows are zero or unit vectors
-    def picks(M):
-        return all(sum(row) <= 1 for row in M.rows)
+    return all(sum(row) <= 1 for row in M.rows)
 
+
+def test_homogeneous_maps_are_exactly_the_coordinate_pickers():
     for u in [(1, 1), (2, 2), (1, 1, 1), (3, 3)]:
         ms = list(enumerate_subunital(u))
-        assert all(map(picks, ms))
+        assert all(map(_picks, ms))
         r = len(u)
         assert len(ms) == (r + 1) ** r
-    # a mixed shape admits exactly these two that are not
-    non = [M.rows for M in enumerate_subunital((2, 1)) if not picks(M)]
+
+
+def test_mixed_shapes_admit_non_picker_maps():
+    non = [M.rows for M in enumerate_subunital((2, 1)) if not _picks(M)]
     assert non == [((0, 2), (0, 0)), ((0, 2), (0, 1))]
 
 
