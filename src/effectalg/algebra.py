@@ -176,6 +176,14 @@ class FiniteEffectAlgebra:
         self._atoms: Optional[tuple[int, ...]] = None
         self._gens: Optional[tuple[int, ...]] = None
 
+    def _checked_index(self, k: int) -> int:
+        """k, provided it is an element index: an int, not a bool, below size."""
+        if not _is_int(k):
+            raise ValueError(f"{k!r} is not an element index below {self.size}")
+        if not 0 <= k < self.size:
+            raise ValueError(f"index {k} out of range: not an element index below {self.size}")
+        return k
+
     def orthogonal_pairs(self) -> SumPairs:
         """Per b, the defined sums (c, b (+) c) with c >= b, in c order, memoized."""
         if self._pairs is None:
@@ -251,9 +259,7 @@ class SimplicialAlgebra(FiniteEffectAlgebra):
         return f"SimplicialAlgebra(u={self.shape.u})"
 
     def element(self, index: int) -> Elem:
-        if not _is_int(index):
-            raise ValueError(f"{index!r} is not an element index")
-        return Elem(self.shape.coords_of(index), self.shape)
+        return Elem(self.shape.coords_of(self._checked_index(index)), self.shape)
 
     def index(self, x: Elem) -> int:
         """A box's element is an Elem of this box."""
@@ -277,9 +283,8 @@ class SimplicialAlgebra(FiniteEffectAlgebra):
             yield self.element(i)
 
     def oplus_index(self, i: int, j: int) -> Optional[int]:
-        for x in (i, j):
-            if not 0 <= x < self.size:
-                raise ValueError(f"index {x} out of range for shape {self.shape.u}")
+        self._checked_index(i)
+        self._checked_index(j)
         levels = self.shape.levels
         k = i + j
         return k if k < self.size and levels[i] + levels[j] == levels[k] else None
@@ -348,10 +353,8 @@ class TableAlgebra(FiniteEffectAlgebra):
         return f"TableAlgebra(size={self.size})"
 
     def index(self, x: int) -> int:
-        """A table's element is its own index: an int, not a bool, below size."""
-        if not _is_int(x) or not 0 <= x < self.size:
-            raise ValueError(f"{x!r} is not an element index below {self.size}")
-        return x
+        """A table's element is its own index."""
+        return self._checked_index(x)
 
     element = index
 
@@ -359,7 +362,7 @@ class TableAlgebra(FiniteEffectAlgebra):
         return iter(range(self.size))
 
     def oplus_index(self, i: int, j: int) -> Optional[int]:
-        return self.sum_table[i][j]
+        return self.sum_table[self._checked_index(i)][self._checked_index(j)]
 
     def oplus_table(self) -> tuple[tuple[Optional[int], ...], ...]:
         return self.sum_table

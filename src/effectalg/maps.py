@@ -97,8 +97,8 @@ class SubunitalMatrix(_SubunitalMatrixFields):
                              f"v = {self.codomain.u}")
 
     def apply(self, x: Elem) -> Elem:
-        if x.shape != self.domain:
-            raise ValueError("element is not in the matrix domain")
+        if not isinstance(x, Elem) or x.shape != self.domain:
+            raise ValueError(f"{x!r} is not an element of the matrix domain {self.domain.u}")
         y = tuple(sum(m * c for m, c in zip(row, x.coords)) for row in self.rows)
         return Elem(y, self.codomain)
 

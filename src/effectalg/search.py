@@ -7,19 +7,19 @@ depth-first search runs over the elements in canonical order, keeping the
 bidirectional zero condition (M_a b = 0 iff M_b a = 0) against every
 previously assigned row.  For a nonnegative matrix M, M x = 0 exactly when
 supp(x) lies in M's zero-column set Z, so the condition sees a row only
-through its class Z, and each element keeps the set of classes (at most
-2^r of them) still allowed for it.  An S1-S3 count needs no matrix: each
-choice is a class Z weighted by the number of pool matrices whose
-zero-column set is exactly Z, and the count is the sum over class
-assignments of the product of their weights.  When tables are needed (the
-listed S1-S3 operations, every S4/S5 leaf) each choice is one pool matrix of
-an allowed class; the leaves are index tables assembled from the pool
-matrices' actions, S4 and S5 are filtered on those tables, and an Operation
-is built only for a survivor that is kept.  An S4/S5 search also tries, for
-row a, only the pool matrices with M u = a: with the zero and identity rows
-pinned, any other row breaks S4 at the instance (a, 0), so this removes no
-survivor, and an element with no such matrix (as on (2, 2), where
-M u = (1, 0) has no solution) ends the search at 0 nodes.
+through its class Z: the search assigns classes, not matrices, and each
+element keeps the set of classes (at most 2^r of them) still allowed for it.
+Its input is, per element, the pool matrices its row may take, listed by
+class.  An S1-S3 count needs no matrix: it is the sum over class
+assignments of the product of the list lengths.  When tables are needed
+(the listed S1-S3 operations, every S4/S5 leaf) each class assignment is
+expanded into the product of its rows' lists; the leaves are index tables
+assembled from the pool matrices' actions, S4 and S5 are filtered on those
+tables, and an Operation is built only for a survivor that is kept.  An
+S4/S5 search lists for row a only the pool matrices with M u = a: with the
+zero and identity rows pinned, any other row breaks S4 at the instance
+(a, 0), so this removes no survivor, and an element with no such matrix (as
+on (2, 2), where M u = (1, 0) has no solution) ends the search at 0 nodes.
 
 Row i of a u-subunital M only has to satisfy row_i . u <= u_i, so the pool
 is the product of r per-row lists, and the box index is linear in the
@@ -44,10 +44,9 @@ classified at once.  full_bruteforce_ops is its list for one k.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from functools import cached_property
-from itertools import product
-from operator import add, and_, mul
+from itertools import compress, groupby, product
+from operator import add, and_, getitem, itemgetter, mul
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .algebra import FiniteEffectAlgebra, Shape, has_obstruction_atom, make_simplicial
@@ -217,6 +216,15 @@ class _Pool:
         return self._fold(add, 0, lambda i, row: sum(map(mul, row, u)) * places[i])
 
     @cached_property
+    def classes(self) -> dict[int, list[int]]:
+        """The matrices by zero-column set: per distinct set, ascending, the
+        pool indices of the matrices that have it, ascending."""
+        members: dict[int, list[int]] = {}
+        for i, z in enumerate(self.zero_columns):
+            members.setdefault(z, []).append(i)
+        return dict(sorted(members.items()))
+
+    @cached_property
     def actions(self) -> Table:
         return matrix_actions(self.alg, self.matrices)
 
@@ -271,47 +279,51 @@ def enumerate_s1s2(u: Sequence[int], cap: int = DEFAULT_OP_CAP) -> Iterator[Oper
     return _matrix_families(u, True, cap)
 
 
-# positions per block in _bitmasks: an OR there copies at most 512 bytes
-_MASK_BLOCK = 4096
+def _candidates(pool: _Pool, k: int) -> list[list[list[int]]]:
+    """Per element a in 0..N-2, the matrices row a may take, by class: entry
+    [a][c] lists, ascending, the pool indices of the c-th class of
+    pool.classes that row a may take.
+
+    Against the identity top row, M_a u = 0 iff a = 0, and M u = 0 only for
+    the zero matrix, alone in the class with every column zero: row 0 takes
+    the zero matrix and every other row any other matrix.  At k = 3 that is
+    all, and rows 1..N-2 share one list, not a copy each.  For k >= 4 row a
+    takes only the matrices with M u = a.  Row 0 is the zero map and the top
+    row the identity, so a o 0 = 0 = 0 o a, and S4's b'-clause at the
+    instance (a, 0) demands a o 1 = 1 o a = a: a row with M u != a fails that
+    one S4 instance whatever the other rows are."""
+    n = pool.alg.size
+    if k == 3:
+        zero = (1 << pool.alg.shape.r) - 1
+        first = [m if z == zero else [] for z, m in pool.classes.items()]
+        rest = [[] if z == zero else m for z, m in pool.classes.items()]
+        return [first] + [rest] * (n - 2)
+    images = pool.unit_images
+    lists: list[list[list[int]]] = [[[] for _ in pool.classes] for _ in range(n - 1)]
+    for c, members in enumerate(pool.classes.values()):
+        for i in members:
+            a = images[i]
+            if a < n - 1:
+                lists[a][c].append(i)
+    return lists
 
 
-def _bitmasks(keys: Sequence[int], size: int) -> list[int]:
-    """Per key k in range(size), the bitmask of the positions i with
-    keys[i] == k.  OR-ing 1 << i into one growing int per key copies that
-    int every time, which is quadratic in len(keys); here the ints grow only
-    within a block of _MASK_BLOCK positions, and the blocks are joined as
-    bytes once per key."""
-    blocks = []
-    for start in range(0, len(keys), _MASK_BLOCK):
-        part = [0] * size
-        for i, k in enumerate(keys[start:start + _MASK_BLOCK]):
-            if k < size:
-                part[k] |= 1 << i
-        blocks.append(part)
-    if len(blocks) == 1:
-        return blocks[0]
-    width = _MASK_BLOCK // 8
-    return [int.from_bytes(b"".join(part[k].to_bytes(width, "little") for part in blocks),
-                           "little") for k in range(size)]
-
-
-def _s3_assignments(pool: _Pool, by_class: bool, node_budget: int,
-                    masks: Optional[list[int]] = None) -> Iterator[tuple[list[int], int]]:
-    """Yield (choices for rows 0..N-2, weight) for every assignment of rows
-    that keeps M_a b = 0 iff M_b a = 0 for every pair of elements, with the
-    top row the identity (which forces row 0 to the zero matrix).
+def _s3_assignments(pool: _Pool, lists: Sequence[Sequence[list[int]]], per_matrix: bool,
+                    node_budget: int) -> Iterator[tuple[list[int], int]]:
+    """Yield (class of each of rows 0..N-2, weight) for every assignment of
+    classes to rows, row a drawing from lists[a] (_candidates), that keeps
+    M_a b = 0 iff M_b a = 0 for every pair of elements a, b below the top.
 
     For nonnegative M, M x = 0 exactly when supp(x) lies in M's zero-column
     set Z, so the condition sees a row only through its class Z.  Each
-    element keeps the classes still allowed for it as a bitmask over the
-    distinct Z of the pool, and a choice narrows the sets of the later
-    elements.  With by_class a choice is a class Z, weighted by the number of
-    pool matrices whose zero-column set is exactly Z, and the weight of an
-    assignment is the product along it, capped at COUNT_LIMIT; otherwise a
-    choice is one pool matrix of an allowed class, tried in ascending pool
-    index, with weight 1.  Every class has a member, so a path's weight never
-    falls below an ancestor's, and a capped weight can only feed a count at
-    or past COUNT_LIMIT.
+    element keeps the classes still allowed for it as a bitmask over
+    pool.classes, starting at the classes its list has a member of, and a
+    choice narrows the sets of the later elements.  The weight of a class for
+    row a is the number of its members in lists[a], and the weight of an
+    assignment the product along it, capped at COUNT_LIMIT: the number of
+    matrix assignments it stands for.  Every class tried has a member, so a
+    path's weight never falls below an ancestor's, and a capped weight can
+    only feed a count at or past COUNT_LIMIT.
 
     A choice narrows a later element only through that element's support,
     so elements with the same support and the same starting class set are
@@ -319,13 +331,13 @@ def _s3_assignments(pool: _Pool, by_class: bool, node_budget: int,
     is narrowed only while it has an element deeper than the current one.  A
     node then costs one step per such group, not one per later element.
 
-    masks, when given, holds per element 0..N-2 a bitmask of the choices it
-    may take at all: each element's class set starts at the classes with an
-    admissible member, and only admissible choices are tried.  Since it only
-    removes choices, the assignments that remain come in the same order.
-
-    One node = one class or matrix tried for a row; crossing node_budget
-    raises.  The yielded list is reused: copy it to keep it.
+    Without per_matrix one node is one class tried.  Every matrix of a class
+    has the same subtree, so a search trying one matrix per node would visit
+    w nodes where a class on a path of weight w is tried; per_matrix charges
+    those w nodes, the count that listing and S4/S5 searches report.
+    Crossing node_budget raises, reporting node_budget + 1 nodes, as a
+    search charging one node at a time would.  The yielded list is reused:
+    copy it to keep it.
     """
     shape = pool.alg.shape
     n = shape.size
@@ -333,44 +345,23 @@ def _s3_assignments(pool: _Pool, by_class: bool, node_budget: int,
     supports = [0]
     for j, uj in enumerate(shape.u):
         supports = [s | (c > 0) << j for c in range(uj + 1) for s in supports]
-    zcols = pool.zero_columns
-    classes = sorted(set(zcols))
+    classes = list(pool.classes)
 
     def zero_at(support: int) -> int:
         """The classes sending an element of this support to 0."""
         return sum(1 << c for c, z in enumerate(classes) if not support & ~z)
 
-    if by_class:
-        class_of = list(range(len(classes)))
-        sizes = Counter(zcols)
-        weight = [sizes[z] for z in classes]
-    else:
-        index = {z: c for c, z in enumerate(classes)}
-        class_of = [index[z] for z in zcols]
-        weight = [1] * len(zcols)
-    # members[c]: the choices of class c, as a bitmask
-    members = _bitmasks(class_of, len(classes))
-    expanded: dict[int, int] = {}
-
-    def choices(class_mask: int) -> int:
-        """The choices whose class is in class_mask (memoized in expanded)."""
-        m = 0
-        rest = class_mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            m |= members[low.bit_length() - 1]
-        expanded[class_mask] = m
-        return m
-
-    # Against the identity top row, I a = 0 iff a = 0: element 0 needs a
-    # class sending u to 0 (the zero matrix) and every other element one
-    # that does not.
-    top_zero = zero_at(supports[n - 1])
-    allowed = [top_zero] + [((1 << len(classes)) - 1) & ~top_zero] * (n - 2)
-    if masks is not None:
-        allowed = [a & sum(1 << c for c, m in enumerate(members) if m & mask)
-                   for a, mask in zip(allowed, masks)]
+    # per element, the number of its members of each class and the classes
+    # it has any of, worked out once per run of elements sharing one list
+    # (at k = 3, every element but the first)
+    bits = [1 << c for c in range(len(classes))]
+    weight: list[list[int]] = []
+    allowed: list[int] = []
+    for _, run in groupby(lists, id):
+        sharing = list(run)
+        sizes = list(map(len, sharing[0]))
+        weight += [sizes] * len(sharing)
+        allowed += [sum(compress(bits, sizes))] * len(sharing)
     if not all(allowed):
         return
     # the groups, numbered by their deepest element, so the groups still
@@ -389,12 +380,10 @@ def _s3_assignments(pool: _Pool, by_class: bool, node_budget: int,
     last = n - 2
     choice = [0] * (n - 1)
     # per depth: the class sets of the groups, the weight of the path above
-    # it, and the untried choices at it
+    # it, and the untried classes at it
     allowed_at = [[a for _, a in group_keys]] + [None] * last
     weight_at = [1] * (n - 1)
-    untried = [choices(allowed[0])] + [0] * last
-    if masks is not None:
-        untried[0] &= masks[0]
+    untried = [allowed[0]] + [0] * last
     limit = COUNT_LIMIT
     nodes = 0
     pos = 0
@@ -405,20 +394,20 @@ def _s3_assignments(pool: _Pool, by_class: bool, node_budget: int,
             continue
         low = m & -m
         untried[pos] = m ^ low
-        i = low.bit_length() - 1
-        nodes += 1
-        if nodes > node_budget:
-            raise NodeBudgetExceeded(
-                f"S3 search exceeded the node budget {node_budget}", nodes=nodes
-            )
-        choice[pos] = i
-        w = weight_at[pos] * weight[i]
+        c = low.bit_length() - 1
+        w = weight_at[pos] * weight[pos][c]
         if w > limit:
             w = limit
+        nodes += w if per_matrix else 1
+        if nodes > node_budget:
+            raise NodeBudgetExceeded(
+                f"S3 search exceeded the node budget {node_budget}", nodes=node_budget + 1
+            )
+        choice[pos] = c
         if pos == last:
             yield choice, w
             continue
-        zm = kills[class_of[i]]
+        zm = kills[c]
         za = zero_at_group[group[pos]]
         narrowed = allowed_at[pos].copy()
         for g in range(bisect_right(deepest, pos), len(deepest)):
@@ -433,34 +422,28 @@ def _s3_assignments(pool: _Pool, by_class: bool, node_budget: int,
             pos += 1
             allowed_at[pos] = narrowed
             weight_at[pos] = w
-            nxt = narrowed[group[pos]]
-            untried[pos] = expanded.get(nxt) or choices(nxt)
-            if masks is not None:
-                untried[pos] &= masks[pos]
+            untried[pos] = narrowed[group[pos]]
 
 
 def _s1sk_survivors(pool: _Pool, k: int,
                     node_budget: int) -> Iterator[tuple[tuple[int, ...], Table]]:
     """Yield (pool indices of every row, product table) for every S1..Sk
-    operation: the matrix-by-matrix assignments of _s3_assignments under
-    the identity top row, each leaf's table assembled from the pool
-    matrices' actions and, for k >= 4, filtered by S4 (and S5).
-
-    For k >= 4 row a may only take a pool matrix with M u = a.  Row 0 is the
-    zero map and the top row the identity, so a o 0 = 0 = 0 o a, and S4's
-    b'-clause at the instance (a, 0) demands a o 1 = 1 o a = a: a row with
-    M u != a fails that one S4 instance whatever the other rows are."""
+    operation, grouped by class assignment: each assignment of
+    _s3_assignments under the identity top row is expanded into the product
+    of its rows' lists of _candidates, each leaf's table assembled from the
+    pool matrices' actions and, for k >= 4, filtered by S4 (and S5)."""
     alg = pool.alg
     # every leaf passes S1, so S4's composition clause need only be compared
     # at the sum generators, as check_axioms does
     gens = alg.sum_generators()
-    masks = _bitmasks(pool.unit_images, alg.size - 1) if k >= 4 else None
-    for choice, _ in _s3_assignments(pool, False, node_budget, masks):
-        rows = pool.with_top(choice)
-        table = pool.table(rows)
-        if k == 3 or (_s4_scan(alg, table, gens) is None
-                      and (k == 4 or check_s5(alg, table) is None)):
-            yield rows, table
+    lists = _candidates(pool, k)
+    for choice, _ in _s3_assignments(pool, lists, True, node_budget):
+        for rows in product(*map(getitem, lists, choice)):
+            rows = pool.with_top(rows)
+            table = pool.table(rows)
+            if k == 3 or (_s4_scan(alg, table, gens) is None
+                          and (k == 4 or check_s5(alg, table) is None)):
+                yield rows, table
 
 
 def enumerate_s1sk(u: Sequence[int], k: int, cap: int = DEFAULT_OP_CAP,
@@ -469,8 +452,9 @@ def enumerate_s1sk(u: Sequence[int], k: int, cap: int = DEFAULT_OP_CAP,
     with the S4/S5 filter on each leaf's table.
 
     The count is exact; the operations list is dropped (None) when the
-    count exceeds cap.  At k = 3 the count comes from the zero-column classes
-    alone, and the operations are listed, matrix by matrix, only when it is
+    count exceeds cap, and is otherwise in canonical order: by the pool
+    index of each row, row 0 first.  At k = 3 the count comes from the
+    class weights alone, and the operations are listed only when it is
     within cap; each pass has the full node budget.  A count that reaches
     COUNT_LIMIT, which Python cannot write as text, is refused (CapExceeded,
     with no count) as soon as the running sum gets there.
@@ -481,7 +465,7 @@ def enumerate_s1sk(u: Sequence[int], k: int, cap: int = DEFAULT_OP_CAP,
     pool = _Pool(u)
     if k == 3:
         class_count = 0
-        for _, w in _s3_assignments(pool, True, node_budget):
+        for _, w in _s3_assignments(pool, _candidates(pool, 3), False, node_budget):
             class_count += w
             if class_count >= COUNT_LIMIT:
                 raise CapExceeded(f"S1-S3 operations on {u}: more than 4300 digits")
@@ -489,17 +473,19 @@ def enumerate_s1sk(u: Sequence[int], k: int, cap: int = DEFAULT_OP_CAP,
             return SearchResult(u=u, k=k, count=class_count, certificate="exhaustive",
                                 operations=None)
     count = 0
-    ops: Optional[list[Operation]] = []
-    for rows, table in _s1sk_survivors(pool, k, node_budget):
+    kept = []
+    for survivor in _s1sk_survivors(pool, k, node_budget):
         count += 1
-        if ops is not None:
-            if count <= cap:
-                ops.append(pool.operation(rows, table))
-            else:
-                ops = None
+        if count <= cap:
+            kept.append(survivor)
     if k == 3 and count != class_count:
         raise RuntimeError(f"the class count {class_count} and the listing {count} disagree "
                            f"on {u}; internal inconsistency")
+    ops = None
+    if count <= cap:
+        # the survivors come grouped by class assignment
+        kept.sort(key=itemgetter(0))
+        ops = [pool.operation(rows, table) for rows, table in kept]
     return SearchResult(u=u, k=k, count=count, certificate="exhaustive", operations=ops)
 
 

@@ -251,6 +251,16 @@ def test_box_element_takes_an_int_index_in_range(bad, message):
         make_simplicial((2,)).element(bad)
 
 
+@pytest.mark.parametrize("bad", [-1, 6, True, 1.0, None])
+def test_index_level_sums_take_int_indices_in_range_on_both_carriers(bad):
+    # a negative index would wrap round, and a bool compares as an int; the
+    # box has six elements too, so each bad value is bad on both carriers
+    for alg in [mo2(), make_simplicial((5,))]:
+        for i, j in [(bad, 0), (0, bad)]:
+            with pytest.raises(ValueError, match="not an element index below 6"):
+                alg.oplus_index(i, j)
+
+
 def test_isotropic_index():
     alg = make_simplicial((4, 2))
     assert isotropic_index(alg, alg.element(1)) == 4

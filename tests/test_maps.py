@@ -225,6 +225,14 @@ def test_mixed_shapes_admit_non_picker_maps():
     assert non == [((0, 2), (0, 0)), ((0, 2), (0, 1))]
 
 
+@pytest.mark.parametrize("bad", [1, True, None])
+def test_apply_takes_only_elems(bad):
+    # an index, a bool or None is no element of the domain, as for boxes
+    M = next(enumerate_subunital((2,), (2,)))
+    with pytest.raises(ValueError, match=r"is not an element of the matrix domain \(2,\)"):
+        M.apply(bad)
+
+
 def test_apply_checks_the_domain():
     M = SubunitalMatrix(((1,),), Shape((2,)), Shape((2,)))
     with pytest.raises(ValueError):

@@ -182,6 +182,18 @@ def test_budget_trips_where_the_oracle_trips():
     # (3, 1), (2, 1, 1) and (2, 1, 1, 1) trip at budget 1, (1, 1, 1) also at 37
     assert trips == 10
 
+    def unfiltered_count(u, k, budget):
+        return len(_oracle(u, k, budget)[1])
+
+    # a k = 3 listing charges each class the matrices it stands for, so these
+    # budgets are crossed inside a class, and it reports budget + 1 as the
+    # oracle does; (2, 2) and (3, 1) list 3,687 and 2,495 nodes in full
+    for u in [(2, 2), (3, 1)]:
+        for budget in (37, 100, 1000):
+            want = _outcome(unfiltered_count, u, 3, budget)
+            assert want == ("budget", budget + 1), (u, budget)
+            assert _outcome(library_count, u, 3, budget) == want, (u, budget)
+
 
 def test_node_count_of_a_complete_run_matches_the_oracle():
     # a complete run of T nodes passes at budget T and trips at T - 1; at
@@ -303,36 +315,29 @@ def test_pool_matches_the_matrix_route_on_random_boxes(u):
     assert_pool_matches_the_matrix_route(u)
 
 
-def or_loop_masks(keys, size):
-    """The search's bitmasks as first built: 1 << i OR-ed into a growing int."""
-    masks = [0] * size
-    for i, k in enumerate(keys):
-        if k < size:
-            masks[k] |= 1 << i
-    return masks
-
-
-def test_bitmasks_of_a_short_key_list():
-    # keys at or above the size set no bit; a key that never occurs gets 0
-    assert search._bitmasks([2, 0, 2, 5, 3], 4) == [0b10, 0, 0b101, 0b10000]
-    assert search._bitmasks([], 2) == [0, 0]
-
-
-def test_bitmasks_across_blocks():
-    block = search._MASK_BLOCK
-    for length in (block - 1, block, block + 1, 3 * block + 17):
-        keys = [(i * i) % 7 for i in range(length)]
-        assert search._bitmasks(keys, 5) == or_loop_masks(keys, 5), length
-
-
-@pytest.mark.parametrize("u", [(2, 2), (4, 1), (2, 1, 1), (1, 1, 1, 1), (1,) * 6])
-def test_bitmasks_match_the_or_loop(u):
-    # the class members of the S3 search and the k >= 4 right-unit masks
+@pytest.mark.parametrize("u", [(2, 2), (4, 1), (2, 1, 1), (1, 1, 1, 1)])
+def test_candidate_lists_match_the_matrix_route(u):
+    # per element, by zero-column class in ascending order, ascending pool
+    # indices: at k = 3 the zero matrix for element 0 and every other matrix
+    # for the rest, at k >= 4 the right-unit masks
     pool = search._Pool(u)
-    index = {z: c for c, z in enumerate(sorted(set(pool.zero_columns)))}
-    class_of = [index[z] for z in pool.zero_columns]
-    for keys, size in [(class_of, len(index)), (pool.unit_images, pool.alg.size - 1)]:
-        assert search._bitmasks(keys, size) == or_loop_masks(keys, size)
+    n = pool.alg.size
+    matrices = [M.rows for M in enumerate_subunital(u, u)]
+    zero_columns = [sum(1 << j for j in range(len(u)) if not any(row[j] for row in M))
+                    for M in matrices]
+    classes = sorted(set(zero_columns))
+    zero = 1 << matrices.index(tuple((0,) * len(u) for _ in u))
+    everything = (1 << len(matrices)) - 1
+    for k, want in [(3, [zero] + [everything ^ zero] * (n - 2)),
+                    (4, right_unit_masks(pool.alg, matrices))]:
+        lists = search._candidates(pool, k)
+        assert len(lists) == n - 1
+        for by_class, mask in zip(lists, want):
+            assert len(by_class) == len(classes)
+            for z, members in zip(classes, by_class):
+                assert members == sorted(set(members))
+                assert all(zero_columns[i] == z for i in members)
+            assert sum(1 << i for members in by_class for i in members) == mask
 
 
 def test_pool_refusals_keep_their_counts(capsys):
