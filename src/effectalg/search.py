@@ -9,23 +9,24 @@ previously assigned row.  For a nonnegative matrix M, M x = 0 exactly when
 supp(x) lies in M's zero-column set Z, so the condition sees a row only
 through its class Z: the search assigns classes, not matrices, and each
 element keeps the set of classes (at most 2^r of them) still allowed for it.
-Its input is, per element, the pool matrices its row may take, listed by
-class.  An S1-S3 count needs no matrix: it is the sum over class
-assignments of the product of the list lengths.  When tables are needed
-(the listed S1-S3 operations, every S4/S5 leaf) each class assignment is
-expanded into the product of its rows' lists; the leaves are index tables
-assembled from the pool matrices' actions, S4 and S5 are filtered on those
-tables, and an Operation is built only for a survivor that is kept.  An
-S4/S5 search lists for row a only the pool matrices with M u = a: with the
-zero and identity rows pinned, any other row breaks S4 at the instance
-(a, 0), so this removes no survivor, and an element with no such matrix (as
-on (2, 2), where M u = (1, 0) has no solution) ends the search at 0 nodes.
+Its input is a few kinds of pool matrices, each listed by class, and the
+kind each element's row takes.  An S1-S3 count needs no matrix: it is the
+sum over class assignments of the product of the list lengths.  When tables
+are needed (the listed S1-S3 operations, every S4/S5 leaf) each class
+assignment is expanded into the product of its rows' lists; the leaves are
+index tables assembled from the pool matrices' actions, S4 and S5 are
+filtered on those tables, and an Operation is built only for a survivor that
+is kept.  An S4/S5 search lists for row a only the pool matrices with M u =
+a: with the zero and identity rows pinned, any other row breaks S4 at the
+instance (a, 0), so this removes no survivor, and an element with no such
+matrix (as on (2, 2), where M u = (1, 0) has no solution) ends the search at
+0 nodes.
 
 Row i of a u-subunital M only has to satisfy row_i . u <= u_i, so the pool
 is the product of r per-row lists, and the box index is linear in the
 coordinates.  The two numbers the search reads of every matrix before a
-leaf are therefore folds over its row choices, computed for the whole pool
-one row at a time and never from matrix entries: the zero-column set
+leaf are therefore folds over its row choices, computed in one walk of the
+pool, one row at a time and never from matrix entries: the zero-column set
 (column j is zero iff it is zero in every row), which gives the class, and
 the index of M u, which gives the S4 row filter.  The matrices are listed,
 and the pool's actions built (operations.matrix_actions), only at the first
@@ -45,9 +46,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cached_property
-from itertools import compress, groupby, product
-from operator import add, and_, getitem, itemgetter, mul
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from itertools import compress, product
+from operator import itemgetter, mul
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .algebra import FiniteEffectAlgebra, Shape, has_obstruction_atom, make_simplicial
 from .errors import (
@@ -173,10 +174,10 @@ class _Pool:
     """The box [0, u] and its u-subunital matrices, the choices for each row
     of an operation: the product of the per-row lists (maps.enumerate_rows),
     in enumerate_subunital's order (last row fastest), subunital by
-    construction.  Everything is built on first use.  The per-matrix numbers
-    the search reads (zero columns, M u) are row folds over the product
-    (_fold), so a count by classes, or a search that ends before its first
-    leaf, lists no matrix and builds no action row."""
+    construction.  Everything is built on first use, and the search reads
+    only rows before its first leaf (_candidates), so a count by classes, or
+    a search that ends before its first leaf, lists no matrix and builds no
+    action row."""
 
     def __init__(self, u: Sequence[int]):
         self.alg = make_simplicial(u)
@@ -187,42 +188,9 @@ class _Pool:
         A pool over maps.DEFAULT_MATRIX_CAP is refused first, with its count."""
         return subunital_row_lists(self.alg.shape.u)
 
-    def _fold(self, combine: Callable[[int, int], int], start: int,
-              value: Callable[[int, tuple[int, ...]], int]) -> list[int]:
-        """Per matrix, in pool order, start combined with value(i, row_i) for
-        each of its rows i: every partial fold meets every choice of the
-        next row, so the last row varies fastest, as in the pool."""
-        out = [start]
-        for i, choices in enumerate(self.rows):
-            values = [value(i, row) for row in choices]
-            out = [combine(x, y) for x in out for y in values]
-        return out
-
     @cached_property
     def matrices(self) -> list[Matrix]:
         return list(product(*self.rows))
-
-    @cached_property
-    def zero_columns(self) -> list[int]:
-        """Per matrix, the bitmask of its zero columns: those zero in every row."""
-        r = self.alg.shape.r
-        return self._fold(and_, (1 << r) - 1,
-                          lambda i, row: sum(1 << j for j, m in enumerate(row) if not m))
-
-    @cached_property
-    def unit_images(self) -> list[int]:
-        """Per matrix, the index of M u: sum_i (row_i . u) place_i."""
-        u, places = self.alg.shape.u, self.alg.shape._places
-        return self._fold(add, 0, lambda i, row: sum(map(mul, row, u)) * places[i])
-
-    @cached_property
-    def classes(self) -> dict[int, list[int]]:
-        """The matrices by zero-column set: per distinct set, ascending, the
-        pool indices of the matrices that have it, ascending."""
-        members: dict[int, list[int]] = {}
-        for i, z in enumerate(self.zero_columns):
-            members.setdefault(z, []).append(i)
-        return dict(sorted(members.items()))
 
     @cached_property
     def actions(self) -> Table:
@@ -279,47 +247,68 @@ def enumerate_s1s2(u: Sequence[int], cap: int = DEFAULT_OP_CAP) -> Iterator[Oper
     return _matrix_families(u, True, cap)
 
 
-def _candidates(pool: _Pool, k: int) -> list[list[list[int]]]:
-    """Per element a in 0..N-2, the matrices row a may take, by class: entry
-    [a][c] lists, ascending, the pool indices of the c-th class of
-    pool.classes that row a may take.
+# (classes, kinds, kind_of): see _candidates
+_Candidates = tuple[list[int], list[list[list[int]]], list[int]]
+
+
+def _candidates(pool: _Pool, k: int) -> _Candidates:
+    """The matrices each row of 0..N-2 may take, from one walk of the pool:
+    (classes, kinds, kind_of).  classes lists the distinct zero-column sets
+    of the pool, ascending; kinds[t][c] lists, ascending, the pool indices of
+    class classes[c] in kind t; and row a may take exactly the matrices of
+    kind kind_of[a].
+
+    The walk folds each matrix's zero-column set (column j is zero iff it is
+    zero in every row) and, for k >= 4, the index of M u, sum_i (row_i . u)
+    place_i, one row of the pool at a time: every partial fold meets every
+    choice of the next row, so the last row varies fastest, as in the pool.
 
     Against the identity top row, M_a u = 0 iff a = 0, and M u = 0 only for
-    the zero matrix, alone in the class with every column zero: row 0 takes
-    the zero matrix and every other row any other matrix.  At k = 3 that is
-    all, and rows 1..N-2 share one list, not a copy each.  For k >= 4 row a
-    takes only the matrices with M u = a.  Row 0 is the zero map and the top
-    row the identity, so a o 0 = 0 = 0 o a, and S4's b'-clause at the
-    instance (a, 0) demands a o 1 = 1 o a = a: a row with M u != a fails that
-    one S4 instance whatever the other rows are."""
-    n = pool.alg.size
+    the zero matrix, alone in the class with every column zero.  At k = 3
+    kind 0 is the zero matrix, for row 0, and kind 1 every other matrix, for
+    the other rows.  For k >= 4 kind a is the matrices with M u = a, for row
+    a.  Row 0 is the zero map and the top row the identity, so a o 0 = 0 =
+    0 o a, and S4's b'-clause at the instance (a, 0) demands a o 1 = 1 o a =
+    a: a row with M u != a fails that one S4 instance whatever the other rows
+    are."""
+    shape = pool.alg.shape
+    n, full = shape.size, (1 << shape.r) - 1
+    # per matrix, its zero-column set and its kind: the index of M u for
+    # k >= 4, whether it is nonzero for k = 3
+    zeros, kind_at = [full], [0]
+    for i, choices in enumerate(pool.rows):
+        row_zeros = [sum(1 << j for j, m in enumerate(row) if not m) for row in choices]
+        zeros = [x & y for x in zeros for y in row_zeros]
+        if k > 3:
+            row_units = [sum(map(mul, row, shape.u)) * shape._places[i] for row in choices]
+            kind_at = [x + y for x in kind_at for y in row_units]
     if k == 3:
-        zero = (1 << pool.alg.shape.r) - 1
-        first = [m if z == zero else [] for z, m in pool.classes.items()]
-        rest = [[] if z == zero else m for z, m in pool.classes.items()]
-        return [first] + [rest] * (n - 2)
-    images = pool.unit_images
-    lists: list[list[list[int]]] = [[[] for _ in pool.classes] for _ in range(n - 1)]
-    for c, members in enumerate(pool.classes.values()):
-        for i in members:
-            a = images[i]
-            if a < n - 1:
-                lists[a][c].append(i)
-    return lists
+        kind_at = [int(z != full) for z in zeros]
+        n_kinds, kind_of = 2, [0] + [1] * (n - 2)
+    else:
+        n_kinds, kind_of = n - 1, list(range(n - 1))
+    classes = sorted(set(zeros))
+    number = {z: c for c, z in enumerate(classes)}
+    kinds: list[list[list[int]]] = [[[] for _ in classes] for _ in range(n_kinds)]
+    for i, (z, t) in enumerate(zip(zeros, kind_at)):
+        if t < n_kinds:
+            kinds[t][number[z]].append(i)
+    return classes, kinds, kind_of
 
 
-def _s3_assignments(pool: _Pool, lists: Sequence[Sequence[list[int]]], per_matrix: bool,
+def _s3_assignments(pool: _Pool, candidates: _Candidates, per_matrix: bool,
                     node_budget: int) -> Iterator[tuple[list[int], int]]:
     """Yield (class of each of rows 0..N-2, weight) for every assignment of
-    classes to rows, row a drawing from lists[a] (_candidates), that keeps
-    M_a b = 0 iff M_b a = 0 for every pair of elements a, b below the top.
+    classes to rows, row a drawing from its kind's lists (_candidates), that
+    keeps M_a b = 0 iff M_b a = 0 for every pair of elements a, b below the
+    top.
 
     For nonnegative M, M x = 0 exactly when supp(x) lies in M's zero-column
     set Z, so the condition sees a row only through its class Z.  Each
-    element keeps the classes still allowed for it as a bitmask over
-    pool.classes, starting at the classes its list has a member of, and a
-    choice narrows the sets of the later elements.  The weight of a class for
-    row a is the number of its members in lists[a], and the weight of an
+    element keeps the classes still allowed for it as a bitmask over the
+    classes, starting at the classes its kind has a member of, and a choice
+    narrows the sets of the later elements.  The weight of a class for row a
+    is the number of its members in a's kind, and the weight of an
     assignment the product along it, capped at COUNT_LIMIT: the number of
     matrix assignments it stands for.  Every class tried has a member, so a
     path's weight never falls below an ancestor's, and a capped weight can
@@ -339,29 +328,25 @@ def _s3_assignments(pool: _Pool, lists: Sequence[Sequence[list[int]]], per_matri
     search charging one node at a time would.  The yielded list is reused:
     copy it to keep it.
     """
+    classes, kinds, kind_of = candidates
     shape = pool.alg.shape
     n = shape.size
     # per element, the bitmask of its nonzero coordinates
     supports = [0]
     for j, uj in enumerate(shape.u):
         supports = [s | (c > 0) << j for c in range(uj + 1) for s in supports]
-    classes = list(pool.classes)
 
     def zero_at(support: int) -> int:
         """The classes sending an element of this support to 0."""
         return sum(1 << c for c, z in enumerate(classes) if not support & ~z)
 
-    # per element, the number of its members of each class and the classes
-    # it has any of, worked out once per run of elements sharing one list
-    # (at k = 3, every element but the first)
+    # per kind, the number of its members of each class and the classes it
+    # has any of; then per element, those of its kind
     bits = [1 << c for c in range(len(classes))]
-    weight: list[list[int]] = []
-    allowed: list[int] = []
-    for _, run in groupby(lists, id):
-        sharing = list(run)
-        sizes = list(map(len, sharing[0]))
-        weight += [sizes] * len(sharing)
-        allowed += [sum(compress(bits, sizes))] * len(sharing)
+    sizes = [list(map(len, lists)) for lists in kinds]
+    starts = [sum(compress(bits, counts)) for counts in sizes]
+    weight = [sizes[t] for t in kind_of]
+    allowed = [starts[t] for t in kind_of]
     if not all(allowed):
         return
     # the groups, numbered by their deepest element, so the groups still
@@ -380,8 +365,10 @@ def _s3_assignments(pool: _Pool, lists: Sequence[Sequence[list[int]]], per_matri
     last = n - 2
     choice = [0] * (n - 1)
     # per depth: the class sets of the groups, the weight of the path above
-    # it, and the untried classes at it
-    allowed_at = [[a for _, a in group_keys]] + [None] * last
+    # it, and the untried classes at it.  The class sets are kept as tuples:
+    # CPython stops tracking a tuple of ints, so the up to 10^6 per-depth
+    # sets are not walked by every full garbage collection.
+    allowed_at = [tuple(a for _, a in group_keys)] + [None] * last
     weight_at = [1] * (n - 1)
     untried = [allowed[0]] + [0] * last
     limit = COUNT_LIMIT
@@ -409,7 +396,7 @@ def _s3_assignments(pool: _Pool, lists: Sequence[Sequence[list[int]]], per_matri
             continue
         zm = kills[c]
         za = zero_at_group[group[pos]]
-        narrowed = allowed_at[pos].copy()
+        narrowed = list(allowed_at[pos])
         for g in range(bisect_right(deepest, pos), len(deepest)):
             if (zm >> g) & 1:
                 na = narrowed[g] & za
@@ -420,25 +407,26 @@ def _s3_assignments(pool: _Pool, lists: Sequence[Sequence[list[int]]], per_matri
             narrowed[g] = na
         else:
             pos += 1
-            allowed_at[pos] = narrowed
+            allowed_at[pos] = tuple(narrowed)
             weight_at[pos] = w
             untried[pos] = narrowed[group[pos]]
 
 
-def _s1sk_survivors(pool: _Pool, k: int,
+def _s1sk_survivors(pool: _Pool, k: int, candidates: _Candidates,
                     node_budget: int) -> Iterator[tuple[tuple[int, ...], Table]]:
     """Yield (pool indices of every row, product table) for every S1..Sk
     operation, grouped by class assignment: each assignment of
     _s3_assignments under the identity top row is expanded into the product
-    of its rows' lists of _candidates, each leaf's table assembled from the
-    pool matrices' actions and, for k >= 4, filtered by S4 (and S5)."""
+    of its rows' lists of candidates (_candidates(pool, k)), each leaf's
+    table assembled from the pool matrices' actions and, for k >= 4,
+    filtered by S4 (and S5)."""
     alg = pool.alg
     # every leaf passes S1, so S4's composition clause need only be compared
     # at the sum generators, as check_axioms does
     gens = alg.sum_generators()
-    lists = _candidates(pool, k)
-    for choice, _ in _s3_assignments(pool, lists, True, node_budget):
-        for rows in product(*map(getitem, lists, choice)):
+    _, kinds, kind_of = candidates
+    for choice, _ in _s3_assignments(pool, candidates, True, node_budget):
+        for rows in product(*[kinds[t][c] for t, c in zip(kind_of, choice)]):
             rows = pool.with_top(rows)
             table = pool.table(rows)
             if k == 3 or (_s4_scan(alg, table, gens) is None
@@ -463,9 +451,10 @@ def enumerate_s1sk(u: Sequence[int], k: int, cap: int = DEFAULT_OP_CAP,
         raise ValueError(f"k must be in 3..5, got {k}")
     u = tuple(u)
     pool = _Pool(u)
+    candidates = _candidates(pool, k)
     if k == 3:
         class_count = 0
-        for _, w in _s3_assignments(pool, _candidates(pool, 3), False, node_budget):
+        for _, w in _s3_assignments(pool, candidates, False, node_budget):
             class_count += w
             if class_count >= COUNT_LIMIT:
                 raise CapExceeded(f"S1-S3 operations on {u}: more than 4300 digits")
@@ -474,7 +463,7 @@ def enumerate_s1sk(u: Sequence[int], k: int, cap: int = DEFAULT_OP_CAP,
                                 operations=None)
     count = 0
     kept = []
-    for survivor in _s1sk_survivors(pool, k, node_budget):
+    for survivor in _s1sk_survivors(pool, k, candidates, node_budget):
         count += 1
         if count <= cap:
             kept.append(survivor)
@@ -511,7 +500,7 @@ def exists_s1s4(u: Sequence[int],
         return S4Existence(u=u, exists=True, certificate="witness", witness=op)
 
     try:
-        found = next(_s1sk_survivors(pool, 4, node_budget), None)
+        found = next(_s1sk_survivors(pool, 4, _candidates(pool, 4), node_budget), None)
     except NodeBudgetExceeded:
         return S4Existence(u=u, exists=None, certificate="undecided", witness=None)
     if found is not None:

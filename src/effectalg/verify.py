@@ -46,13 +46,7 @@ class SuiteRow(NamedTuple):
     status: str
 
     def to_json(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "name": self.name,
-            "expected": self.expected,
-            "actual": self.actual,
-            "status": self.status,
-        }
+        return self._asdict()
 
 
 class SuiteReport(NamedTuple):

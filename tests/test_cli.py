@@ -372,6 +372,19 @@ def test_verify_json_stdout_is_pinned(capsys):
         "f961467466d5c6509b0610ed33936d07b9c0aa3c2c5112d640a6ada4801a7b78")
 
 
+@pytest.mark.parametrize("u, axioms, digest", [
+    ("2,2", "s1s3", "ef91bf6ef0cf4a3553478fabecdada6663de23a6c6345f622577c5c3a5e802e3"),
+    ("1,1,1", "s1s5", "6eefb9f823bef74f041f829b5707c3efa2d296d0310ef8867c4ef3851eb4f42f"),
+], ids=["2,2-s1s3", "1,1,1-s1s5"])
+def test_enumerate_listing_stdout_is_pinned(capsys, u, axioms, digest):
+    # a listing byte for byte: the 2,000 S1-S3 tables of (2,2) and the one
+    # S1-S5 table of (1,1,1), in canonical order; a faster search must not
+    # change, drop or reorder an operation
+    code, out, _ = run(capsys, "enumerate", "--u", u, "--axioms", axioms)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_budget_trip_in_the_classification_is_undecided(capsys):
     # budget 6 lets every criterion-4 search finish but stops the Boolean-cube
     # classification of criterion 5: its three rows are undecided, not failed

@@ -290,18 +290,32 @@ def test_pool_actions_match_the_coordinate_route(u):
 
 def assert_pool_matches_the_matrix_route(u):
     """The pool against enumerate_subunital's SubunitalMatrix rows: the same
-    matrices in the same order, and their zero columns, M u indices and the
-    identity's position read off the entries."""
+    matrices in the same order, the identity's position, and the candidates
+    of search._candidates at k = 3 and 4, with each matrix's zero columns,
+    M u index and zero/nonzero split read off the entries."""
     pool = search._Pool(u)
     shape = pool.alg.shape
+    n = shape.size
     matrices = [M.rows for M in enumerate_subunital(u, u)]
     assert pool.matrices == matrices
-    assert pool.zero_columns == [
-        sum(1 << j for j in range(len(u)) if not any(row[j] for row in M))
-        for M in matrices]
-    assert pool.unit_images == [
-        shape.index_of(tuple(sum(map(mul, row, u)) for row in M)) for M in matrices]
     assert pool.top == matrices.index(_identity(len(u)))
+    zero_columns = [sum(1 << j for j in range(len(u)) if not any(row[j] for row in M))
+                    for M in matrices]
+    nonzero = [int(any(map(any, M))) for M in matrices]
+    images = [shape.index_of(tuple(sum(map(mul, row, u)) for row in M)) for M in matrices]
+    # at k = 3 kind 0 is the zero matrix and kind 1 every other one; at k = 4
+    # kind a is the matrices with M u = a, for a below the top
+    for k, kind_of_matrix, n_kinds, want_kind_of in [
+            (3, nonzero, 2, [0] + [1] * (n - 2)),
+            (4, images, n - 1, list(range(n - 1)))]:
+        classes, kinds, kind_of = search._candidates(pool, k)
+        assert classes == sorted(set(zero_columns))
+        assert kind_of == want_kind_of
+        want = [[[] for _ in classes] for _ in range(n_kinds)]
+        for i, (z, t) in enumerate(zip(zero_columns, kind_of_matrix)):
+            if t < n_kinds:
+                want[t][classes.index(z)].append(i)
+        assert kinds == want
 
 
 @pytest.mark.parametrize("u", ACTION_SHAPES + [(3, 1, 2), (1, 2, 3)])
@@ -325,14 +339,15 @@ def test_candidate_lists_match_the_matrix_route(u):
     matrices = [M.rows for M in enumerate_subunital(u, u)]
     zero_columns = [sum(1 << j for j in range(len(u)) if not any(row[j] for row in M))
                     for M in matrices]
-    classes = sorted(set(zero_columns))
     zero = 1 << matrices.index(tuple((0,) * len(u) for _ in u))
     everything = (1 << len(matrices)) - 1
     for k, want in [(3, [zero] + [everything ^ zero] * (n - 2)),
                     (4, right_unit_masks(pool.alg, matrices))]:
-        lists = search._candidates(pool, k)
-        assert len(lists) == n - 1
-        for by_class, mask in zip(lists, want):
+        classes, kinds, kind_of = search._candidates(pool, k)
+        assert classes == sorted(set(zero_columns))
+        assert len(kind_of) == n - 1
+        for t, mask in zip(kind_of, want):
+            by_class = kinds[t]
             assert len(by_class) == len(classes)
             for z, members in zip(classes, by_class):
                 assert members == sorted(set(members))
