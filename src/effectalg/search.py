@@ -15,10 +15,11 @@ sum over class assignments of the product of the list lengths.  When tables
 are needed (the listed S1-S3 operations, every S4/S5 leaf) each class
 assignment is expanded into the product of its rows' lists; the leaves are
 index tables assembled from the pool matrices' actions, S4 and S5 are
-filtered on those tables, and an Operation is built only for a survivor that
-is kept.  An S4/S5 search lists for row a only the pool matrices with M u =
-a: with the zero and identity rows pinned, any other row breaks S4 at the
-instance (a, 0), so this removes no survivor, and an element with no such
+filtered on those tables by operations.CHECKS_GIVEN_S1 (every leaf passes
+S1; see check_s4_given_s1), and an Operation is built only for a survivor
+that is kept.  An S4/S5 search lists for row a only the pool matrices with
+M u = a: with the zero and identity rows pinned, any other row breaks S4 at
+the instance (a, 0), so this removes no survivor, and an element with no such
 matrix (as on (2, 2), where M u = (1, 0) has no solution) ends the search at
 0 nodes.
 
@@ -62,14 +63,13 @@ from .errors import (
 from .maps import count_subunital, subunital_row_lists
 from .operations import (
     AXIOM_CHECKS,
+    CHECKS_GIVEN_S1,
     Matrix,
     Operation,
     Table,
     _identity,
-    _s4_scan,
     check_axioms,
     check_s1,
-    check_s5,
     matrix_actions,
     meet_boolean,
 )
@@ -263,14 +263,13 @@ def _candidates(pool: _Pool, k: int) -> _Candidates:
     place_i, one row of the pool at a time: every partial fold meets every
     choice of the next row, so the last row varies fastest, as in the pool.
 
-    Against the identity top row, M_a u = 0 iff a = 0, and M u = 0 only for
-    the zero matrix, alone in the class with every column zero.  At k = 3
-    kind 0 is the zero matrix, for row 0, and kind 1 every other matrix, for
-    the other rows.  For k >= 4 kind a is the matrices with M u = a, for row
-    a.  Row 0 is the zero map and the top row the identity, so a o 0 = 0 =
-    0 o a, and S4's b'-clause at the instance (a, 0) demands a o 1 = 1 o a =
-    a: a row with M u != a fails that one S4 instance whatever the other rows
-    are."""
+    M u = 0 only for the zero matrix, alone in the class with every column
+    zero.  At k = 3 kind 0 is the zero matrix, for row 0, and kind 1 every
+    other matrix, since S2 and S3 give a o 1 = 0 iff a = 0.  For k >= 4 kind
+    a is the matrices with M u = a, for row a, by S1, S2 and S4's b'-clause,
+    not S3: at (0, 0) it gives 0 o 1 = 1 o 0 = 0 (S2), so row 0 is zero; then
+    a o 0 = 0 = 0 o a, and at (a, 0) it demands a o 1 = 1 o a = a, whatever
+    the other rows are."""
     shape = pool.alg.shape
     n, full = shape.size, (1 << shape.r) - 1
     # per matrix, its zero-column set and its kind: the index of M u for
@@ -419,18 +418,18 @@ def _s1sk_survivors(pool: _Pool, k: int, candidates: _Candidates,
     _s3_assignments under the identity top row is expanded into the product
     of its rows' lists of candidates (_candidates(pool, k)), each leaf's
     table assembled from the pool matrices' actions and, for k >= 4,
-    filtered by S4 (and S5)."""
+    filtered by S4..Sk as check_axioms checks a table that passes S1."""
     alg = pool.alg
-    # every leaf passes S1, so S4's composition clause need only be compared
-    # at the sum generators, as check_axioms does
-    gens = alg.sum_generators()
+    later = CHECKS_GIVEN_S1[3:k]
     _, kinds, kind_of = candidates
     for choice, _ in _s3_assignments(pool, candidates, True, node_budget):
         for rows in product(*[kinds[t][c] for t, c in zip(kind_of, choice)]):
             rows = pool.with_top(rows)
             table = pool.table(rows)
-            if k == 3 or (_s4_scan(alg, table, gens) is None
-                          and (k == 4 or check_s5(alg, table) is None)):
+            for check in later:
+                if check(alg, table) is not None:
+                    break
+            else:
                 yield rows, table
 
 
@@ -486,13 +485,13 @@ def exists_s1s4(u: Sequence[int],
     through the checker before being returned).  Every other shape has an
     obstruction atom, so the S3-pruned search, with row a restricted to the
     pool matrices with M u = a (S4 at (a, 0)), is run to exhaustion expecting
-    no survivor; each of its leaves is still checked against S4 (its
-    composition clause at the sum generators, which S1 makes exact).  A
-    budget trip reports undecided rather than guessing.
+    no survivor; each of its leaves is still checked against S4.  A budget
+    trip reports undecided rather than guessing.
     """
     u = tuple(u)
     pool = _Pool(u)
     if not has_obstruction_atom(pool.alg):
+        pool.alg.oplus_table()  # refuses a box over the sum-table limit early
         op = meet_boolean(pool.alg)
         if not check_axioms(op, 4).all_pass:
             raise RuntimeError("componentwise meet failed S1-S4 on a Boolean box; "

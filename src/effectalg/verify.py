@@ -26,7 +26,6 @@ from .operations import (
 )
 from .search import (
     DEFAULT_NODE_BUDGET,
-    DEFAULT_OP_CAP,
     bruteforce_prefixes,
     classify_b2,
     enumerate_s1,
@@ -115,10 +114,10 @@ def _criterion3() -> list[SuiteRow]:
     return rows
 
 
-def _criterion4(cap: int, node_budget: int) -> list[SuiteRow]:
+def _criterion4(node_budget: int) -> list[SuiteRow]:
     rows = []
     for n in (1, 2, 3, 4):
-        res = enumerate_s1sk((n,), 3, cap=cap, node_budget=node_budget)
+        res = enumerate_s1sk((n,), 3, node_budget=node_budget)
         sigma_t = sigma_universal(make_simplicial((n,))).product_table()
         if (res.count == 1 and res.operations
                 and res.operations[0].product_table() == sigma_t):
@@ -129,11 +128,11 @@ def _criterion4(cap: int, node_budget: int) -> list[SuiteRow]:
     return rows
 
 
-def _criterion5(cap: int, node_budget: int) -> list[SuiteRow]:
+def _criterion5(node_budget: int) -> list[SuiteRow]:
     names = [("B2 S1-S3 count", "34"), ("B2 blocks (v=0, v!=0)", "9 + 25"),
              ("B2 cross-zero condition", "holds for all")]
     try:
-        cls = classify_b2(cap=cap, node_budget=node_budget)
+        cls = classify_b2(node_budget=node_budget)
     except NodeBudgetExceeded:
         return [_row(5, name, expected, "undecided (node budget)", undecided=True)
                 for name, expected in names]
@@ -202,7 +201,7 @@ def _criterion9() -> list[SuiteRow]:
     return rows
 
 
-def _criterion10(cap: int, node_budget: int) -> list[SuiteRow]:
+def _criterion10(node_budget: int) -> list[SuiteRow]:
     rows = []
     for n in (1, 2):
         by_prefix = bruteforce_prefixes(make_simplicial((n,)))
@@ -213,7 +212,7 @@ def _criterion10(cap: int, node_budget: int) -> list[SuiteRow]:
             elif k == 2:
                 structured = {op.product_table() for op in enumerate_s1s2((n,))}
             else:
-                res = enumerate_s1sk((n,), k, cap=cap, node_budget=node_budget)
+                res = enumerate_s1sk((n,), k, node_budget=node_budget)
                 structured = {op.product_table() for op in res.operations}
             actual = ("equal sets" if brute == structured
                       else f"differ ({len(brute)} vs {len(structured)})")
@@ -221,18 +220,17 @@ def _criterion10(cap: int, node_budget: int) -> list[SuiteRow]:
     return rows
 
 
-def run_suite(cap: int = DEFAULT_OP_CAP,
-              node_budget: int = DEFAULT_NODE_BUDGET) -> SuiteReport:
+def run_suite(node_budget: int = DEFAULT_NODE_BUDGET) -> SuiteReport:
     rows: list[SuiteRow] = []
     rows += _criterion1()
     rows += _criterion2()
     rows += _criterion3()
-    rows += _criterion4(cap, node_budget)
-    rows += _criterion5(cap, node_budget)
+    rows += _criterion4(node_budget)
+    rows += _criterion5(node_budget)
     c6_rows, witnesses = _criterion6(node_budget)
     rows += c6_rows
     rows += _criterion7()
     rows += _criterion8(witnesses)
     rows += _criterion9()
-    rows += _criterion10(cap, node_budget)
+    rows += _criterion10(node_budget)
     return SuiteReport(rows=rows)

@@ -186,16 +186,20 @@ def test_matrix_of_map_round_trip():
 
 
 def test_matrix_of_map_refutes_with_a_replaying_witness():
-    alg = make_simplicial((2,))
-    # send 0,1,2 to 0,1,0: then t(1 (+) 1) = 0 but t(1) (+) t(1) = 2
-    images = [alg.element(0), alg.element(1), alg.element(0)]
-    got = matrix_of_map(alg, alg, images)
-    assert isinstance(got, NotAdditive)
-    x, y = got.witness
-    k = alg.oplus_index(x.index, y.index)
-    assert k is not None
-    t = alg.oplus_index(images[x.index].index, images[y.index].index)
-    assert t is None or t != images[k].index
+    chain, b2 = make_simplicial((2,)), make_simplicial((1, 1))
+    # send 0,1,2 to 0,1,0: then t(1 (+) 1) = 0 but t(1) (+) t(1) = 2.  Sent to
+    # 0, e1, e2 in B2 the map is linear in the index, but its matrix sends
+    # u = (2,) to (2, 0), outside the box
+    for cod, picks in [(chain, (0, 1, 0)), (b2, (0, 1, 2))]:
+        images = [cod.element(i) for i in picks]
+        got = matrix_of_map(chain, cod, images)
+        assert isinstance(got, NotAdditive)
+        x, y = got.witness
+        assert (x.coords, y.coords) == ((1,), (1,))
+        k = chain.oplus_index(x.index, y.index)
+        assert k is not None
+        t = cod.oplus_index(images[x.index].index, images[y.index].index)
+        assert t is None or t != images[k].index
 
 
 def test_matrix_of_map_input_validation():

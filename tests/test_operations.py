@@ -1,5 +1,7 @@
 """Binary operations, the S1..S5 battery, witnesses and their replay."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from effectalg import (
     sigma_universal,
     tau_perm,
 )
-from effectalg.operations import NotS1
+from effectalg.operations import NotS1, check_s4, check_s4_given_s1
 
 small_shapes = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
 
@@ -153,6 +155,27 @@ def test_axiom_witnesses_on_hand_built_tables():
     assert replay_witness(bent, "s1", (1, 1, 1))
 
 
+def test_s4_given_s1_compares_the_composition_clause_at_the_atoms():
+    # every row of this B2 table is additive, so S1 holds; S4 fails only in
+    # its composition clause, first at c = 2, an atom.  At c = 0 both sides
+    # are 0 for every commuting pair and the b'-clause holds throughout, so
+    # an S4 check comparing the composition clause at zero alone passes it
+    alg = make_simplicial((1, 1))
+    table = ((0, 0, 0, 0), (0, 2, 0, 2), (0, 0, 1, 1), (0, 2, 1, 3))
+    op = Operation(alg, table=table)
+    rep = check_axioms(op, 4)
+    assert rep.passed("s1") and rep.passed("s3")
+    assert rep.witness("s4") == (1, 1, 2)
+    assert replay_witness(op, "s4", (1, 1, 2))
+    assert 2 in alg.atom_indices()
+    assert check_s4_given_s1(alg, table) == check_s4(alg, table) == (1, 1, 2)
+    ortho = alg.ortho_table()
+    for a, b in product(range(alg.size), repeat=2):
+        if table[a][b] == table[b][a]:
+            assert table[a][ortho[b]] == table[ortho[b]][a]
+            assert table[a][table[b][0]] == table[table[a][b]][0]
+
+
 def test_check_axioms_rejects_bad_upto():
     op = sigma_universal(make_simplicial((1,)))
     for upto in (0, 6):
@@ -252,6 +275,11 @@ def test_from_full_table_refutes_non_additive_rows():
     assert got.row == 1
     x, y = got.witness
     assert (x.index, y.index) == (1, 1)
+    # row 0 is linear in the index, but its matrix sends u to (2, 0), outside
+    # the box
+    b2 = make_simplicial((1, 1))
+    got = from_full_table(b2, ((0, 1, 1, 2),) * 3 + ((0, 1, 2, 3),))
+    assert got == NotS1(row=0, witness=(b2.element(1), b2.element(2)))
     with pytest.raises(ValueError):
         from_full_table(chain_table(2), ((0, 0, 0), (0, 1, 2), (0, 1, 2)))
 

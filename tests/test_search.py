@@ -43,7 +43,7 @@ from effectalg import (
     sigma_universal,
     tau_perm,
 )
-from effectalg import search
+from effectalg import operations, search
 from effectalg.errors import COUNT_LIMIT, capped_power, count_text, refuse_over
 from effectalg.operations import AXIOM_NAMES
 
@@ -435,6 +435,19 @@ def test_s1s4_existence_positive_cases_carry_verified_witnesses():
         assert res.witness.product_table() == meet_boolean(len(u)).product_table()
 
 
+def test_s1s4_existence_refuses_an_oversized_boolean_box_before_building_the_meet(
+        monkeypatch):
+    # the witness is checked against S1, which reads the sum table; B12's
+    # 4096 elements are over the 2048-element sum-table limit
+    def never(*args, **kwargs):
+        raise AssertionError("the meet was built on a box over the sum-table limit")
+
+    monkeypatch.setattr(search, "meet_boolean", never)
+    with pytest.raises(CapExceeded) as exc:
+        exists_s1s4((1,) * 12)
+    assert exc.value.count == 4096 ** 2
+
+
 def test_s1s4_existence_reports_undecided_on_a_tiny_budget():
     # (2, 1, 1, 1) needs 4 nodes; (2, 2) is decided before its first one
     res = exists_s1s4((2, 1, 1, 1), node_budget=3)
@@ -443,23 +456,35 @@ def test_s1s4_existence_reports_undecided_on_a_tiny_budget():
     assert res.witness is None
 
 
-def test_the_leaf_filter_compares_s4_at_the_sum_generators(monkeypatch):
-    # every leaf passes S1, so its S4 composition clause is compared at zero
-    # and the atoms; no tier-1 box has a leaf where a smaller c-set, such as
-    # zero alone, would change a count, so the c-set is pinned here
-    real, seen = search._s4_scan, []
+def test_the_leaf_filter_checks_s4_with_the_shared_check(monkeypatch):
+    # the leaves pass S1, and the filter checks S4..Sk with the ladder that
+    # check_axioms takes once S1 has passed; the c-set of its S4 check is
+    # pinned by behaviour in test_operations.  A stand-in for that check sees
+    # a k >= 4 search's leaves, none of a k = 3 listing, and decides them.
+    assert search.CHECKS_GIVEN_S1 is operations.CHECKS_GIVEN_S1
+    real = operations.CHECKS_GIVEN_S1[3]
+    assert real is operations.check_s4_given_s1
+    seen = []
 
-    def spy(alg, table, cs):
-        seen.append((alg.shape.u, tuple(cs)))
-        return real(alg, table, cs)
+    def spy(alg, table):
+        seen.append(table)
+        return real(alg, table)
 
-    monkeypatch.setattr(search, "_s4_scan", spy)
+    def use_s4(check):
+        ladder = list(operations.CHECKS_GIVEN_S1)
+        ladder[3] = check
+        monkeypatch.setattr(search, "CHECKS_GIVEN_S1", tuple(ladder))
+
+    use_s4(spy)
     for u, k in [((1, 1, 1), 4), ((1, 1), 5)]:
         seen.clear()
         assert enumerate_s1sk(u, k).count == 1
-        gens = make_simplicial(u).sum_generators()
-        assert gens == (0,) + tuple(1 << i for i in range(len(u)))
-        assert seen and set(seen) == {(u, gens)}
+        assert meet_boolean(len(u)).product_table() in seen
+    seen.clear()
+    assert enumerate_s1sk((1, 1), 3).count == 34
+    assert seen == []
+    use_s4(lambda alg, table: (0, 0))
+    assert enumerate_s1sk((1, 1, 1), 4).count == 0
 
 
 def test_a_chain_of_a_hundred_thousand_elements_counts_in_linear_time():
