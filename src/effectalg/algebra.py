@@ -32,6 +32,8 @@ SUM_TABLE_LIMIT = 2048
 
 # Per element b, the pairs (c, b (+) c) with c >= b whose sum is defined.
 SumPairs = tuple[tuple[tuple[int, int], ...], ...]
+# Per atom p, (p, xs, ks): the x with x (+) p defined and the sums x (+) p.
+AtomSums = tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
 
 
 def _is_int(v) -> bool:
@@ -165,7 +167,14 @@ class FiniteEffectAlgebra:
     zero and a one, the sum table oplus_table() (None where undefined) and
     the orthosupplements ortho_table(), each defined by the carrier, which
     also maps its elements to indices and back with index(x) and element(k).
-    The tables derived from the sum table are memoized here."""
+    The tables derived from the sum table are memoized here.
+
+    _laws_hold is True when the carrier is known to satisfy the
+    effect-algebra laws: always on a box, and on a table once
+    validate_table_algebra has found them to hold.  Rules that rest on the
+    laws (check_s1's atom screen) are used only then."""
+
+    _laws_hold = False
 
     def __init__(self, size: int, zero: int, one: int):
         self.size = size
@@ -173,6 +182,7 @@ class FiniteEffectAlgebra:
         self.one_index = one
         self._ortho: Optional[tuple[int, ...]] = None
         self._pairs: Optional[SumPairs] = None
+        self._atom_sums: Optional[AtomSums] = None
         self._atoms: Optional[tuple[int, ...]] = None
         self._gens: Optional[tuple[int, ...]] = None
 
@@ -193,6 +203,18 @@ class FiniteEffectAlgebra:
                 for b, row in enumerate(self.oplus_table())
             )
         return self._pairs
+
+    def atom_sums(self) -> AtomSums:
+        """Per atom p, in atom_indices() order, (p, xs, ks) with xs the x
+        for which x (+) p is defined, in x order, and ks those sums; memoized."""
+        if self._atom_sums is None:
+            sums = self.oplus_table()
+            out = []
+            for p in self.atom_indices():
+                xs = tuple(x for x, row in enumerate(sums) if row[p] is not None)
+                out.append((p, xs, tuple(sums[x][p] for x in xs)))
+            self._atom_sums = tuple(out)
+        return self._atom_sums
 
     def atom_indices(self) -> tuple[int, ...]:
         """The atoms, in index order, memoized: the nonzero elements that are
@@ -246,6 +268,7 @@ class SimplicialAlgebra(FiniteEffectAlgebra):
     """The interval [0, u] in Z^r under truncated vector addition."""
 
     noun = "box"
+    _laws_hold = True
 
     def __init__(self, shape: Shape):
         _check_carrier(shape)
@@ -512,6 +535,8 @@ def validate_table_algebra(alg: TableAlgebra) -> ValidationReport:
     b (+) c with c in D[b] is summable with a, and when a (+) b = k it holds
     iff D[k] lies inside D[b] and the two sides agree, undefined included,
     on D[b].
+
+    The verdict is recorded on the algebra (see FiniteEffectAlgebra).
     """
     n = alg.size
     s = alg.sum_table
@@ -581,7 +606,9 @@ def validate_table_algebra(alg: TableAlgebra) -> ValidationReport:
     checks["orthosupplement"] = orthosupplement_law()
     checks["zero_one"] = zero_one()
     checks["positivity"] = positivity()
-    return ValidationReport(size=n, checks=checks)
+    report = ValidationReport(size=n, checks=checks)
+    alg._laws_hold = report.ok
+    return report
 
 
 def algebra_from_json(obj: dict) -> FiniteEffectAlgebra:

@@ -37,7 +37,8 @@ Nonexistence results are exhaustive or explicitly undecided, never guessed.
 
 bruteforce_prefixes is the independent oracle, on raw N x N tables with no
 matrix machinery at all.  S1 reads each row of a table on its own, so the
-S1 tables are exactly the products of the rows that pass S1 alone; they are
+S1 tables are exactly the products of the rows that pass S1 alone, by the
+full pair walk that shares no atom rule with check_s1's screen; they are
 generated as such, in canonical order, and each runs through check_s2,
 check_s3, ... until its first failure, so every axiom prefix S1..Sk is
 classified at once.  full_bruteforce_ops is its list for one k.
@@ -69,9 +70,9 @@ from .operations import (
     Table,
     _identity,
     check_axioms,
-    check_s1,
     matrix_actions,
     meet_boolean,
+    s1_row_witness,
 )
 
 DEFAULT_OP_CAP = 10**5
@@ -551,9 +552,10 @@ def bruteforce_prefixes(alg: FiniteEffectAlgebra, upto: int = 5,
 
     Entry k - 1 of the result lists the tables passing S1..Sk, for k in
     1..upto, in canonical function order (last cell varying fastest).
-    check_s1 reads each row of a table on its own, so a table passes S1
-    exactly when each of its rows does: the N**N candidate rows are filtered
-    once, in lexicographic order, and the product of the rows that pass is
+    S1 reads each row of a table on its own, so a table passes S1 exactly
+    when each of its rows does: the N**N candidate rows are filtered once, in
+    lexicographic order, by the full pair walk (operations.s1_row_witness,
+    with no atom rule), and the product of the rows that pass is
     every S1 table, in canonical order, with no other table generated.  Each
     runs through check_s2, check_s3, ... until its first failure, so it is
     checked once for every k.  The cap counts all N**(N*N) tables, filtered
@@ -564,7 +566,7 @@ def bruteforce_prefixes(alg: FiniteEffectAlgebra, upto: int = 5,
         raise ValueError(f"upto must be in 1..5, got {upto}")
     n = alg.size
     capped_power(n, n * n, cap, "candidate tables")
-    rows = [row for row in product(range(n), repeat=n) if check_s1(alg, (row,)) is None]
+    rows = [row for row in product(range(n), repeat=n) if s1_row_witness(alg, row) is None]
     passing: list[list[Operation]] = [[] for _ in range(upto)]
     later = tuple(zip(passing[1:], AXIOM_CHECKS[1:upto]))
     for table in product(rows, repeat=n):

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from effectalg import (
     CapExceeded,
     Operation,
+    TableAlgebra,
+    bruteforce_prefixes,
     check_axioms,
     chain_table,
     enumerate_s1sk,
@@ -21,8 +23,17 @@ from effectalg import (
     right_unit_holds,
     sigma_universal,
     tau_perm,
+    validate_table_algebra,
 )
-from effectalg.operations import NotS1, check_s4, check_s4_given_s1
+from effectalg import operations
+from effectalg.fixtures import load_fixture
+from effectalg.operations import (
+    NotS1,
+    check_s1,
+    check_s4,
+    check_s4_given_s1,
+    s1_row_witness,
+)
 
 small_shapes = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
 
@@ -174,6 +185,72 @@ def test_s4_given_s1_compares_the_composition_clause_at_the_atoms():
         if table[a][b] == table[b][a]:
             assert table[a][ortho[b]] == table[ortho[b]][a]
             assert table[a][table[b][0]] == table[table[a][b]][0]
+
+
+# a 4-element table that breaks associativity at (a, b, c) = (1, 1, 2) and has
+# no atoms: every nonzero element is a sum of two others
+NOT_ASSOCIATIVE = [[0, 1, 2, 3], [1, 2, 3, None], [2, 3, 1, None], [3, None, None, None]]
+
+
+def test_s1_screens_at_the_atoms_only_where_the_laws_hold():
+    row = (0, 0, 0, 1)  # 1 (+) 2 = 3, but f(1) (+) f(2) = 0 != f(3)
+    alg = TableAlgebra(4, 0, 3, NOT_ASSOCIATIVE)
+    assert alg.atom_indices() == ()
+    assert operations._atom_screen(alg) is None
+    assert check_s1(alg, (row,)) == (0, 1, 2)
+    report = validate_table_algebra(alg)
+    assert report.checks["associativity"] == {"a": 1, "b": 1, "c": 2}
+    assert operations._atom_screen(alg) is None
+    assert check_s1(alg, (row,)) == (0, 1, 2)
+    # the gate is what keeps the witness: with no atoms, a screen applied to
+    # this table passes every row
+    ungated = TableAlgebra(4, 0, 3, NOT_ASSOCIATIVE)
+    ungated._laws_hold = True
+    assert check_s1(ungated, (row,)) is None
+
+    box = make_simplicial((1, 1))
+    table = box.to_table()
+    assert operations._atom_screen(box) is not None
+    assert operations._atom_screen(table) is None
+    assert validate_table_algebra(table).ok
+    assert operations._atom_screen(table) is not None
+    assert operations._atom_screen(load_fixture("mo2")) is not None
+
+
+SCREENED_ALGEBRAS = {
+    **{str(u): make_simplicial(u) for u in [(2,), (4,), (1, 1), (2, 1)]},
+    **{name: load_fixture(name) for name in ("c3", "c4", "mo2")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCREENED_ALGEBRAS))
+def test_atom_screen_passes_exactly_the_additive_rows(name):
+    # every map of the carrier into itself, so a row that breaks additivity
+    # only at the last atom, or only at one x, is among them
+    alg = SCREENED_ALGEBRAS[name]
+    passes = operations._atom_screen(alg)
+    additive = 0
+    for row in product(range(alg.size), repeat=alg.size):
+        walked = s1_row_witness(alg, row)
+        assert passes(row) == (walked is None), row
+        assert check_s1(alg, (row,)) == (None if walked is None else (0, *walked))
+        additive += walked is None
+    assert additive > 1
+
+
+def test_raw_table_oracle_does_not_use_the_atom_screen(monkeypatch):
+    alg = load_fixture("c2")
+    want = [[op.product_table() for op in ops] for ops in bruteforce_prefixes(alg)]
+
+    def screen(alg):
+        raise AssertionError("the atom screen was used")
+
+    monkeypatch.setattr(operations, "_atom_screen", screen)
+    with pytest.raises(AssertionError, match="atom screen"):
+        check_s1(alg, sigma_universal(alg).product_table())
+    got = [[op.product_table() for op in ops] for ops in bruteforce_prefixes(alg)]
+    assert got == want
+    assert got[0]
 
 
 def test_check_axioms_rejects_bad_upto():
