@@ -21,7 +21,7 @@ import json
 import math
 from functools import cached_property
 from operator import itemgetter, mul
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidTableAlgebra, refuse_over
 
@@ -32,8 +32,9 @@ SUM_TABLE_LIMIT = 2048
 
 # Per element b, the pairs (c, b (+) c) with c >= b whose sum is defined.
 SumPairs = tuple[tuple[tuple[int, int], ...], ...]
-# Per atom p, (p, xs, ks): the x with x (+) p defined and the sums x (+) p.
-AtomSums = tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
+# Per atom p, (p, at_xs, at_ks): getters that read a row at the x with
+# x (+) p defined and at the sums x (+) p.
+AtomSums = tuple[tuple[int, Callable, Callable], ...]
 
 
 def _is_int(v) -> bool:
@@ -171,8 +172,10 @@ class FiniteEffectAlgebra:
 
     _laws_hold is True when the carrier is known to satisfy the
     effect-algebra laws: always on a box, and on a table once
-    validate_table_algebra has found them to hold.  Rules that rest on the
-    laws (check_s1's atom screen) are used only then."""
+    validate_table_algebra has found them to hold.  It is the one gate of
+    the two rules that rest on every element being a sum of atoms, check_s1's
+    atom screen and check_s4_given_s1's c-set (sum_generators()): each is
+    used only then."""
 
     _laws_hold = False
 
@@ -205,14 +208,19 @@ class FiniteEffectAlgebra:
         return self._pairs
 
     def atom_sums(self) -> AtomSums:
-        """Per atom p, in atom_indices() order, (p, xs, ks) with xs the x
-        for which x (+) p is defined, in x order, and ks those sums; memoized."""
+        """Per atom p, in atom_indices() order, (p, at_xs, at_ks): at_xs reads
+        a row at the x for which x (+) p is defined, in x order, and at_ks
+        reads it at those sums, each as a tuple; memoized."""
         if self._atom_sums is None:
             sums = self.oplus_table()
             out = []
             for p in self.atom_indices():
                 xs = tuple(x for x, row in enumerate(sums) if row[p] is not None)
-                out.append((p, xs, tuple(sums[x][p] for x in xs)))
+                ks = tuple(sums[x][p] for x in xs)
+                if len(xs) == 1:  # itemgetter of one index gives a scalar, not a tuple
+                    xs, ks = xs * 2, ks * 2
+                out.append((p, itemgetter(*xs) if xs else _nothing,
+                            itemgetter(*ks) if xs else _nothing))
             self._atom_sums = tuple(out)
         return self._atom_sums
 
@@ -232,30 +240,17 @@ class FiniteEffectAlgebra:
         return self._atoms
 
     def sum_generators(self) -> tuple[int, ...]:
-        """Zero and the atoms, in index order, provided the sum table is
-        commutative and they generate every element under its defined sums;
-        otherwise every element.  Memoized.
+        """Zero and the atoms, in index order, where _laws_hold (memoized);
+        every element otherwise.
 
-        Every element of an effect algebra is a sum of atoms, so the fallback
-        is taken only by tables that break the laws.  Either way, two maps
+        Every element of an effect algebra is a sum of atoms, so two maps
         that are additive over orthogonal_pairs() agree everywhere once they
         agree on the elements returned.
         """
+        if not self._laws_hold:
+            return tuple(range(self.size))
         if self._gens is None:
-            sums, n = self.oplus_table(), self.size
-            gens = tuple(sorted((self.zero_index, *self.atom_indices())))
-            # close gens under the sums: k is reached once both summands are
-            reached = [False] * n
-            for x in gens:
-                reached[x] = True
-            todo = list(gens)
-            while todo:
-                for y, k in enumerate(sums[todo.pop()]):
-                    if k is not None and reached[y] and not reached[k]:
-                        reached[k] = True
-                        todo.append(k)
-            commutes = all(row == col for row, col in zip(sums, zip(*sums)))
-            self._gens = gens if commutes and all(reached) else tuple(range(n))
+            self._gens = tuple(sorted((self.zero_index, *self.atom_indices())))
         return self._gens
 
 
@@ -295,10 +290,6 @@ class SimplicialAlgebra(FiniteEffectAlgebra):
     def atom_indices(self) -> tuple[int, ...]:
         """The unit vectors e_i, read off the shape: e_i has index place_i."""
         return self.shape._places
-
-    def sum_generators(self) -> tuple[int, ...]:
-        """Zero and the unit vectors, which generate the box."""
-        return (0, *self.shape._places)
 
     def elements(self) -> Iterator[Elem]:
         """All elements in canonical index order."""

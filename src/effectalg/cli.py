@@ -305,7 +305,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _emit({"error": "invalid_algebra", "report": exc.report.to_json()})
         _note(str(exc))
         return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    # json.load recurses once per nesting level, so a deeply nested file
+    # raises RecursionError; the library's own recursion is shallow
+    except (ValueError, KeyError, OSError, json.JSONDecodeError, RecursionError) as exc:
         _emit({"error": "malformed_input", "message": str(exc)})
         _note(str(exc))
         return 2

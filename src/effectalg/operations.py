@@ -18,18 +18,20 @@ element order (for S1 the orthogonal pair is scanned with b <= c, which still
 finds the least witness because the instance is symmetric in b and c; for S4
 the b'-clause is tried before the associativity clause).  The S1, S4 and S5
 scans work a row at a time: S1 screens each row at the atoms, x (+) p for
-every atom p, where the carrier's laws are known to hold, and walks every
-defined sum of a row the screen rejects or of any row elsewhere; S4 compares
-a whole composition row in one step; S5 intersects per-element commutant
-bitmasks, each built by comparing a row with its column in one step.  Each
+every atom p, where the carrier's laws are known to hold (alg._laws_hold),
+and walks every defined sum of a row the screen rejects or of any row
+elsewhere; S4 compares a whole composition row in one step; S5 intersects
+per-element commutant bitmasks, each built by comparing a row with its
+column in one step.  Each
 looks at single entries only to pick the least witness in a failing row, so
 the witnesses are those of the plain element-by-element scan.
 
 Once S1 has passed, check_axioms checks S4 with check_s4_given_s1, which
-compares the composition clause at fewer c; the rule that makes this exact is
-stated there, and the searches' leaf filter takes the same checks
-(CHECKS_GIVEN_S1).  The public check_s4 compares every c.
-replay_witness re-evaluates a witness tuple against the operation.
+compares the composition clause at fewer c, again only where alg._laws_hold,
+the one gate of both atom rules; the rule that makes this exact is stated
+there, and the searches' leaf filter takes the same checks (CHECKS_GIVEN_S1).
+The public check_s4 compares every c.  replay_witness re-evaluates a witness
+tuple against the operation.
 """
 
 from __future__ import annotations
@@ -321,15 +323,11 @@ def s1_row_witness(alg: FiniteEffectAlgebra, row: Sequence[int]) -> Optional[tup
 
 def _atom_screen(alg: FiniteEffectAlgebra):
     """check_s1's screen on alg: a predicate that is True when a row passes at
-    every (x, p) of alg.atom_sums(); None where alg._laws_hold is False."""
+    every (x, p) of alg.atom_sums(), whose getters the carrier memoizes; None
+    where alg._laws_hold is False."""
     if not alg._laws_hold:
         return None
-    sums = alg.oplus_table()
-    getters = []
-    for p, xs, ks in alg.atom_sums():
-        if len(xs) == 1:  # itemgetter of one index gives a scalar, not a tuple
-            xs, ks = xs * 2, ks * 2
-        getters.append((p, itemgetter(*xs), itemgetter(*ks)))
+    sums, getters = alg.oplus_table(), alg.atom_sums()
 
     def passes(row: Sequence[int]) -> bool:
         for p, at_xs, at_ks in getters:
@@ -408,8 +406,9 @@ def check_s4_given_s1(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[i
     The S1 rule of S4, stated here only: under S1, c |-> a o (b o c) and
     c |-> (a o b) o c are additive, and additive maps that agree on zero and
     the atoms agree everywhere, so the composition clause is compared only at
-    alg.sum_generators() (every element where those do not generate the
-    table): 9 of 256 entries per pair on the Boolean cube 2^8.  Zero alone
+    alg.sum_generators(): zero and the atoms where alg._laws_hold, 9 of 256
+    entries per pair on the Boolean cube 2^8, and every element elsewhere,
+    as on a table that validate_table_algebra has not passed.  Zero alone
     would not do: a o (b o 0) = 0 = (a o b) o 0 under S1.
     """
     return _s4_scan(alg, prod, alg.sum_generators())

@@ -104,3 +104,21 @@ def test_every_file_input_gets_one_json_document_and_a_contract_exit_code(text, 
         _assert_one_document(["check", "--op", path, "--upto", str(upto)])
     finally:
         os.unlink(path)
+
+
+def test_a_deeply_nested_file_is_malformed_input():
+    # json.load gives up on this nesting with RecursionError
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write("[" * 200000)
+        for argv in (["algebra", "--file", path],
+                     ["check", "--algebra", path, "--op", "meet", "--upto", "1"],
+                     ["check", "--op", path, "--upto", "1"]):
+            _assert_one_document(argv)
+            stdout = io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+                assert main(argv) == 2
+            assert json.loads(stdout.getvalue())["error"] == "malformed_input"
+    finally:
+        os.unlink(path)

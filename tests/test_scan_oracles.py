@@ -449,6 +449,31 @@ def test_generators_fall_back_to_every_element_where_they_do_not_generate():
     assert skew.sum_generators() == (0, 1, 2)
 
 
+def test_validation_opens_both_atom_rules_and_changes_no_result():
+    # before validate_table_algebra a table's c-set is every element and S1
+    # walks every pair of every row; after it, the c-set is zero and the
+    # atoms and S1 screens at the atoms
+    cube = make_simplicial((1, 1, 1)).to_table()
+    assert cube.sum_generators() == tuple(range(8))
+    assert validate_table_algebra(cube).ok
+    assert cube.sum_generators() == (0, 1, 2, 4)
+    rng = random.Random("scan-oracles/gate")
+    cases = [case for rank in (2, 3, 4) for case in twisted_meets(rank, rng, 10)]
+    # the B2 table whose first S4 failure is at an atom, c = 2
+    cases.append((make_simplicial((1, 1)).to_table(),
+                  ((0, 0, 0, 0), (0, 2, 0, 2), (0, 0, 1, 1), (0, 2, 1, 3))))
+    failures = 0
+    for alg, prod in cases:
+        op = Operation(alg, table=prod)
+        before = check_axioms(op, 5).results
+        assert validate_table_algebra(alg).ok
+        assert len(alg.sum_generators()) < alg.size
+        assert check_axioms(op, 5).results == before
+        failures += before["s4"] is not None
+    assert before["s4"] == (1, 1, 2)
+    assert failures >= 10
+
+
 def test_restricted_s4_scan_on_lists_and_one_element():
     rng = random.Random("scan-oracles/s4-lists")
     for alg, t in twisted_meets(3, rng, 20):
@@ -477,6 +502,7 @@ def test_generators_are_zero_and_the_atoms():
         # the shape's unit vectors against the split rule on the exported table
         table = alg.to_table()
         assert alg.atom_indices() == table.atom_indices()
+        assert validate_table_algebra(table).ok
         assert alg.sum_generators() == table.sum_generators()
         assert ([(alg.index(rec.atom), rec.ord) for rec in atoms(alg)]
                 == [(rec.atom, rec.ord) for rec in atoms(table)])
