@@ -33,7 +33,7 @@ SUM_TABLE_LIMIT = 2048
 # Per element b, the pairs (c, b (+) c) with c >= b whose sum is defined.
 SumPairs = tuple[tuple[tuple[int, int], ...], ...]
 # Per atom p, (p, at_xs, at_ks): getters that read a row at the x with
-# x (+) p defined and at the sums x (+) p.
+# p (+) x defined and at the sums p (+) x.
 AtomSums = tuple[tuple[int, Callable, Callable], ...]
 
 
@@ -60,6 +60,19 @@ def _nothing(row) -> tuple:
     return ()
 
 
+def _row_reader(row) -> tuple[list[int], list[int], Callable, Callable]:
+    """For a sum-table row b: its domain, the c with b (+) c defined, in c
+    order; the sums b (+) c there; and two getters that read any row at
+    each of them as a tuple.  A one-index domain is read twice, since
+    itemgetter of one index gives a scalar; an empty one reads ()."""
+    dom = [c for c, v in enumerate(row) if v is not None]
+    sums = [row[c] for c in dom]
+    if not dom:
+        return dom, sums, _nothing, _nothing
+    twice = 2 if len(dom) == 1 else 1
+    return dom, sums, itemgetter(*dom * twice), itemgetter(*sums * twice)
+
+
 class _ShapeFields(NamedTuple):
     u: tuple[int, ...]
 
@@ -72,15 +85,12 @@ class Shape(_ShapeFields):
 
     def __new__(cls, u: Sequence[int]):
         self = super().__new__(cls, tuple(u))
-        self.__post_init__()
-        return self
-
-    def __post_init__(self):
         if not self.u:
             raise ValueError("shape needs at least one coordinate")
         for ui in self.u:
             if not _is_int(ui) or ui < 1:
                 raise ValueError(f"shape coordinates must be integers >= 1, got {ui!r}")
+        return self
 
     @property
     def r(self) -> int:
@@ -148,15 +158,12 @@ class Elem(_ElemFields):
 
     def __new__(cls, coords: Sequence[int], shape: Shape):
         self = super().__new__(cls, tuple(coords), shape)
-        self.__post_init__()
-        return self
-
-    def __post_init__(self):
-        if len(self.coords) != self.shape.r:
-            raise ValueError(f"expected {self.shape.r} coordinates, got {len(self.coords)}")
-        for c, ui in zip(self.coords, self.shape.u):
+        if len(self.coords) != shape.r:
+            raise ValueError(f"expected {shape.r} coordinates, got {len(self.coords)}")
+        for c, ui in zip(self.coords, shape.u):
             if not _is_int(c) or not 0 <= c <= ui:
                 raise ValueError(f"coordinate {c!r} outside [0, {ui}]")
+        return self
 
     @property
     def index(self) -> int:
@@ -209,18 +216,16 @@ class FiniteEffectAlgebra:
 
     def atom_sums(self) -> AtomSums:
         """Per atom p, in atom_indices() order, (p, at_xs, at_ks): at_xs reads
-        a row at the x for which x (+) p is defined, in x order, and at_ks
-        reads it at those sums, each as a tuple; memoized."""
+        a row at the x for which p (+) x is defined, in x order, and at_ks
+        reads it at those sums, each as a tuple (see _row_reader); memoized.
+        They are read off row p, which is column p where the sum commutes,
+        as it does wherever _laws_hold."""
         if self._atom_sums is None:
             sums = self.oplus_table()
             out = []
             for p in self.atom_indices():
-                xs = tuple(x for x, row in enumerate(sums) if row[p] is not None)
-                ks = tuple(sums[x][p] for x in xs)
-                if len(xs) == 1:  # itemgetter of one index gives a scalar, not a tuple
-                    xs, ks = xs * 2, ks * 2
-                out.append((p, itemgetter(*xs) if xs else _nothing,
-                            itemgetter(*ks) if xs else _nothing))
+                _, _, at_xs, at_ks = _row_reader(sums[p])
+                out.append((p, at_xs, at_ks))
             self._atom_sums = tuple(out)
         return self._atom_sums
 
@@ -548,12 +553,11 @@ def validate_table_algebra(alg: TableAlgebra) -> ValidationReport:
         # b (+) c in the same order
         mask, reach, at_dom, through = [], [], [], []
         for row in s:
-            dom = [c for c, v in enumerate(row) if v is not None]
-            sums = [row[c] for c in dom]
+            dom, sums, at, thru = _row_reader(row)
             mask.append(_bits(dom))
             reach.append(_bits(sums))
-            at_dom.append(itemgetter(*dom) if dom else _nothing)
-            through.append(itemgetter(*sums) if dom else _nothing)
+            at_dom.append(at)
+            through.append(thru)
         for a, row_a in enumerate(s):
             mask_a = mask[a]
             for b in range(n):

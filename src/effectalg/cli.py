@@ -206,7 +206,7 @@ def cmd_enumerate(args) -> int:
         cap = 0 if args.count_only else args.cap
         res = enumerate_s1sk(u, k, cap=cap, node_budget=args.node_budget)
         if args.count_only:
-            res.operations = None
+            res = res._replace(operations=None)
     payload = res.to_json()
     text = json.dumps(payload)
     if args.out:

@@ -84,17 +84,13 @@ class SubunitalMatrix(_SubunitalMatrixFields):
     __slots__ = ()
 
     def __new__(cls, rows: Sequence[Sequence[int]], domain: Shape, codomain: Shape):
-        self = super().__new__(cls, tuple(tuple(r) for r in rows), domain, codomain)
-        self.__post_init__()
-        return self
-
-    def __post_init__(self):
-        rows = self.rows
+        rows = tuple(tuple(r) for r in rows)
         if not all(map(_is_int, chain.from_iterable(rows))):
             raise ValueError(f"matrix entries must be integers, got {rows}")
-        if not is_subunital(rows, self.domain.u, self.codomain.u):
-            raise ValueError(f"rows {rows} are not subunital for u = {self.domain.u}, "
-                             f"v = {self.codomain.u}")
+        if not is_subunital(rows, domain.u, codomain.u):
+            raise ValueError(f"rows {rows} are not subunital for u = {domain.u}, "
+                             f"v = {codomain.u}")
+        return super().__new__(cls, rows, domain, codomain)
 
     def apply(self, x: Elem) -> Elem:
         if not isinstance(x, Elem) or x.shape != self.domain:

@@ -87,6 +87,8 @@ class Operation:
                 raise ValueError(f"expected {n} matrices, got {len(matrices)}")
             u = algebra.shape.u
             for a, M in enumerate(matrices):
+                if not all(_is_int(m) for row in M for m in row):
+                    raise ValueError(f"matrix for element {a} has entries that are not integers")
                 if not is_subunital(M, u, u):
                     raise ValueError(f"matrix for element {a} is not u-subunital")
             self.matrices: Optional[tuple[Matrix, ...]] = matrices

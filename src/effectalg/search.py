@@ -80,31 +80,18 @@ DEFAULT_NODE_BUDGET = 10**7
 DEFAULT_TABLE_CAP = 10**7
 
 
-class SearchResult:
+class SearchResult(NamedTuple):
     """Outcome of an operation search on the box [0, u] at axiom prefix k.
 
-    A plain class, not a NamedTuple like the other records: a caller may
-    drop a long listing by setting operations to None."""
+    A NamedTuple like the other records.  certificate is "exhaustive" or
+    "formula"; operations is None when the count exceeded the cap, and a
+    caller drops a listing with res._replace(operations=None)."""
 
-    __slots__ = ("u", "k", "count", "certificate", "operations")
-
-    def __init__(self, u: tuple[int, ...], k: int, count: int,
-                 certificate: str,  # "exhaustive" or "formula"
-                 operations: Optional[list[Operation]]):
-        self.u = u
-        self.k = k
-        self.count = count
-        self.certificate = certificate
-        self.operations = operations
-
-    def __eq__(self, other):
-        if type(other) is not SearchResult:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"SearchResult({fields})"
+    u: tuple[int, ...]
+    k: int
+    count: int
+    certificate: str
+    operations: Optional[list[Operation]]
 
     def to_json(self) -> dict:
         out: dict = {

@@ -57,6 +57,17 @@ def test_operation_needs_exactly_one_representation():
         Operation(alg, table=[[0, 0]])
 
 
+@pytest.mark.parametrize("entry", [0.5, 1.0, True, False])
+def test_matrix_entries_must_be_integers(entry):
+    # a float entry reached the product table, where check_axioms failed
+    # with a TypeError; a bool reached to_json, whose output op_from_json
+    # rejects
+    alg = make_simplicial((2,))
+    with pytest.raises(ValueError) as exc:
+        Operation(alg, matrices=[((0,),), ((entry,),), ((1,),)])
+    assert str(exc.value) == "matrix for element 1 has entries that are not integers"
+
+
 def test_matrix_and_table_routes_compute_the_same_products():
     alg = make_simplicial((2, 1))
     op = sigma_universal(alg)

@@ -1,12 +1,13 @@
-"""The result records: NamedTuples (SearchResult a small plain class), so that
+"""The result records: every one a typing.NamedTuple, so that
 `import effectalg` never loads dataclasses.
 
 Each record keeps the contract it had as a dataclass: its field names,
 construction by position and by keyword with every field required,
 field-wise equality within its type, and, for the records that were frozen,
-hashing and the refusal of field assignment.  Shape, Elem and
-SubunitalMatrix still normalise their fields to tuples and raise ValueError
-on invalid input.
+hashing.  No record's fields can be assigned; a caller that wants a
+SearchResult without its listing builds one with
+res._replace(operations=None).  Shape, Elem and SubunitalMatrix still
+normalise their fields to tuples and raise ValueError on invalid input.
 """
 
 import os
@@ -121,12 +122,23 @@ def test_frozen_records_refuse_field_assignment(cls):
         assert getattr(rec, name) == value
 
 
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_every_record_is_a_named_tuple(cls):
+    assert issubclass(cls, tuple)
+    assert cls._fields == tuple(SAMPLES[cls])
+
+
 def test_search_result_operations_can_be_dropped():
     res = SearchResult(**SAMPLES[SearchResult])
-    res.operations = None
-    assert res.operations is None
-    assert res.to_json() == {"u": [2, 1], "k": 3, "count": "1", "certificate": "exhaustive"}
-    assert res != SearchResult(**SAMPLES[SearchResult])
+    with pytest.raises(AttributeError):
+        setattr(res, "operations", None)
+    assert res.operations == [OP]
+    dropped = res._replace(operations=None)
+    assert dropped.operations is None
+    assert dropped.to_json() == {"u": [2, 1], "k": 3, "count": "1",
+                                 "certificate": "exhaustive"}
+    assert dropped != res
+    assert res.to_json()["operations"] == [[list(row) for row in OP.product_table()]]
 
 
 def test_validating_records_normalise_their_fields_to_tuples():

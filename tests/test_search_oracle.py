@@ -395,10 +395,10 @@ def test_an_early_ending_s1s4_search_builds_no_table(monkeypatch):
 
 
 def test_the_search_builds_no_subunital_matrix(monkeypatch):
-    def no_matrices(self):
+    def no_matrices(cls, *args, **kwargs):
         raise AssertionError("a SubunitalMatrix was built on the search path")
 
-    monkeypatch.setattr(maps.SubunitalMatrix, "__post_init__", no_matrices)
+    monkeypatch.setattr(maps.SubunitalMatrix, "__new__", no_matrices)
     with pytest.raises(AssertionError):
         next(enumerate_subunital((1,), (1,)))
     for u in [(2, 2), (3, 1), (2, 1, 1), (2, 1, 1, 1, 1)]:
