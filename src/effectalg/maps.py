@@ -19,7 +19,7 @@ from itertools import accumulate, chain, product
 from operator import mul
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
-from .algebra import Elem, Shape, SimplicialAlgebra, _check_carrier, _is_int
+from .algebra import Elem, FiniteEffectAlgebra, Shape, SimplicialAlgebra, _check_carrier, _is_int
 from .errors import capped_power, refuse_over
 
 DEFAULT_MATRIX_CAP = 10**6
@@ -186,7 +186,8 @@ def matrix_of_map(dom: SimplicialAlgebra, cod: SimplicialAlgebra,
     `images` lists t(x) for x in canonical index order.  On success the
     returned matrix M satisfies t(x) = M x for every x, with columns read off
     the unit vectors.  On failure the certificate carries the first orthogonal
-    pair (x, y), in lexicographic index order, with t(x (+) y) != t(x) (+) t(y).
+    pair (x, y), in lexicographic index order, with t(x (+) y) != t(x) (+) t(y)
+    (broken_pair, so a refutation is refused on a box over SUM_TABLE_LIMIT).
     """
     images = list(images)
     if len(images) != dom.size:
@@ -194,18 +195,15 @@ def matrix_of_map(dom: SimplicialAlgebra, cod: SimplicialAlgebra,
     for t in images:
         if not isinstance(t, Elem) or t.shape != cod.shape:
             raise ValueError("images must be elements of the codomain")
-    indices = [t.index for t in images]
-    rows = _matrix_rows(dom, cod, indices)
-    if rows is None:
-        return _broken_pair(dom, cod, indices)
-    return SubunitalMatrix(rows, dom.shape, cod.shape)
+    got = _classify(dom, cod, [t.index for t in images])
+    return got if isinstance(got, NotAdditive) else SubunitalMatrix(got, dom.shape, cod.shape)
 
 
-def _matrix_rows(dom: SimplicialAlgebra, cod: SimplicialAlgebra,
-                 images: Sequence[int]) -> Optional[tuple[tuple[int, ...], ...]]:
+def _classify(dom: SimplicialAlgebra, cod: SimplicialAlgebra,
+              images: Sequence[int]) -> Union[tuple[tuple[int, ...], ...], NotAdditive]:
     """The rows of the (u, v)-subunital M with t(x) = M x for every x, where
-    t(x) is the codomain index images[x], or None when t is no such action."""
-    u = dom.shape.u
+    t(x) is the codomain index images[x], found with no sum table read; when
+    t is no such action, the NotAdditive record of its broken_pair."""
     # the atoms are the unit vectors e_i in order; w[i] is the index of
     # t(e_i), the i-th column of M
     w = [images[p] for p in dom.atom_indices()]
@@ -213,26 +211,31 @@ def _matrix_rows(dom: SimplicialAlgebra, cod: SimplicialAlgebra,
     # when M u = t(u), which puts every M x in [0, v], and t(x) is
     # sum_i x_i w[i] as an index for every x: the expansion Shape.linear_indices
     # that operations.matrix_actions builds every product-table row with.
-    if dom.shape.linear_indices(w) != list(images):
-        return None
-    ccoords = cod.shape.all_coords
-    rows = tuple(zip(*[ccoords[wi] for wi in w]))
-    if tuple(sum(map(mul, row, u)) for row in rows) != ccoords[images[-1]]:
-        return None
-    return rows
+    if dom.shape.linear_indices(w) == list(images):
+        ccoords = cod.shape.all_coords
+        rows = tuple(zip(*[ccoords[wi] for wi in w]))
+        if tuple(sum(map(mul, row, dom.shape.u)) for row in rows) == ccoords[images[-1]]:
+            return rows
+    # every additive map between boxes is a matrix action, so t breaks a sum
+    pair = broken_pair(dom, cod, images)
+    if pair is None:
+        raise AssertionError("map disagrees with its unit-vector matrix yet no "
+                             "orthogonal pair fails; this should be impossible")
+    return NotAdditive(tuple(map(dom.element, pair)))
 
 
-def _broken_pair(dom: SimplicialAlgebra, cod: SimplicialAlgebra,
-                 images: Sequence[int]) -> NotAdditive:
-    """The first orthogonal pair a map that is no matrix action breaks."""
-    for i in range(dom.size):
-        for j in range(i, dom.size):
-            k = dom.oplus_index(i, j)
-            if k is None:
-                continue
-            t = cod.oplus_index(images[i], images[j])
-            if t is None or t != images[k]:
-                return NotAdditive((dom.element(i), dom.element(j)))
-    raise AssertionError("map disagrees with its unit-vector matrix yet no "
-                         "orthogonal pair fails; this should be impossible")
-
+def broken_pair(dom: FiniteEffectAlgebra, cod: FiniteEffectAlgebra,
+                images: Sequence[int]) -> Optional[tuple[int, int]]:
+    """The least orthogonal pair (b, c), b <= c, of dom at which the map
+    b |-> images[b] into cod breaks additivity, or None: the one walk of
+    dom.orthogonal_pairs(), whose pair check_s1, the raw-table oracle,
+    matrix_of_map and from_full_table all report.  It reads only the two sum
+    tables, so a carrier over SUM_TABLE_LIMIT is refused (CapExceeded) first."""
+    sums = cod.oplus_table()
+    for b, row_pairs in enumerate(dom.orthogonal_pairs()):
+        sums_b = sums[images[b]]
+        for c, k in row_pairs:
+            # an undefined sum (None) differs from every index
+            if sums_b[images[c]] != images[k]:
+                return (b, c)
+    return None

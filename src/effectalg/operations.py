@@ -50,12 +50,14 @@ from .algebra import (
     algebra_from_json,
     make_simplicial,
 )
-from .maps import _broken_pair, _matrix_rows, is_subunital
+from .maps import NotAdditive, _classify, broken_pair, is_subunital
 
 Matrix = tuple[tuple[int, ...], ...]
 Table = Sequence[Sequence[int]]
 
 AXIOM_NAMES = ("s1", "s2", "s3", "s4", "s5")
+# witness tuple lengths, for replay_witness; S4's b'-clause has two entries
+_WITNESS_LENGTHS = {"s1": (3,), "s2": (1,), "s3": (2,), "s4": (2, 3), "s5": (3,)}
 # byte 0 or 1 to the digit "0" or "1", for reading a row of bits as a numeral
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -71,8 +73,8 @@ class Operation:
         if _assembled:
             # valid by construction, so not re-checked: a search candidate's
             # pool matrices and the table of their actions (search._Pool.operation),
-            # or a raw-table oracle's tuple of generated in-range rows, with no
-            # matrices (search.bruteforce_prefixes)
+            # a raw-table oracle's generated rows (search.bruteforce_prefixes), or
+            # a checked table and the matrices of its rows (from_full_table)
             self.matrices = matrices
             self._table = table
             return
@@ -94,19 +96,8 @@ class Operation:
             self.matrices: Optional[tuple[Matrix, ...]] = matrices
             self._table: Optional[tuple[tuple[int, ...], ...]] = None
         else:
-            rows = []
-            if len(table) != n:
-                raise ValueError(f"expected {n} table rows, got {len(table)}")
-            for row in table:
-                if len(row) != n:
-                    raise ValueError(f"expected table rows of length {n}")
-                for v in row:
-                    # plain ints pass without the _is_int call
-                    if not (type(v) is int or _is_int(v)) or not 0 <= v < n:
-                        raise ValueError(f"table entry {v!r} is not an index below {n}")
-                rows.append(tuple(row))
             self.matrices = None
-            self._table = tuple(rows)
+            self._table = _checked_table(table, n)
 
     @property
     def is_matrix_family(self) -> bool:
@@ -134,6 +125,22 @@ class Operation:
         else:
             out["table"] = [list(row) for row in self._table]
         return out
+
+
+def _checked_table(table: Table, n: int) -> tuple[tuple[int, ...], ...]:
+    """table as a tuple of row tuples; ValueError unless it is n x n of indices below n."""
+    if len(table) != n:
+        raise ValueError(f"expected {n} table rows, got {len(table)}")
+    rows = []
+    for row in table:
+        if len(row) != n:
+            raise ValueError(f"expected table rows of length {n}")
+        for v in row:
+            # plain ints pass without the _is_int call
+            if not (type(v) is int or _is_int(v)) or not 0 <= v < n:
+                raise ValueError(f"table entry {v!r} is not an index below {n}")
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def op_from_json(obj: dict) -> Operation:
@@ -287,7 +294,7 @@ class AxiomReport(NamedTuple):
 def check_s1(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]:
     """S1, row by row: each row is screened at the atoms where the rule below
     applies, and a row the screen rejects, or every row where it does not
-    apply, is walked over all orthogonal pairs (s1_row_witness).
+    apply, is walked over all orthogonal pairs (maps.broken_pair).
 
     The atom rule: on an effect algebra, a row f with f(x (+) p) =
     f(x) (+) f(p) for every atom p and every x orthogonal to p is additive.
@@ -303,23 +310,9 @@ def check_s1(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]
     passes = _atom_screen(alg)
     for a, row in enumerate(prod):
         if passes is None or not passes(row):
-            w = s1_row_witness(alg, row)
+            w = broken_pair(alg, alg, row)
             if w is not None:
                 return (a, *w)
-    return None
-
-
-def s1_row_witness(alg: FiniteEffectAlgebra, row: Sequence[int]) -> Optional[tuple[int, int]]:
-    """The least orthogonal pair (b, c), b <= c, at which the map b |-> row[b]
-    breaks additivity, walking every pair of alg.orthogonal_pairs(); None when
-    it is additive.  Assumes nothing of alg beyond its sum table."""
-    sums = alg.oplus_table()
-    for b, row_pairs in enumerate(alg.orthogonal_pairs()):
-        sums_b = sums[row[b]]
-        for c, k in row_pairs:
-            # an undefined sum (None) differs from every index
-            if sums_b[row[c]] != row[k]:
-                return (b, c)
     return None
 
 
@@ -466,12 +459,19 @@ def check_axioms(op: Operation, upto: int) -> AxiomReport:
 
 
 def replay_witness(op: Operation, axiom: str, witness: Sequence[int]) -> bool:
-    """Re-evaluate one axiom instance; True iff the violation reproduces."""
+    """Re-evaluate one axiom instance; True iff the violation reproduces.
+    ValueError for an unknown axiom, a witness of the wrong length for its
+    axiom, or an entry that is no element index."""
     alg = op.algebra
+    lengths = _WITNESS_LENGTHS.get(axiom)
+    if lengths is None:
+        raise ValueError(f"unknown axiom {axiom!r}")
+    w = tuple(map(alg._checked_index, witness))
+    if len(w) not in lengths:
+        raise ValueError(f"{w} has the wrong length for an {axiom} witness")
     prod = op.product_table()
     sums = alg.oplus_table()
     zero, one = alg.zero_index, alg.one_index
-    w = tuple(witness)
     if axiom == "s1":
         a, b, c = w
         k = sums[b][c]
@@ -493,16 +493,14 @@ def replay_witness(op: Operation, axiom: str, witness: Sequence[int]) -> bool:
         a, b, c = w
         return (prod[a][b] == prod[b][a]
                 and prod[a][prod[b][c]] != prod[prod[a][b]][c])
-    if axiom == "s5":
-        a, b, c = w
-        if prod[c][a] != prod[a][c] or prod[c][b] != prod[b][c]:
-            return False
-        ab = prod[a][b]
-        if prod[c][ab] != prod[ab][c]:
-            return True
-        k = sums[a][b]
-        return k is not None and prod[c][k] != prod[k][c]
-    raise ValueError(f"unknown axiom {axiom!r}")
+    a, b, c = w  # s5
+    if prod[c][a] != prod[a][c] or prod[c][b] != prod[b][c]:
+        return False
+    ab = prod[a][b]
+    if prod[c][ab] != prod[ab][c]:
+        return True
+    k = sums[a][b]
+    return k is not None and prod[c][k] != prod[k][c]
 
 
 def right_unit_holds(op: Operation) -> tuple[bool, Optional[int]]:
@@ -531,14 +529,13 @@ def from_full_table(alg: SimplicialAlgebra,
     """
     if not isinstance(alg, SimplicialAlgebra):
         raise ValueError("matrix families are only defined on boxes")
-    op = Operation(alg, table=table)
+    rows = _checked_table(table, alg.size)
     matrices = []
     known: dict = {}  # rows of a table often repeat
-    for a, row in enumerate(op.product_table()):
+    for a, row in enumerate(rows):
         if row not in known:
-            known[row] = _matrix_rows(alg, alg, row)
-        if known[row] is None:
-            return NotS1(row=a, witness=_broken_pair(alg, alg, row).witness)
+            known[row] = _classify(alg, alg, row)
+        if isinstance(known[row], NotAdditive):
+            return NotS1(row=a, witness=known[row].witness)
         matrices.append(known[row])
-    op.matrices = tuple(matrices)
-    return op
+    return Operation(alg, tuple(matrices), rows, _assembled=True)

@@ -61,7 +61,7 @@ from .errors import (
     count_text,
     refuse_over,
 )
-from .maps import count_subunital, subunital_row_lists
+from .maps import broken_pair, count_subunital, subunital_row_lists
 from .operations import (
     AXIOM_CHECKS,
     CHECKS_GIVEN_S1,
@@ -72,7 +72,6 @@ from .operations import (
     check_axioms,
     matrix_actions,
     meet_boolean,
-    s1_row_witness,
 )
 
 DEFAULT_OP_CAP = 10**5
@@ -541,8 +540,8 @@ def bruteforce_prefixes(alg: FiniteEffectAlgebra, upto: int = 5,
     1..upto, in canonical function order (last cell varying fastest).
     S1 reads each row of a table on its own, so a table passes S1 exactly
     when each of its rows does: the N**N candidate rows are filtered once, in
-    lexicographic order, by the full pair walk (operations.s1_row_witness,
-    with no atom rule), and the product of the rows that pass is
+    lexicographic order, by the full pair walk (maps.broken_pair, with
+    no atom rule), and the product of the rows that pass is
     every S1 table, in canonical order, with no other table generated.  Each
     runs through check_s2, check_s3, ... until its first failure, so it is
     checked once for every k.  The cap counts all N**(N*N) tables, filtered
@@ -553,7 +552,7 @@ def bruteforce_prefixes(alg: FiniteEffectAlgebra, upto: int = 5,
         raise ValueError(f"upto must be in 1..5, got {upto}")
     n = alg.size
     capped_power(n, n * n, cap, "candidate tables")
-    rows = [row for row in product(range(n), repeat=n) if s1_row_witness(alg, row) is None]
+    rows = [row for row in product(range(n), repeat=n) if broken_pair(alg, alg, row) is None]
     passing: list[list[Operation]] = [[] for _ in range(upto)]
     later = tuple(zip(passing[1:], AXIOM_CHECKS[1:upto]))
     for table in product(rows, repeat=n):

@@ -6,6 +6,7 @@ small enough to brute-force.
 """
 
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from effectalg import (
     make_simplicial,
     matrix_of_map,
 )
-from effectalg.maps import count_rows, enumerate_rows
+from effectalg.maps import broken_pair, count_rows, enumerate_rows
 
 small_shapes = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
 
@@ -200,6 +201,55 @@ def test_matrix_of_map_refutes_with_a_replaying_witness():
         assert k is not None
         t = cod.oplus_index(images[x.index].index, images[y.index].index)
         assert t is None or t != images[k].index
+
+
+def _reference_broken_pair(dom, cod, images):
+    # the plain i <= j loop over oplus_index, with no sum table
+    for i in range(dom.size):
+        for j in range(i, dom.size):
+            k = dom.oplus_index(i, j)
+            if k is not None and cod.oplus_index(images[i], images[j]) != images[k]:
+                return (i, j)
+    return None
+
+
+@pytest.mark.parametrize("u, v", [((2,), (1, 1)), ((1, 1), (2,)),
+                                  ((2, 1), (1, 1)), ((1, 1), (2, 1))])
+def test_broken_pair_between_different_boxes(u, v):
+    # every map of the domain into the codomain: the walk gives the least
+    # broken pair, None exactly on the additive maps, and matrix_of_map's
+    # refutation names that pair
+    dom, cod = make_simplicial(u), make_simplicial(v)
+    additive = {tuple(x.index for x in images)
+                for images in additive_maps_bruteforce(dom, cod)}
+    refuted = 0
+    for images in product(range(cod.size), repeat=dom.size):
+        pair = broken_pair(dom, cod, images)
+        assert pair == _reference_broken_pair(dom, cod, images), images
+        assert (pair is None) == (images in additive), images
+        got = matrix_of_map(dom, cod, [cod.element(i) for i in images])
+        if pair is None:
+            assert isinstance(got, SubunitalMatrix)
+        else:
+            assert got == NotAdditive(tuple(map(dom.element, pair)))
+            refuted += 1
+    assert refuted and len(additive) == count_subunital(u, v)
+
+
+def test_a_refutation_reads_both_sum_tables():
+    # on (99, 99), 10,000 elements: (x1, x2) |-> (x1, g(x2)), with g the
+    # identity but for g(2) = 3, first breaks at (e2, e2), so walking to it
+    # reads about (n + 1) N pairs.  The walk reads the sum tables, and is
+    # refused before any pair; an action still gets its matrix with no table
+    alg = make_simplicial((99, 99))
+    g = {2: 3}
+    images = [Elem((x1, g.get(x2, x2)), alg.shape)
+              for x1, x2 in (x.coords for x in alg.elements())]
+    with pytest.raises(CapExceeded) as exc:
+        matrix_of_map(alg, alg, images)
+    assert exc.value.count == 10**8
+    ident = matrix_of_map(alg, alg, list(alg.elements()))
+    assert ident == SubunitalMatrix(((1, 0), (0, 1)), alg.shape, alg.shape)
 
 
 def test_matrix_of_map_input_validation():

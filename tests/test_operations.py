@@ -27,13 +27,8 @@ from effectalg import (
 )
 from effectalg import operations
 from effectalg.fixtures import load_fixture
-from effectalg.operations import (
-    NotS1,
-    check_s1,
-    check_s4,
-    check_s4_given_s1,
-    s1_row_witness,
-)
+from effectalg.maps import broken_pair
+from effectalg.operations import NotS1, check_s1, check_s4, check_s4_given_s1
 
 small_shapes = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
 
@@ -242,7 +237,7 @@ def test_atom_screen_passes_exactly_the_additive_rows(name):
     passes = operations._atom_screen(alg)
     additive = 0
     for row in product(range(alg.size), repeat=alg.size):
-        walked = s1_row_witness(alg, row)
+        walked = broken_pair(alg, alg, row)
         assert passes(row) == (walked is None), row
         assert check_s1(alg, (row,)) == (None if walked is None else (0, *walked))
         additive += walked is None
@@ -316,6 +311,19 @@ def test_replay_rejects_non_violations():
     assert not replay_witness(tau, "s5", (1, 2, 0))
     with pytest.raises(ValueError):
         replay_witness(meet, "s9", (0,))
+
+
+@pytest.mark.parametrize("axiom, witness", [
+    ("s2", (-1,)),      # would wrap to the top, which S2 does not move
+    ("s3", (True, 0)),  # a bool is no element index
+    ("s1", (0, 0, 99)),
+    ("s5", (0, 1, 2.0)),
+    ("s4", (1,)),
+    ("s1", (0, 1)),
+])
+def test_replay_refuses_witnesses_that_are_not_elements(axiom, witness):
+    with pytest.raises(ValueError, match="element index|wrong length"):
+        replay_witness(meet_boolean(2), axiom, witness)
 
 
 def test_right_unit():
