@@ -13,13 +13,11 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .algebra import atoms, has_obstruction_atom, load_algebra, make_simplicial
+from .algebra import atoms, load_algebra, make_simplicial
 from .errors import CapExceeded, InvalidTableAlgebra, NodeBudgetExceeded, count_text
 from .maps import DEFAULT_MATRIX_CAP, count_subunital, enumerate_subunital
 from .operations import (
     Operation,
-    _meet_box,
-    _twist_matrix,
     check_axioms,
     meet_boolean,
     op_from_json,
@@ -156,7 +154,8 @@ def cmd_algebra(args) -> int:
         "algebra": alg.to_json(),
         "size": alg.size,
         "atoms": [{"atom": alg.element_json(rec.atom), "ord": rec.ord} for rec in recs],
-        "obstruction": has_obstruction_atom(alg),
+        # has_obstruction_atom's test, on the atoms read above
+        "obstruction": any(rec.ord >= 2 for rec in recs),
         "valid": True,
     }
     if args.json:
@@ -231,19 +230,13 @@ def _resolve_operation(args) -> Operation:
     if name == "sigma" or name == "meet" or name.startswith("tau:"):
         if base is None:
             raise ValueError(f"the named operation {name!r} needs --algebra or --u")
-        if name == "meet":
-            _meet_box(base)
-        elif name != "sigma":
-            perm_text = name.split(":", 1)[1]
-            perm = tuple(int(p) for p in perm_text.split(","))
-            _twist_matrix(base, perm)
-        # check_axioms reads the sum table first; asking for it before the
-        # operation is built refuses a carrier over the sum-table limit early
-        base.oplus_table()
+        # each constructor refuses an operation that is not defined on base
+        # (ValueError) before a box over the sum-table limit (CapExceeded)
         if name == "sigma":
             return sigma_universal(base)
         if name == "meet":
             return meet_boolean(base)
+        perm = tuple(int(p) for p in name.split(":", 1)[1].split(","))
         return tau_perm(base, perm)
 
     with open(name, "r", encoding="utf-8") as fh:

@@ -108,8 +108,9 @@ class Operation:
         return f"Operation({self.algebra!r}, {rep})"
 
     def apply(self, a: int, b: int) -> int:
-        """Index of a o b."""
-        return self.product_table()[a][b]
+        """Index of a o b; ValueError unless a and b are element indices."""
+        check = self.algebra._checked_index
+        return self.product_table()[check(a)][check(b)]
 
     def product_table(self) -> tuple[tuple[int, ...], ...]:
         """The full N x N result table, computed once for matrix families."""
@@ -191,23 +192,32 @@ def _zero_matrix(r: int) -> Matrix:
     return tuple((0,) * r for _ in range(r))
 
 
+def _family(alg: SimplicialAlgebra, matrix_at) -> Operation:
+    """The matrix family with matrix_at(a) at each element a of the box alg.
+    The axiom checks read the box's sum table, so it is asked for first: its
+    cap (CapExceeded, count N^2) refuses a box over the sum-table limit before
+    anything of size N is built."""
+    alg.oplus_table()
+    return Operation(alg, matrices=tuple(map(matrix_at, range(alg.size))))
+
+
 def sigma_universal(alg: FiniteEffectAlgebra) -> Operation:
     """The universal operation: a o b = 0 when a = 0, else b."""
     if isinstance(alg, SimplicialAlgebra):
         r = alg.shape.r
         z, ident = _zero_matrix(r), _identity(r)
-        return Operation(alg, matrices=tuple(
-            z if a == alg.zero_index else ident for a in range(alg.size)
-        ))
+        return _family(alg, lambda a: z if a == alg.zero_index else ident)
     n, zero = alg.size, alg.zero_index
     return Operation(alg, table=tuple(
         (zero,) * n if a == zero else tuple(range(n)) for a in range(n)
     ))
 
 
-def _twist_matrix(u, perm: Sequence[int]) -> tuple[SimplicialAlgebra, Matrix]:
-    """The homogeneous box of tau_perm(u, perm) and its permutation matrix P;
-    ValueError where the twist is not defined."""
+def tau_perm(u, perm: Sequence[int]) -> Operation:
+    """The permutation twist on a homogeneous box: a o x is 0 at a = 0, x at
+    a = u, and Px in between, where P permutes coordinates by the 1-based
+    `perm` (coordinate i of Px is coordinate perm[i] of x).  ValueError where
+    the twist is not defined."""
     if isinstance(u, TableAlgebra):
         raise ValueError("permutation twists are only defined on boxes")
     alg = u if isinstance(u, SimplicialAlgebra) else make_simplicial(u)
@@ -215,52 +225,33 @@ def _twist_matrix(u, perm: Sequence[int]) -> tuple[SimplicialAlgebra, Matrix]:
     if not shape.is_homogeneous():
         raise ValueError(f"permutation twists need a homogeneous shape, got {shape.u}")
     perm = tuple(perm)
-    if sorted(perm) != list(range(1, shape.r + 1)):
-        raise ValueError(f"{perm} is not a permutation of 1..{shape.r}")
     r = shape.r
-    return alg, tuple(tuple(1 if j == perm[i] - 1 else 0 for j in range(r)) for i in range(r))
-
-
-def tau_perm(u, perm: Sequence[int]) -> Operation:
-    """The permutation twist on a homogeneous box: a o x is 0 at a = 0, x at
-    a = u, and Px in between, where P permutes coordinates by the 1-based
-    `perm` (coordinate i of Px is coordinate perm[i] of x)."""
-    alg, P = _twist_matrix(u, perm)
-    r = alg.shape.r
+    if not all(map(_is_int, perm)) or sorted(perm) != list(range(1, r + 1)):
+        raise ValueError(f"{perm} is not a permutation of 1..{r}")
     z, ident = _zero_matrix(r), _identity(r)
-    matrices = []
-    for a in range(alg.size):
-        if a == alg.zero_index:
-            matrices.append(z)
-        elif a == alg.one_index:
-            matrices.append(ident)
-        else:
-            matrices.append(P)
-    return Operation(alg, matrices=tuple(matrices))
-
-
-def _meet_box(r) -> SimplicialAlgebra:
-    """The Boolean box of meet_boolean(r); ValueError where the meet is not
-    defined."""
-    if isinstance(r, TableAlgebra):
-        raise ValueError("the meet operation is only defined on boxes")
-    alg = r if isinstance(r, SimplicialAlgebra) else make_simplicial((1,) * r)
-    if any(ui != 1 for ui in alg.shape.u):
-        raise ValueError(f"the meet operation needs u = (1,...,1), got {alg.shape.u}")
-    return alg
+    P = tuple(tuple(1 if j == perm[i] - 1 else 0 for j in range(r)) for i in range(r))
+    return _family(alg, lambda a: z if a == alg.zero_index
+                   else ident if a == alg.one_index else P)
 
 
 def meet_boolean(r) -> Operation:
-    """Componentwise minimum on the Boolean box (1, ..., 1); a o b = a AND b."""
-    alg = _meet_box(r)
-    rank = alg.shape.r
-    matrices = []
-    for x in alg.elements():
-        matrices.append(tuple(
-            tuple(x.coords[i] if i == j else 0 for j in range(rank))
-            for i in range(rank)
-        ))
-    return Operation(alg, matrices=tuple(matrices))
+    """Componentwise minimum on the Boolean box (1, ..., 1); a o b = a AND b.
+    r is the box or its rank; ValueError where the meet is not defined."""
+    if isinstance(r, TableAlgebra):
+        raise ValueError("the meet operation is only defined on boxes")
+    if not isinstance(r, SimplicialAlgebra) and not _is_int(r):
+        raise ValueError(f"the meet operation needs a box or an integer rank, got {r!r}")
+    alg = r if isinstance(r, SimplicialAlgebra) else make_simplicial((1,) * r)
+    shape = alg.shape
+    if any(ui != 1 for ui in shape.u):
+        raise ValueError(f"the meet operation needs u = (1,...,1), got {shape.u}")
+    axes = range(shape.r)
+
+    def diagonal(a: int) -> Matrix:
+        x = shape.coords_of(a)
+        return tuple(tuple(x[i] if i == j else 0 for j in axes) for i in axes)
+
+    return _family(alg, diagonal)
 
 
 class AxiomReport(NamedTuple):
@@ -444,7 +435,7 @@ def check_axioms(op: Operation, upto: int) -> AxiomReport:
     Each axiom short-circuits at its first violation but every axiom up to
     `upto` is evaluated.
     """
-    if not 1 <= upto <= 5:
+    if not _is_int(upto) or not 1 <= upto <= 5:
         raise ValueError(f"upto must be in 1..5, got {upto}")
     alg = op.algebra
     # S1 reads the sum table; asking for it first lets its size cap refuse an

@@ -52,7 +52,7 @@ from itertools import compress, product
 from operator import itemgetter, mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .algebra import FiniteEffectAlgebra, Shape, has_obstruction_atom, make_simplicial
+from .algebra import FiniteEffectAlgebra, Shape, _is_int, has_obstruction_atom, make_simplicial
 from .errors import (
     COUNT_LIMIT,
     CapExceeded,
@@ -433,7 +433,7 @@ def enumerate_s1sk(u: Sequence[int], k: int, cap: int = DEFAULT_OP_CAP,
     COUNT_LIMIT, which Python cannot write as text, is refused (CapExceeded,
     with no count) as soon as the running sum gets there.
     """
-    if k not in (3, 4, 5):
+    if not _is_int(k) or k not in (3, 4, 5):
         raise ValueError(f"k must be in 3..5, got {k}")
     u = tuple(u)
     pool = _Pool(u)
@@ -478,7 +478,6 @@ def exists_s1s4(u: Sequence[int],
     u = tuple(u)
     pool = _Pool(u)
     if not has_obstruction_atom(pool.alg):
-        pool.alg.oplus_table()  # refuses a box over the sum-table limit early
         op = meet_boolean(pool.alg)
         if not check_axioms(op, 4).all_pass:
             raise RuntimeError("componentwise meet failed S1-S4 on a Boolean box; "
@@ -548,7 +547,7 @@ def bruteforce_prefixes(alg: FiniteEffectAlgebra, upto: int = 5,
     or not.  The independent oracle for the structured searches: table
     representation only, no matrices anywhere.
     """
-    if not 1 <= upto <= 5:
+    if not _is_int(upto) or not 1 <= upto <= 5:
         raise ValueError(f"upto must be in 1..5, got {upto}")
     n = alg.size
     capped_power(n, n * n, cap, "candidate tables")

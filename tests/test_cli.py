@@ -6,7 +6,7 @@ import json
 import pytest
 
 from effectalg import fixture_path, make_simplicial, mo2, sigma_universal, tau_perm
-from effectalg import cli, verify
+from effectalg import cli, operations, verify
 from effectalg.cli import main
 
 
@@ -267,9 +267,9 @@ def test_check_refuses_an_oversized_carrier_before_building_the_operation(
     def never(*args, **kwargs):
         raise AssertionError("a named operation was built on an oversized carrier")
 
-    for name in ("sigma_universal", "meet_boolean", "tau_perm"):
-        monkeypatch.setattr(cli, name, never)
-    # carriers under the element limit but over the 2048-element sum-table limit
+    monkeypatch.setattr(operations, "Operation", never)
+    # carriers under the element limit but over the 2048-element sum-table
+    # limit: each named constructor refuses them before building an Operation
     for argv, size in [(("--u", "998,1000", "--op", "sigma"), 999 * 1001),
                        (("--u", ",".join(["1"] * 12), "--op", "meet"), 2 ** 12),
                        (("--u", "998,998", "--op", "tau:2,1"), 999 * 999)]:

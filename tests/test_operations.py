@@ -117,6 +117,10 @@ def test_meet_rejects_non_boolean_shapes():
         meet_boolean(make_simplicial((2, 1)))
     with pytest.raises(ValueError):
         meet_boolean(mo2())
+    # a rank is an int: a bool or a float is refused, not read as one
+    for r in (True, 2.0, "2"):
+        with pytest.raises(ValueError):
+            meet_boolean(r)
 
 
 def test_tau_swap_on_the_four_element_box():
@@ -151,6 +155,19 @@ def test_tau_input_validation():
         tau_perm((1, 1), (0, 1))
     with pytest.raises(ValueError):
         tau_perm(mo2(), (2, 1))  # not a box
+    # a bool or a float is no permutation entry, though it compares equal to one
+    for perm in [(2, True), (2.0, 1.0), (2, 1.0)]:
+        with pytest.raises(ValueError, match="is not a permutation"):
+            tau_perm((1, 1), perm)
+
+
+def test_apply_takes_element_indices_only():
+    op = meet_boolean(2)
+    assert op.apply(1, 3) == 1
+    # -1 would wrap to the top, and a bool is no index
+    for a, b in [(1, -1), (-1, 1), (True, 1), (1, False), (4, 0), (0, 1.0)]:
+        with pytest.raises(ValueError):
+            op.apply(a, b)
 
 
 def test_axiom_witnesses_on_hand_built_tables():
@@ -261,14 +278,17 @@ def test_raw_table_oracle_does_not_use_the_atom_screen(monkeypatch):
 
 def test_check_axioms_rejects_bad_upto():
     op = sigma_universal(make_simplicial((1,)))
-    for upto in (0, 6):
-        with pytest.raises(ValueError):
+    for upto in (0, 6, True, 3.0):
+        with pytest.raises(ValueError, match="upto must be in 1..5"):
             check_axioms(op, upto)
 
 
 def test_check_axioms_refuses_an_oversized_algebra_before_its_product_table(monkeypatch):
-    # 47 x 47 = 2209 elements, over the 2048-element sum table limit
-    op = sigma_universal(make_simplicial((46, 46)))
+    # 47 x 47 = 2209 elements, over the 2048-element sum table limit; an
+    # operation built directly is refused by check_axioms, a named one when
+    # it is built
+    alg = make_simplicial((46, 46))
+    op = Operation(alg, matrices=[((1, 0), (0, 1))] * alg.size)
 
     def no_table(self):
         raise AssertionError("the product table was computed before the cap check")
@@ -276,6 +296,9 @@ def test_check_axioms_refuses_an_oversized_algebra_before_its_product_table(monk
     monkeypatch.setattr(Operation, "product_table", no_table)
     with pytest.raises(CapExceeded) as exc:
         check_axioms(op, 1)
+    assert exc.value.count == 2209 ** 2
+    with pytest.raises(CapExceeded) as exc:
+        sigma_universal(alg)
     assert exc.value.count == 2209 ** 2
 
 

@@ -252,8 +252,8 @@ def test_s1s2_enumeration_is_deterministic():
 
 
 def test_enumerate_s1sk_validates_k():
-    for k in (1, 2, 6):
-        with pytest.raises(ValueError):
+    for k in (1, 2, 6, True, 3.0):
+        with pytest.raises(ValueError, match="k must be in 3..5"):
             enumerate_s1sk((1,), k)
 
 
@@ -382,8 +382,8 @@ def test_bruteforce_cap_refusal(monkeypatch):
     assert exc.value.count == 4 ** 16
     with pytest.raises(CapExceeded):
         bruteforce_prefixes(alg, cap=4 ** 16 - 1)
-    for upto in (0, 6):
-        with pytest.raises(ValueError):
+    for upto in (0, 6, True, 3.0):
+        with pytest.raises(ValueError, match="upto must be in 1..5"):
             bruteforce_prefixes(make_simplicial((1,)), upto)
 
 
@@ -438,11 +438,12 @@ def test_s1s4_existence_positive_cases_carry_verified_witnesses():
 def test_s1s4_existence_refuses_an_oversized_boolean_box_before_building_the_meet(
         monkeypatch):
     # the witness is checked against S1, which reads the sum table; B12's
-    # 4096 elements are over the 2048-element sum-table limit
+    # 4096 elements are over the 2048-element sum-table limit, so the meet
+    # refuses the box before its matrix family is built
     def never(*args, **kwargs):
         raise AssertionError("the meet was built on a box over the sum-table limit")
 
-    monkeypatch.setattr(search, "meet_boolean", never)
+    monkeypatch.setattr(operations, "Operation", never)
     with pytest.raises(CapExceeded) as exc:
         exists_s1s4((1,) * 12)
     assert exc.value.count == 4096 ** 2
