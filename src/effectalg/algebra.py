@@ -12,7 +12,7 @@ one base, FiniteEffectAlgebra, that memoizes what derives from the sum table:
 
 Elements of a box are numbered 0 .. N-1 in mixed-radix order with coordinate 1
 varying fastest, so index 0 is the zero vector and index N-1 is u itself.
-Index-level sums use None for "undefined"; the JSON form uses -1.
+Index-level sums use None for "undefined"; the JSON form uses the integer -1.
 """
 
 from __future__ import annotations
@@ -530,7 +530,22 @@ def validate_table_algebra(alg: TableAlgebra) -> ValidationReport:
     in D[a (+) b].  So when a (+) b is undefined the pair holds iff no
     b (+) c with c in D[b] is summable with a, and when a (+) b = k it holds
     iff D[k] lies inside D[b] and the two sides agree, undefined included,
-    on D[b].
+    on D[b].  Two rules decide most pairs without that comparison:
+
+    * Down-sets.  Every undefined pair of row a holds iff D[a] is closed
+      downward: each b with b (+) c in D[a] for some c is itself in D[a].
+      That is the undefined-pair test above read for every b outside D[a]
+      at once, so when it holds only the b in D[a] are scanned (6,561 of
+      the 65,536 pairs on the Boolean cube 2^8), and otherwise the whole
+      row is.
+    * Counts, on a row b that cancels (its defined sums are distinct, as on
+      every effect algebra).  c |-> b (+) c is then one-to-one on D[b], so
+      the c in D[b] with a (+) (b (+) c) defined number as many as the
+      sums of row b in D[a].  The pair (a, b) holds iff D[k] lies inside
+      D[b], that number is |D[k]|, and a (+) (b (+) c) = k (+) c for every c
+      in D[k]: the last puts D[k] among those c, and the count leaves no
+      other.  This reads |D[k]| entries, not |D[b]|.  A row that does not
+      cancel keeps the comparison on D[b].
 
     The verdict is recorded on the algebra (see FiniteEffectAlgebra).
     """
@@ -548,26 +563,48 @@ def validate_table_algebra(alg: TableAlgebra) -> ValidationReport:
         return None
 
     def associativity():
-        # mask[b] has the bits of D[b] and reach[b] those of every defined
-        # b (+) c; at_dom[b](row) reads row at D[b], through[b](row) at each
-        # b (+) c in the same order
-        mask, reach, at_dom, through = [], [], [], []
-        for row in s:
+        # mask[b] has the bits of D[b], size[b] is |D[b]| and reach[b] has
+        # the bits of every defined b (+) c; at_dom[b](row) reads row at D[b],
+        # through[b](row) at each b (+) c in the same order, and own[b] is
+        # at_dom[b](row b).  below[x] has the bit of every b with x = b (+) c
+        # for some c, and cancels[b] says that c |-> b (+) c is one-to-one
+        doms, mask, size, reach, at_dom, through, own, cancels = ([] for _ in range(8))
+        below = [0] * n
+        for b, row in enumerate(s):
             dom, sums, at, thru = _row_reader(row)
+            doms.append(dom)
             mask.append(_bits(dom))
+            size.append(len(dom))
             reach.append(_bits(sums))
             at_dom.append(at)
             through.append(thru)
+            own.append(at(row))
+            cancels.append(len(set(sums)) == len(sums))
+            bit = 1 << b
+            for x in sums:
+                below[x] |= bit
         for a, row_a in enumerate(s):
             mask_a = mask[a]
-            for b in range(n):
+            under = 0
+            for x in doms[a]:
+                under |= below[x]
+            # with D[a] closed downward every undefined pair of row a holds
+            bs = range(n) if under & ~mask_a else doms[a]
+            for b in bs:
                 k = row_a[b]
                 if k is None:
                     if not mask_a & reach[b]:
                         continue
-                elif (not mask[k] & ~mask[b]
-                      and at_dom[b](s[k]) == through[b](row_a)):
-                    continue
+                elif not mask[k] & ~mask[b]:
+                    if cancels[b]:
+                        # the count, then row a at b (+) c against row k at
+                        # c for c in D[k], which an empty D[k] skips
+                        if ((reach[b] & mask_a).bit_count() == size[k]
+                                and (not size[k]
+                                     or itemgetter(*at_dom[k](s[b]))(row_a) == own[k])):
+                            continue
+                    elif at_dom[b](s[k]) == through[b](row_a):
+                        continue
                 row_b = s[b]
                 for c in range(n):
                     bc = row_b[c]
@@ -630,7 +667,9 @@ def algebra_from_json(obj: dict) -> FiniteEffectAlgebra:
         raw = obj["sum"]
         if not _is_grid(raw):
             raise ValueError('"sum" must be a list of rows')
-        table = [[None if v == -1 else v for v in row] for row in raw]
+        # only the int -1 means undefined (no bool equals -1); -1.0 is left
+        # for the constructor to refuse, like any other float
+        table = [[None if v == -1 and isinstance(v, int) else v for v in row] for row in raw]
         alg = TableAlgebra(size, obj["zero"], obj["one"], table)
         report = validate_table_algebra(alg)
         if not report.ok:

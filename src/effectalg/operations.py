@@ -22,9 +22,11 @@ every atom p, where the carrier's laws are known to hold (alg._laws_hold),
 and walks every defined sum of a row the screen rejects or of any row
 elsewhere; S4 compares a whole composition row in one step; S5 intersects
 per-element commutant bitmasks, each built by comparing a row with its
-column in one step.  Each
-looks at single entries only to pick the least witness in a failing row, so
-the witnesses are those of the plain element-by-element scan.
+column in one step, with the centre (the elements that commute with every
+element, which never break S5) masked out, so that a row whose commutant is
+central is skipped (check_s5 states why).  Each looks at single entries only
+to pick the least witness in a failing row, so the witnesses are those of
+the plain element-by-element scan.
 
 Once S1 has passed, check_axioms checks S4 with check_s4_given_s1, which
 compares the composition clause at fewer c, again only where alg._laws_hold,
@@ -36,10 +38,12 @@ tuple against the operation.
 
 from __future__ import annotations
 
-from operator import eq, itemgetter
+from functools import reduce
+from operator import and_, eq, itemgetter
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .algebra import (
+    CARRIER_LIMIT,
     Elem,
     FiniteEffectAlgebra,
     Shape,
@@ -50,6 +54,7 @@ from .algebra import (
     algebra_from_json,
     make_simplicial,
 )
+from .errors import capped_power
 from .maps import NotAdditive, _classify, broken_pair, is_subunital
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -236,12 +241,19 @@ def tau_perm(u, perm: Sequence[int]) -> Operation:
 
 def meet_boolean(r) -> Operation:
     """Componentwise minimum on the Boolean box (1, ..., 1); a o b = a AND b.
-    r is the box or its rank; ValueError where the meet is not defined."""
+    r is the box or its rank; ValueError where the meet is not defined.  A
+    rank whose box has over CARRIER_LIMIT elements is refused (CapExceeded,
+    count 2**r) before its shape is built."""
     if isinstance(r, TableAlgebra):
         raise ValueError("the meet operation is only defined on boxes")
-    if not isinstance(r, SimplicialAlgebra) and not _is_int(r):
+    if isinstance(r, SimplicialAlgebra):
+        alg = r
+    elif _is_int(r):
+        # a rank below 1 passes the cap and is refused by Shape
+        capped_power(2, r, CARRIER_LIMIT, f"elements in the box [0, (1,) * {r}]")
+        alg = make_simplicial((1,) * r)
+    else:
         raise ValueError(f"the meet operation needs a box or an integer rank, got {r!r}")
-    alg = r if isinstance(r, SimplicialAlgebra) else make_simplicial((1,) * r)
     shape = alg.shape
     if any(ui != 1 for ui in shape.u):
         raise ValueError(f"the meet operation needs u = (1,...,1), got {shape.u}")
@@ -401,17 +413,30 @@ def check_s4_given_s1(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[i
 
 
 def check_s5(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]:
+    """S5 by commutant bitmasks, with the centre masked out.
+
+    The centre rule: a c that commutes with every element is in every
+    commutant, so it commutes with a o b and with a (+) b too and never
+    breaks S5.  Dropping it from comm[a] changes no failing c, and a row
+    whose commutant lies inside the centre is skipped, so on a commutative
+    product, such as the meet, S5 costs only the commutant build.
+    """
     n = alg.size
     sums = alg.oplus_table()
     # comm[x] has bit c set when c o x = x o c.  The c that break S5 at (a, b)
     # commute with a and b but not with a o b or with a defined a (+) b, and
     # the least of them is the lowest set bit.  Row x is compared with column
     # x in one step, and the 0/1 bytes of the comparison, reversed so that
-    # bit c is read last, are read as a binary numeral.
+    # bit c is read last, are read as a binary numeral.  Commuting is
+    # symmetric, so the AND of every comm[x] holds the centre.
     comm = [int(bytes(map(eq, row, col))[::-1].translate(_BINARY_DIGITS), 2)
             for row, col in zip(prod, zip(*prod))]
+    off_centre = ~reduce(and_, comm)
     for a in range(n):
-        rowa, suma, comm_a = prod[a], sums[a], comm[a]
+        comm_a = comm[a] & off_centre
+        if not comm_a:
+            continue
+        rowa, suma = prod[a], sums[a]
         for b in range(n):
             both = comm_a & comm[b]
             if not both:

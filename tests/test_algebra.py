@@ -311,6 +311,10 @@ def test_json_decode_errors():
         algebra_from_json({"type": "simplicial"})
     with pytest.raises(ValueError):
         algebra_from_json({"type": "table", "size": 2})
+    # only the int -1 marks an undefined sum: -1.0 equals it but is a float
+    chain = {"type": "table", "size": 2, "zero": 0, "one": 1, "sum": [[0, 1], [1, -1.0]]}
+    with pytest.raises(ValueError, match="sum entry -1.0 is not None or an index below 2"):
+        algebra_from_json(chain)
 
 
 def test_table_wellformedness_errors():

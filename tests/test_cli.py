@@ -335,6 +335,8 @@ BOX1 = {"type": "simplicial", "u": [1]}
     ("check", {"algebra": BOX1, "rows": {"0": 5, "1": [[1]]}}),
     ("check", {"algebra": BOX1, "rows": {"0": [["x"]], "1": [[1]]}}),
     ("algebra", {"type": "table", "size": True, "zero": 0, "one": 0, "sum": [[0]]}),
+    # only the int -1 marks an undefined sum
+    ("algebra", {"type": "table", "size": 2, "zero": 0, "one": 1, "sum": [[0, 1], [1, -1.0]]}),
 ])
 def test_mistyped_json_is_malformed_input(capsys, tmp_path, cmd, doc):
     path = tmp_path / "in.json"

@@ -1,5 +1,6 @@
 """Binary operations, the S1..S5 battery, witnesses and their replay."""
 
+import time
 from itertools import product
 
 import pytest
@@ -119,6 +120,20 @@ def test_meet_rejects_non_boolean_shapes():
         meet_boolean(mo2())
     # a rank is an int: a bool or a float is refused, not read as one
     for r in (True, 2.0, "2"):
+        with pytest.raises(ValueError):
+            meet_boolean(r)
+
+
+def test_meet_refuses_a_large_rank_before_building_its_shape():
+    # the box of rank r has 2**r elements, counted where the count can be
+    # written; the refusal costs no time or memory that grows with r
+    for r, count in [(20, 2**20), (14000, 2**14000), (40000, None), (10**9, None)]:
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded) as exc:
+            meet_boolean(r)
+        assert time.perf_counter() - start < 0.01, r
+        assert exc.value.count == count, r
+    for r in (0, -3):
         with pytest.raises(ValueError):
             meet_boolean(r)
 

@@ -5,8 +5,11 @@ The reference functions below are the plain triple loops, kept here as
 oracles: every scan must report exactly the same least witness (or None) on
 every table, including tables that fail late, fail in definedness only, or
 have a single element.  That covers the restricted scans too: S4's
-composition clause read only at the sum generators once S1 holds, and
-associativity read only where one side is defined.
+composition clause read only at the sum generators once S1 holds;
+associativity read only where one side is defined, decided a row at a time
+by down-sets, and by counts on the rows that cancel, with the rows that do
+not cancel and the domains that are no down-sets tested on their own; and
+S5 with the centre masked out, on products whose centre is proper.
 
 The box sum and orthosupplement tables are read by index arithmetic (i + j
 when no coordinate carries, N - 1 - i); the coordinate-tuple loops they
@@ -589,6 +592,106 @@ def test_validation_on_random_partial_sum_tables():
     for rows in ([[0]], [[None]]):
         alg = TableAlgebra(1, 0, 0, rows)
         assert validate_table_algebra(alg).checks == validation_reference(alg)
+
+
+def merged_sums(alg, rng, count):
+    """Copies of the sum table in which a row b, and its column, sends two
+    of its defined c to the same sum, so that row b does not cancel."""
+    n = alg.size
+    s = alg.sum_table
+    wide = [b for b in range(n) if n - s[b].count(None) >= 2]
+    out = []
+    for _ in range(count):
+        rows = [list(row) for row in s]
+        b = rng.choice(wide)
+        c1, c2 = rng.sample([c for c in range(n) if s[b][c] is not None], 2)
+        rows[b][c2] = rows[c2][b] = s[b][c1]
+        out.append(TableAlgebra(n, alg.zero_index, alg.one_index, rows))
+    return out
+
+
+def test_validation_on_rows_that_do_not_cancel():
+    # {0, x, 1} with x (+) x = x (+) 1 = 1, so row x does not cancel.  At
+    # (x, x, 1) the left side (x (+) x) (+) 1 = 1 (+) 1 is undefined and the
+    # right side x (+) (x (+) 1) = x (+) 1 is not, although row x's sums
+    # that x can take, {x, 1}, are as many as D[x (+) x] = D[1] = {0, x}:
+    # that count decides a pair only where the row cancels
+    alg = TableAlgebra(3, 0, 2, [[0, 1, 2], [1, 2, 2], [2, 2, None]])
+    report = validate_table_algebra(alg)
+    assert report.checks == validation_reference(alg)
+    assert report.checks["associativity"] == {"a": 1, "b": 1, "c": 2}
+    rng = random.Random("scan-oracles/merged")
+    bases = [chain_table(4), mo2(), make_simplicial((2, 1)).to_table(),
+             make_simplicial((1, 1, 1)).to_table(), hsum_sigma((2, 3), rng)[0]]
+    fallbacks = 0
+    for base in bases:
+        for alg in merged_sums(base, rng, 40):
+            report = validate_table_algebra(alg)
+            assert report.checks == validation_reference(alg)
+            w = report.checks["associativity"]
+            if w is not None and alg.sum_table[w["a"]][w["b"]] is not None:
+                sums = [v for v in alg.sum_table[w["b"]] if v is not None]
+                fallbacks += len(set(sums)) < len(sums)
+    # failures at a defined pair whose row b does not cancel
+    assert fallbacks >= 40
+
+
+def test_validation_where_a_domain_is_not_a_down_set():
+    # the chain {0, 1, 2} without 0 (+) 1: D[0] = {0, 2} holds 2 = 1 (+) 1 but
+    # not 1, so the undefined pair (0, 1) fails at c = 1, where
+    # 0 (+) (1 (+) 1) = 2 is defined and (0 (+) 1) (+) 1 is not.  It is the
+    # least witness, though row 0's defined pairs hold
+    alg = TableAlgebra(3, 0, 2, [[0, None, 2], [None, 2, None], [2, None, None]])
+    report = validate_table_algebra(alg)
+    assert report.checks == validation_reference(alg)
+    assert report.checks["associativity"] == {"a": 0, "b": 1, "c": 1}
+    # the same with 0 (+) p removed for an atom p: no sum b (+) c with b and
+    # c nonzero is p, so every pair (0, b) before (0, p) holds
+    for base in (chain_table(4), mo2(), make_simplicial((1, 1, 1)).to_table()):
+        zero = base.zero_index
+        for p in base.atom_indices():
+            rows = [list(row) for row in base.sum_table]
+            rows[zero][p] = rows[p][zero] = None
+            alg = TableAlgebra(base.size, zero, base.one_index, rows)
+            w = validate_table_algebra(alg).checks["associativity"]
+            assert w == validation_reference(alg)["associativity"]
+            assert (w["a"], w["b"]) == (zero, p)
+
+
+def test_validation_of_exported_boolean_boxes():
+    for r in (6, 7):
+        table = make_simplicial((1,) * r).to_table()
+        report = validate_table_algebra(table)
+        assert report.ok
+        assert report.checks == validation_reference(table)
+    rng = random.Random("scan-oracles/b6")
+    for alg in flipped_sum_tables(make_simplicial((1,) * 6).to_table(), rng, 10):
+        assert validate_table_algebra(alg).checks == validation_reference(alg)
+
+
+def centre(prod):
+    """The c with c o x = x o c for every x."""
+    n = len(prod)
+    return [c for c in range(n) if all(prod[c][x] == prod[x][c] for x in range(n))]
+
+
+def test_s5_failures_with_a_proper_centre():
+    # on the swap twist of (1,1) only 0 commutes with every element
+    tau = tau_perm((1, 1), (2, 1))
+    table = tau.product_table()
+    assert centre(table) == [0]
+    assert check_s5(tau.algebra, table) == s5_reference(tau.algebra, table) == (1, 1, 1)
+    # a perturbed meet: a few elements leave the centre, the rest stay
+    rng = random.Random("scan-oracles/centre")
+    proper = 0
+    for r in (3, 4):
+        meet = meet_boolean(r)
+        alg = meet.algebra
+        for prod in perturbed(meet.product_table(), rng, 60):
+            want = s5_reference(alg, prod)
+            assert check_s5(alg, prod) == want
+            proper += want is not None and 0 < len(centre(prod)) < alg.size
+    assert proper >= 40
 
 
 ROW_LEMMA_ALGEBRAS = {
