@@ -52,7 +52,9 @@ def capped_power(base: int, exp: int, limit: int | None, what: str) -> int:
 class NodeBudgetExceeded(RuntimeError):
     """A backtracking search crossed its node budget before finishing.
 
-    `nodes` is the number of row assignments attempted before giving up.
+    `nodes` is the number of nodes visited, the one that crossed the budget
+    included: classes tried at supports, plus leaves in a pass that builds
+    tables.
     """
 
     def __init__(self, message: str, nodes: int | None = None):

@@ -3,21 +3,22 @@
 The S1+S2 candidate space on a box is a Cartesian product: one u-subunital
 matrix per element with the top row pinned to the identity, so it can be
 counted by formula and enumerated directly.  For S3 and beyond one S3-pruned
-depth-first search runs over the elements in canonical order, keeping the
-bidirectional zero condition (M_a b = 0 iff M_b a = 0) against every
-previously assigned row.  For a nonnegative matrix M, M x = 0 exactly when
-supp(x) lies in M's zero-column set Z, so the condition sees a row only
-through its class Z: the search assigns classes, not matrices, and each
-element keeps the set of classes (at most 2^r of them) still allowed for it.
-Its input is a few kinds of pool matrices, each listed by class, and the
-kind each element's row takes.  An S1-S3 count needs no matrix: it is the
-sum over class assignments of the product of the list lengths.  When tables
-are needed (the listed S1-S3 operations, every S4/S5 leaf) each class
-assignment is expanded into the product of its rows' lists; the leaves are
-index tables assembled from the pool matrices' actions, S4 and S5 are
-filtered on those tables by operations.CHECKS_GIVEN_S1 (every leaf passes
-S1; see check_s4_given_s1), and an Operation is built only for a survivor
-that is kept.  An S4/S5 search lists for row a only the pool matrices with
+depth-first search keeps the bidirectional zero condition (M_a b = 0 iff
+M_b a = 0).  For a nonnegative matrix M, M x = 0 exactly when supp(x) lies
+in M's zero-column set Z, so the condition sees a row only through its class
+Z, and it forces elements of equal support to take equal classes: the search
+assigns one class to each nonempty support below the top (at most 2^r - 1 of
+them, singletons first), not one matrix to each element.  Its input is a few
+kinds of pool matrices, each listed by class, and the kind each element's row
+takes.  An S1-S3 count needs no matrix: it is the sum over class assignments
+of the product of the list lengths.  When tables are needed (the listed S1-S3
+operations, every S4/S5 leaf) each class assignment is expanded into the
+product of its elements' lists; the leaves are index tables assembled from
+the pool matrices' actions, S4 and S5 are filtered on those tables by
+operations.CHECKS_GIVEN_S1 (every leaf passes S1; see check_s4_given_s1), and
+an Operation is built only for a survivor that is kept.  A node is one class
+tried at one support, and a pass that builds tables also charges one node
+per leaf.  An S4/S5 search lists for row a only the pool matrices with
 M u = a: with the zero and identity rows pinned, any other row breaks S4 at
 the instance (a, 0), so this removes no survivor, and an element with no such
 matrix (as on (2, 2), where M u = (1, 0) has no solution) ends the search at
@@ -46,7 +47,7 @@ classified at once.  full_bruteforce_ops is its list for one k.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from collections import Counter
 from functools import cached_property
 from itertools import compress, product
 from operator import itemgetter, mul
@@ -162,9 +163,9 @@ class _Pool:
     of an operation: the product of the per-row lists (maps.enumerate_rows),
     in enumerate_subunital's order (last row fastest), subunital by
     construction.  Everything is built on first use, and the search reads
-    only rows before its first leaf (_candidates), so a count by classes, or
-    a search that ends before its first leaf, lists no matrix and builds no
-    action row."""
+    only rows (_candidates) and supports before its first leaf, so a count
+    by classes, or a search that ends before its first leaf, lists no matrix
+    and builds no action row."""
 
     def __init__(self, u: Sequence[int]):
         self.alg = make_simplicial(u)
@@ -182,6 +183,15 @@ class _Pool:
     @cached_property
     def actions(self) -> Table:
         return matrix_actions(self.alg, self.matrices)
+
+    @cached_property
+    def supports(self) -> list[int]:
+        """Per element, in canonical order, the bitmask of its nonzero
+        coordinates."""
+        supports = [0]
+        for j, uj in enumerate(self.alg.shape.u):
+            supports = [s | (c > 0) << j for c in range(uj + 1) for s in supports]
+        return supports
 
     @cached_property
     def top(self) -> int:
@@ -282,85 +292,74 @@ def _candidates(pool: _Pool, k: int) -> _Candidates:
     return classes, kinds, kind_of
 
 
-def _s3_assignments(pool: _Pool, candidates: _Candidates, per_matrix: bool,
-                    node_budget: int) -> Iterator[tuple[list[int], int]]:
-    """Yield (class of each of rows 0..N-2, weight) for every assignment of
-    classes to rows, row a drawing from its kind's lists (_candidates), that
-    keeps M_a b = 0 iff M_b a = 0 for every pair of elements a, b below the
-    top.
+def _capped_power(base: int, exp: int) -> int:
+    """min(base ** exp, COUNT_LIMIT), not computed when its lower bound
+    2 ** (exp * (base.bit_length() - 1)) already reaches COUNT_LIMIT."""
+    if exp * (base.bit_length() - 1) >= COUNT_LIMIT.bit_length():
+        return COUNT_LIMIT
+    return min(base**exp, COUNT_LIMIT)
 
-    For nonnegative M, M x = 0 exactly when supp(x) lies in M's zero-column
-    set Z, so the condition sees a row only through its class Z.  Each
-    element keeps the classes still allowed for it as a bitmask over the
-    classes, starting at the classes its kind has a member of, and a choice
-    narrows the sets of the later elements.  The weight of a class for row a
-    is the number of its members in a's kind, and the weight of an
-    assignment the product along it, capped at COUNT_LIMIT: the number of
-    matrix assignments it stands for.  Every class tried has a member, so a
-    path's weight never falls below an ancestor's, and a capped weight can
-    only feed a count at or past COUNT_LIMIT.
 
-    A choice narrows a later element only through that element's support,
-    so elements with the same support and the same starting class set are
-    always narrowed alike: they form one group, which keeps one class set and
-    is narrowed only while it has an element deeper than the current one.  A
-    node then costs one step per such group, not one per later element.
+def _s3_assignments(pool: _Pool, candidates: _Candidates, node_budget: int,
+                    charge_leaves: bool) -> Iterator[tuple[list[int], int]]:
+    """Yield (class of each support, weight) for every assignment of one
+    zero-column class to each nonempty support below the top that keeps
+    M_a b = 0 iff M_b a = 0 for every pair of elements a, b below the top,
+    row a drawing from its kind's lists (_candidates).  Between supports s
+    and t the condition reads: s lies in Z_t iff t lies in Z_s.  Each support
+    keeps its allowed classes as a bitmask, starting at those with a member
+    in every kind of its elements, and a choice narrows the later ones.  The
+    yielded list is indexed by support bitmask and reused: copy it to keep
+    it.  At the empty support, element 0's, it holds the zero matrix's class.
 
-    Without per_matrix one node is one class tried.  Every matrix of a class
-    has the same subtree, so a search trying one matrix per node would visit
-    w nodes where a class on a path of weight w is tried; per_matrix charges
-    those w nodes, the count that listing and S4/S5 searches report.
-    Crossing node_budget raises, reporting node_budget + 1 nodes, as a
-    search charging one node at a time would.  The yielded list is reused:
-    copy it to keep it.
+    A class's weight for a support is the product, one power per kind, each
+    capped at COUNT_LIMIT, of its members in the kinds of the support's
+    elements; an assignment's weight, the product along it capped at
+    COUNT_LIMIT, is the number of leaves (matrix assignments) it stands for.
+    A capped weight only feeds a count at or past COUNT_LIMIT, since every
+    class tried has a member.  One node is one class tried at one
+    support; with charge_leaves, for a pass that builds tables, one leaf is
+    one node more.  Crossing node_budget raises, reporting node_budget + 1
+    nodes, as a search charging one node at a time would.
     """
     classes, kinds, kind_of = candidates
-    shape = pool.alg.shape
-    n = shape.size
-    # per element, the bitmask of its nonzero coordinates
-    supports = [0]
-    for j, uj in enumerate(shape.u):
-        supports = [s | (c > 0) << j for c in range(uj + 1) for s in supports]
-
-    def zero_at(support: int) -> int:
-        """The classes sending an element of this support to 0."""
-        return sum(1 << c for c, z in enumerate(classes) if not support & ~z)
-
-    # per kind, the number of its members of each class and the classes it
-    # has any of; then per element, those of its kind
     bits = [1 << c for c in range(len(classes))]
     sizes = [list(map(len, lists)) for lists in kinds]
-    starts = [sum(compress(bits, counts)) for counts in sizes]
-    weight = [sizes[t] for t in kind_of]
-    allowed = [starts[t] for t in kind_of]
-    if not all(allowed):
+    if not all(any(sizes[t]) for t in set(kind_of)):
         return
-    # the groups, numbered by their deepest element, so the groups still
-    # narrowed below depth pos are those from bisect_right(deepest, pos) on
-    keys = list(zip(supports, allowed))
-    deepest_of = {key: a for a, key in enumerate(keys)}
-    group_keys = sorted(deepest_of, key=deepest_of.get)
-    deepest = [deepest_of[key] for key in group_keys]
-    number = {key: g for g, key in enumerate(group_keys)}
-    group = [number[key] for key in keys]
-    # kills[c]: the groups that class c sends to 0; zero_at_group[g]: the
-    # classes sending group g to 0
-    kills = [sum(1 << g for g, (s, _) in enumerate(group_keys) if not s & ~z)
-             for z in classes]
-    zero_at_group = [zero_at(s) for s, _ in group_keys]
-    last = n - 2
-    choice = [0] * (n - 1)
-    # per depth: the class sets of the groups, the weight of the path above
-    # it, and the untried classes at it.  The class sets are kept as tuples:
-    # CPython stops tracking a tuple of ints, so the up to 10^6 per-depth
-    # sets are not walked by every full garbage collection.
-    allowed_at = [tuple(a for _, a in group_keys)] + [None] * last
-    weight_at = [1] * (n - 1)
-    untried = [allowed[0]] + [0] * last
-    limit = COUNT_LIMIT
+    # per nonempty support below the top, the weight of each class: the
+    # product over its elements' kinds t, m elements each, of sizes[t] ** m
+    weight_of: dict[int, list[int]] = {}
+    for (s, t), m in Counter(zip(pool.supports, kind_of)).items():
+        if s:
+            ws = sizes[t] if m == 1 else [_capped_power(x, m) for x in sizes[t]]
+            weight_of[s] = list(map(mul, weight_of[s], ws)) if s in weight_of else ws
+    order = sorted(weight_of, key=lambda s: (s & (s - 1) != 0, s))
+    weights = [weight_of[s] for s in order]
+    allowed = [sum(compress(bits, w)) for w in weights]
+    # kills[c]: the positions whose support class c sends to 0; zero_at[p]:
+    # the classes sending the support at position p to 0
+    kills = [sum(1 << p for p, s in enumerate(order) if not s & ~z) for z in classes]
+    zero_at = [sum(1 << c for c, z in enumerate(classes) if not s & ~z) for s in order]
+    over = f"S3 search exceeded the node budget {node_budget}"
+    depth = len(order)
+    choice = [len(classes) - 1] * (1 << pool.alg.shape.r)
+    # per depth: the class sets, the weight of the path above it, and the
+    # untried classes at it
+    allowed_at = [allowed] + [None] * depth
+    weight_at = [1] * (depth + 1)
+    untried = allowed[:1] + [0] * depth
     nodes = 0
     pos = 0
     while pos >= 0:
+        if pos == depth:
+            if charge_leaves:
+                nodes += weight_at[pos]
+                if nodes > node_budget:
+                    raise NodeBudgetExceeded(over, nodes=node_budget + 1)
+            yield choice, weight_at[pos]
+            pos -= 1
+            continue
         m = untried[pos]
         if not m:
             pos -= 1
@@ -368,34 +367,24 @@ def _s3_assignments(pool: _Pool, candidates: _Candidates, per_matrix: bool,
         low = m & -m
         untried[pos] = m ^ low
         c = low.bit_length() - 1
-        w = weight_at[pos] * weight[pos][c]
-        if w > limit:
-            w = limit
-        nodes += w if per_matrix else 1
+        nodes += 1
         if nodes > node_budget:
-            raise NodeBudgetExceeded(
-                f"S3 search exceeded the node budget {node_budget}", nodes=node_budget + 1
-            )
-        choice[pos] = c
-        if pos == last:
-            yield choice, w
-            continue
+            raise NodeBudgetExceeded(over, nodes=node_budget + 1)
+        choice[order[pos]] = c
         zm = kills[c]
-        za = zero_at_group[group[pos]]
-        narrowed = list(allowed_at[pos])
-        for g in range(bisect_right(deepest, pos), len(deepest)):
-            if (zm >> g) & 1:
-                na = narrowed[g] & za
-            else:
-                na = narrowed[g] & ~za
-            if na == 0:
+        za = zero_at[pos]
+        narrowed = allowed_at[pos].copy()
+        for t in range(pos + 1, depth):
+            na = narrowed[t] & (za if zm >> t & 1 else ~za)
+            if not na:
                 break
-            narrowed[g] = na
+            narrowed[t] = na
         else:
             pos += 1
-            allowed_at[pos] = tuple(narrowed)
-            weight_at[pos] = w
-            untried[pos] = narrowed[group[pos]]
+            allowed_at[pos] = narrowed
+            weight_at[pos] = min(weight_at[pos - 1] * weights[pos - 1][c], COUNT_LIMIT)
+            if pos < depth:
+                untried[pos] = narrowed[pos]
 
 
 def _s1sk_survivors(pool: _Pool, k: int, candidates: _Candidates,
@@ -403,14 +392,15 @@ def _s1sk_survivors(pool: _Pool, k: int, candidates: _Candidates,
     """Yield (pool indices of every row, product table) for every S1..Sk
     operation, grouped by class assignment: each assignment of
     _s3_assignments under the identity top row is expanded into the product
-    of its rows' lists of candidates (_candidates(pool, k)), each leaf's
-    table assembled from the pool matrices' actions and, for k >= 4,
-    filtered by S4..Sk as check_axioms checks a table that passes S1."""
+    of its elements' lists of candidates (_candidates(pool, k)) for their
+    supports' classes, each leaf's table assembled from the pool matrices'
+    actions and, for k >= 4, filtered by S4..Sk as check_axioms checks a
+    table that passes S1."""
     alg = pool.alg
     later = CHECKS_GIVEN_S1[3:k]
     _, kinds, kind_of = candidates
-    for choice, _ in _s3_assignments(pool, candidates, True, node_budget):
-        for rows in product(*[kinds[t][c] for t, c in zip(kind_of, choice)]):
+    for choice, _ in _s3_assignments(pool, candidates, node_budget, charge_leaves=True):
+        for rows in product(*[kinds[t][choice[s]] for t, s in zip(kind_of, pool.supports)]):
             rows = pool.with_top(rows)
             table = pool.table(rows)
             for check in later:
@@ -440,7 +430,7 @@ def enumerate_s1sk(u: Sequence[int], k: int, cap: int = DEFAULT_OP_CAP,
     candidates = _candidates(pool, k)
     if k == 3:
         class_count = 0
-        for _, w in _s3_assignments(pool, candidates, False, node_budget):
+        for _, w in _s3_assignments(pool, candidates, node_budget, charge_leaves=False):
             class_count += w
             if class_count >= COUNT_LIMIT:
                 raise CapExceeded(f"S1-S3 operations on {u}: more than 4300 digits")

@@ -450,8 +450,8 @@ def test_s1s4_existence_refuses_an_oversized_boolean_box_before_building_the_mee
 
 
 def test_s1s4_existence_reports_undecided_on_a_tiny_budget():
-    # (2, 1, 1, 1) needs 4 nodes; (2, 2) is decided before its first one
-    res = exists_s1s4((2, 1, 1, 1), node_budget=3)
+    # (2, 1, 1, 1) needs 3 nodes; (2, 2) is decided before its first one
+    res = exists_s1s4((2, 1, 1, 1), node_budget=2)
     assert res.exists is None
     assert res.certificate == "undecided"
     assert res.witness is None
@@ -489,8 +489,8 @@ def test_the_leaf_filter_checks_s4_with_the_shared_check(monkeypatch):
 
 
 def test_a_chain_of_a_hundred_thousand_elements_counts_in_linear_time():
-    # a node costs one step per group of elements with the same support and
-    # starting classes, two groups on a chain, not one step per later element
+    # the search assigns one class to the chain's one support, not one to
+    # each of its 10^5 elements; the set-up is linear in the elements
     assert enumerate_s1sk((10**5,), 3, cap=0).count == 1
 
 

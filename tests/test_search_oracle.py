@@ -2,10 +2,12 @@
 
 pool_index_survivors below is the earlier depth-first search, kept here as an
 oracle: it narrows, per element, the bitmask of pool matrices still allowed,
-one node per matrix tried.  The library narrows sets of zero-column classes
-instead, and counts S1-S3 operations by class weights.  Listing must give the
-same operations in the same order, every count must agree, and a node budget
-must trip exactly where the oracle's does.
+one node per matrix tried.  The library narrows sets of zero-column classes,
+one per support, instead, and counts S1-S3 operations by class weights.
+Listing must give the same operations in the same order, every count must
+agree, and the leaves a listing charges to its node budget must be the
+oracle's leaves.  The oracle's own listings check the support lemma the
+class search rests on.
 
 For k >= 4 the library tries for row a only pool matrices with M u = a (S4 at
 the instance (a, 0)).  Without masks the oracle walks every S3 leaf and is the
@@ -57,11 +59,11 @@ def right_unit_masks(alg, pool):
             for coords in alg.shape.all_coords[:-1]]
 
 
-def pool_index_survivors(alg, pool, k, node_budget, stats=None, masks=None):
+def pool_index_survivors(alg, pool, k, stats=None, masks=None):
     """Yield (pool indices of rows 0..N-2, product table) for every S1..Sk
     operation, depth-first over pool indices, row a restricted to masks[a]
-    when masks is given; stats["nodes"] gets the node count of a complete
-    run."""
+    when masks is given; stats["leaves"] gets the number of S3 leaves of a
+    complete run."""
     n = alg.size
     npool = len(pool)
     action = coordinate_actions(alg, pool)
@@ -84,7 +86,7 @@ def pool_index_survivors(alg, pool, k, node_budget, stats=None, masks=None):
     choice = [0] * (n - 1)
     allowed_at = [allowed] + [None] * last
     untried = [allowed[0]] + [0] * last
-    nodes = 0
+    leaves = 0
     pos = 0
     while pos >= 0:
         m = untried[pos]
@@ -94,11 +96,9 @@ def pool_index_survivors(alg, pool, k, node_budget, stats=None, masks=None):
         low = m & -m
         untried[pos] = m ^ low
         mi = low.bit_length() - 1
-        nodes += 1
-        if nodes > node_budget:
-            raise NodeBudgetExceeded("over budget", nodes=nodes)
         choice[pos] = mi
         if pos == last:
+            leaves += 1
             table = tuple(action[i] for i in choice) + (top_row,)
             if not any(check(alg, table) for check in leaf_checks):
                 yield tuple(choice), table
@@ -118,19 +118,18 @@ def pool_index_survivors(alg, pool, k, node_budget, stats=None, masks=None):
             allowed_at[pos] = narrowed
             untried[pos] = narrowed[pos]
     if stats is not None:
-        stats["nodes"] = nodes
+        stats["leaves"] = leaves
 
 
-def _oracle(u, k, node_budget=10**9, filtered=False):
-    """(pool, survivors, nodes of the complete run); a budget trip raises.
-    filtered restricts rows by right_unit_masks, as the library does for
-    k >= 4."""
+def _oracle(u, k, filtered=False):
+    """(pool, survivors, S3 leaves of the complete run).  filtered restricts
+    rows by right_unit_masks, as the library does for k >= 4."""
     alg = make_simplicial(u)
     pool = [M.rows for M in enumerate_subunital(u, u)]
     masks = right_unit_masks(alg, pool) if filtered else None
-    stats = {"nodes": 0}  # kept when the search ends before its first node
-    leaves = list(pool_index_survivors(alg, pool, k, node_budget, stats, masks))
-    return pool, leaves, stats["nodes"]
+    stats = {"leaves": 0}  # kept when the search ends before its first node
+    survivors = list(pool_index_survivors(alg, pool, k, stats, masks))
+    return pool, survivors, stats["leaves"]
 
 
 SHAPES = [(1,), (2,), (3,), (4,), (1, 1), (2, 1), (3, 1), (2, 2), (4, 1), (3, 2)]
@@ -154,63 +153,103 @@ def test_listing_and_counts_match_the_oracle(u):
             assert _oracle(u, k, filtered=True)[1] == leaves, (u, k)
 
 
-def _outcome(count, u, k, budget):
+@pytest.mark.parametrize("u", SHAPES)
+def test_elements_of_equal_support_take_equal_classes(u):
+    # the lemma the class search rests on, read off the oracle's listing with
+    # no library search: in an S1-S3 operation, S3 between a and b of support
+    # {j} says j lies in Z_a iff supp(a) lies in Z_b, so elements of equal
+    # support have equal zero-column classes
+    alg = make_simplicial(u)
+    pool = [M.rows for M in enumerate_subunital(u, u)]
+    zero_columns = [sum(1 << j for j in range(len(u)) if not any(row[j] for row in M))
+                    for M in pool]
+    supports = [sum(1 << j for j, x in enumerate(coords) if x)
+                for coords in alg.shape.all_coords]
+    for choice, _ in pool_index_survivors(alg, pool, 3):
+        class_of = {}
+        for s, i in zip(supports, choice):
+            assert class_of.setdefault(s, zero_columns[i]) == zero_columns[i], (u, choice)
+
+
+def _trips(run, budget):
+    """Whether run(budget) crosses its node budget; a trip reports budget + 1."""
     try:
-        return "done", count(u, k, budget)
+        run(budget)
     except NodeBudgetExceeded as exc:
-        return "budget", exc.nodes
+        assert exc.nodes == budget + 1
+        return True
+    return False
 
 
-def test_budget_trips_where_the_oracle_trips():
-    def oracle_count(u, k, budget):
-        return len(_oracle(u, k, budget, filtered=True)[1])
+def _complete_nodes(run):
+    """T, the nodes of a complete run: the least budget run finishes within."""
+    lo, hi = -1, 0  # run trips at lo (none at -1) and finishes at hi
+    while _trips(run, hi):
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _trips(run, mid) else (lo, mid)
+    return hi
 
-    def library_count(u, k, budget):
-        return enumerate_s1sk(u, k, node_budget=budget).count
 
-    trips = 0
-    for u in [(2, 2), (3, 1), (2, 1, 1), (1, 1, 1), (2, 1, 1, 1)]:
-        for k in (4, 5):
-            for budget in (1, 37, 1000, 5000):
-                want = _outcome(oracle_count, u, k, budget)
-                assert _outcome(library_count, u, k, budget) == want, (u, k, budget)
-                if has_obstruction_atom(make_simplicial(u)):
-                    # a Boolean box gets its witness without a search
-                    undecided = exists_s1s4(u, node_budget=budget).exists is None
-                    assert undecided == (want[0] == "budget"), (u, k, budget)
-                trips += want[0] == "budget"
-    # (3, 1), (2, 1, 1) and (2, 1, 1, 1) trip at budget 1, (1, 1, 1) also at 37
-    assert trips == 10
-
-    def unfiltered_count(u, k, budget):
-        return len(_oracle(u, k, budget)[1])
-
-    # a k = 3 listing charges each class the matrices it stands for, so these
-    # budgets are crossed inside a class, and it reports budget + 1 as the
-    # oracle does; (2, 2) and (3, 1) list 3,687 and 2,495 nodes in full
-    for u in [(2, 2), (3, 1)]:
-        for budget in (37, 100, 1000):
-            want = _outcome(unfiltered_count, u, 3, budget)
-            assert want == ("budget", budget + 1), (u, budget)
-            assert _outcome(library_count, u, 3, budget) == want, (u, budget)
+def _listing(u, k):
+    return lambda budget: enumerate_s1sk(u, k, node_budget=budget).count
 
 
 def test_node_count_of_a_complete_run_matches_the_oracle():
-    # a complete run of T nodes passes at budget T and trips at T - 1; at
-    # k = 3 the listing pass is the one with the oracle's nodes, and at k >= 4
-    # the oracle walks the right-unit-filtered tree
+    # a complete run of T nodes passes at budget T and trips at T - 1,
+    # reporting T.  T is the classes tried at supports plus, in a pass that
+    # builds tables, one node per leaf, so T less the nodes of the class
+    # search alone is the oracle's count of S3 leaves: unfiltered at k = 3,
+    # where the listing pass is the larger of the two, and over the
+    # right-unit-filtered tree at k >= 4
     runs = [(u, 3) for u in [(2, 2), (3, 1)]]
     runs += [(u, k) for u in [(1, 1), (3, 1), (2, 1, 1), (1, 1, 1)] for k in (4, 5)]
+    totals = {}
     for u, k in runs:
-        _, leaves, total = _oracle(u, k, filtered=k >= 4)
-        assert total >= 1, (u, k)
-        assert enumerate_s1sk(u, k, node_budget=total).count == len(leaves)
-        with pytest.raises(NodeBudgetExceeded) as exc:
-            enumerate_s1sk(u, k, node_budget=total - 1)
-        assert exc.value.nodes == total
+        _, survivors, leaves = _oracle(u, k, filtered=k >= 4)
+        run = _listing(u, k)
+        total = _complete_nodes(run)
+        assert run(total) == len(survivors), (u, k)
+        assert total == 0 or _trips(run, total - 1), (u, k)
+        pool = search._Pool(u)
+        candidates = search._candidates(pool, k)
+        classes_tried = _complete_nodes(lambda budget: list(search._s3_assignments(
+            pool, candidates, budget, charge_leaves=False)))
+        assert total - classes_tried == leaves, (u, k)
+        totals[u, k] = total
+    # (2, 2) lists 13 classes tried and 2,000 leaves, (3, 1) 13 and 695;
     # (1, 1) and (1, 1, 1) keep one survivor each at k = 4 and 5
+    assert totals == {((2, 2), 3): 2013, ((3, 1), 3): 708, ((1, 1), 4): 6, ((1, 1), 5): 6,
+                      ((3, 1), 4): 1, ((3, 1), 5): 1, ((2, 1, 1), 4): 2, ((2, 1, 1), 5): 2,
+                      ((1, 1, 1), 4): 56, ((1, 1, 1), 5): 56}
     assert [len(_oracle(u, k, filtered=True)[1]) for u in [(1, 1), (1, 1, 1)]
             for k in (4, 5)] == [1, 1, 1, 1]
+
+
+def test_budget_trips_below_the_node_count_of_a_complete_run():
+    # from a complete run's T nodes up every budget finishes, with the
+    # oracle's count, and below T every budget trips; on an obstructed box
+    # exists_s1s4 is undecided exactly below T
+    trips = 0
+    for u in [(2, 2), (3, 1), (2, 1, 1), (1, 1, 1), (2, 1, 1, 1)]:
+        obstructed = has_obstruction_atom(make_simplicial(u))
+        for k in (4, 5):
+            count = len(_oracle(u, k, filtered=True)[1])
+            run = _listing(u, k)
+            total = _complete_nodes(run)
+            for budget in (1, 37, 1000, 5000):
+                assert _trips(run, budget) if budget < total else run(budget) == count
+                if obstructed:
+                    undecided = exists_s1s4(u, node_budget=budget).exists is None
+                    assert undecided == (budget < total), (u, k, budget)
+                trips += budget < total
+    # (2, 1, 1) and (2, 1, 1, 1) trip at budget 1, (1, 1, 1) also at 37
+    assert trips == 8
+    # a k = 3 listing charges its leaves, 2,000 on (2, 2) and 695 on (3, 1)
+    for u in [(2, 2), (3, 1)]:
+        for budget in (37, 100, 600):
+            assert _trips(_listing(u, 3), budget), (u, budget)
 
 
 def test_an_index_level_obstruction_ends_the_search_at_zero_nodes():
