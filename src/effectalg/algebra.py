@@ -60,17 +60,20 @@ def _nothing(row) -> tuple:
     return ()
 
 
-def _row_reader(row) -> tuple[list[int], list[int], Callable, Callable]:
+def _row_domain(row) -> tuple[list[int], list[int]]:
     """For a sum-table row b: its domain, the c with b (+) c defined, in c
-    order; the sums b (+) c there; and two getters that read any row at
-    each of them as a tuple.  A one-index domain is read twice, since
-    itemgetter of one index gives a scalar; an empty one reads ()."""
+    order, and the sums b (+) c there."""
     dom = [c for c, v in enumerate(row) if v is not None]
-    sums = [row[c] for c in dom]
-    if not dom:
-        return dom, sums, _nothing, _nothing
-    twice = 2 if len(dom) == 1 else 1
-    return dom, sums, itemgetter(*dom * twice), itemgetter(*sums * twice)
+    return dom, [row[c] for c in dom]
+
+
+def _reader(indices: list[int]) -> Callable:
+    """A getter that reads any row at indices, as a tuple.  A one-index list
+    is read twice, since itemgetter of one index gives a scalar; an empty
+    one reads ()."""
+    if not indices:
+        return _nothing
+    return itemgetter(*indices * (2 if len(indices) == 1 else 1))
 
 
 class _ShapeFields(NamedTuple):
@@ -217,15 +220,15 @@ class FiniteEffectAlgebra:
     def atom_sums(self) -> AtomSums:
         """Per atom p, in atom_indices() order, (p, at_xs, at_ks): at_xs reads
         a row at the x for which p (+) x is defined, in x order, and at_ks
-        reads it at those sums, each as a tuple (see _row_reader); memoized.
+        reads it at those sums, each as a tuple (see _reader); memoized.
         They are read off row p, which is column p where the sum commutes,
         as it does wherever _laws_hold."""
         if self._atom_sums is None:
             sums = self.oplus_table()
             out = []
             for p in self.atom_indices():
-                _, _, at_xs, at_ks = _row_reader(sums[p])
-                out.append((p, at_xs, at_ks))
+                xs, ks = _row_domain(sums[p])
+                out.append((p, _reader(xs), _reader(ks)))
             self._atom_sums = tuple(out)
         return self._atom_sums
 
@@ -565,21 +568,26 @@ def validate_table_algebra(alg: TableAlgebra) -> ValidationReport:
     def associativity():
         # mask[b] has the bits of D[b], size[b] is |D[b]| and reach[b] has
         # the bits of every defined b (+) c; at_dom[b](row) reads row at D[b],
-        # through[b](row) at each b (+) c in the same order, and own[b] is
-        # at_dom[b](row b).  below[x] has the bit of every b with x = b (+) c
-        # for some c, and cancels[b] says that c |-> b (+) c is one-to-one
-        doms, mask, size, reach, at_dom, through, own, cancels = ([] for _ in range(8))
+        # and own[b] is at_dom[b](row b).  below[x] has the bit of every b
+        # with x = b (+) c for some c, and cancels[b] says that c |-> b (+) c
+        # is one-to-one; only a row that does not cancel gets through[b], a
+        # reader of any row at each b (+) c in D[b]'s order
+        doms, mask, size, reach, at_dom, own, cancels = ([] for _ in range(7))
+        through = {}
         below = [0] * n
         for b, row in enumerate(s):
-            dom, sums, at, thru = _row_reader(row)
+            dom, sums = _row_domain(row)
+            at = _reader(dom)
             doms.append(dom)
             mask.append(_bits(dom))
             size.append(len(dom))
             reach.append(_bits(sums))
             at_dom.append(at)
-            through.append(thru)
             own.append(at(row))
-            cancels.append(len(set(sums)) == len(sums))
+            cancel = len(set(sums)) == len(sums)
+            cancels.append(cancel)
+            if not cancel:
+                through[b] = _reader(sums)
             bit = 1 << b
             for x in sums:
                 below[x] |= bit

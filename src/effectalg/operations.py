@@ -76,8 +76,8 @@ class Operation:
                  *, _assembled: bool = False):
         self.algebra = algebra
         if _assembled:
-            # valid by construction, so not re-checked: a search candidate's
-            # pool matrices and the table of their actions (search._Pool.operation),
+            # valid by construction, so not re-checked: a kept survivor's pool
+            # matrices and their action rows, one gather (search._Pool.operation),
             # a raw-table oracle's generated rows (search.bruteforce_prefixes), or
             # a checked table and the matrices of its rows (from_full_table)
             self.matrices = matrices

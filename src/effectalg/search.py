@@ -11,12 +11,16 @@ assigns one class to each nonempty support below the top (at most 2^r - 1 of
 them, singletons first), not one matrix to each element.  Its input is a few
 kinds of pool matrices, each listed by class, and the kind each element's row
 takes.  An S1-S3 count needs no matrix: it is the sum over class assignments
-of the product of the list lengths.  When tables are needed (the listed S1-S3
-operations, every S4/S5 leaf) each class assignment is expanded into the
-product of its elements' lists; the leaves are index tables assembled from
-the pool matrices' actions, S4 and S5 are filtered on those tables by
-operations.CHECKS_GIVEN_S1 (every leaf passes S1; see check_s4_given_s1), and
-an Operation is built only for a survivor that is kept.  A node is one class
+of the product of the list lengths.  A listing, and every S4/S5 search,
+expands each class assignment into the product of its elements' lists; a
+leaf is the tuple of its rows' pool indices.  At k = 3 every leaf is an
+operation and no table is built.  At k >= 4 each leaf's table is assembled
+from the pool matrices' actions and filtered by S4 and S5 as
+operations.CHECKS_GIVEN_S1 checks it (every leaf passes S1; see
+check_s4_given_s1).  Survivors stay pool-index tuples through the canonical
+sort, and each kept one becomes an Operation by one gather of its matrices
+and its action rows (_Pool.operation), whose row tuples
+SearchResult.to_json hands to the encoder as they are.  A node is one class
 tried at one support, and a pass that builds tables also charges one node
 per leaf.  An S4/S5 search lists for row a only the pool matrices with
 M u = a: with the zero and identity rows pinned, any other row breaks S4 at
@@ -49,7 +53,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import compress, product
+from itertools import compress, islice, product
 from operator import itemgetter, mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -85,7 +89,9 @@ class SearchResult(NamedTuple):
 
     A NamedTuple like the other records.  certificate is "exhaustive" or
     "formula"; operations is None when the count exceeded the cap, and a
-    caller drops a listing with res._replace(operations=None)."""
+    caller drops a listing with res._replace(operations=None).  to_json
+    gives each operation's product table as it is, a tuple of row tuples,
+    which json encodes as the arrays that list rows would give."""
 
     u: tuple[int, ...]
     k: int
@@ -101,9 +107,7 @@ class SearchResult(NamedTuple):
             "certificate": self.certificate,
         }
         if self.operations is not None:
-            out["operations"] = [
-                [list(row) for row in op.product_table()] for op in self.operations
-            ]
+            out["operations"] = [op.product_table() for op in self.operations]
         return out
 
 
@@ -202,20 +206,15 @@ class _Pool:
             index = index * len(choices) + choices.index(e)
         return index
 
-    def with_top(self, choice: Sequence[int]) -> tuple[int, ...]:
-        """Pool indices for rows 0..N-2, then the identity's for the top row."""
-        return (*choice, self.top)
-
-    def table(self, rows: Sequence[int]) -> Table:
-        """The product table of the operation whose row a is matrix rows[a]."""
-        return tuple(map(self.actions.__getitem__, rows))
-
-    def operation(self, rows: Sequence[int], table: Table) -> Operation:
-        """That operation, with its table self.table(rows) given.  Neither is
-        re-checked: the pool matrices are u-subunital, and every entry of the
-        table is the index of some M x <= M u <= u, so it lies in the box."""
-        return Operation(self.alg, matrices=tuple(map(self.matrices.__getitem__, rows)),
-                         table=table, _assembled=True)
+    def operation(self, rows: Sequence[int]) -> Operation:
+        """The operation whose row a is pool matrix rows[a], its matrices and
+        its product table gathered by one itemgetter.  Neither is re-checked:
+        the pool matrices are u-subunital, and every entry of an action row is
+        the index of some M x <= M u <= u, so it lies in the box.  A box has
+        at least two elements, so the getter gives tuples."""
+        pick = itemgetter(*rows)
+        return Operation(self.alg, matrices=pick(self.matrices), table=pick(self.actions),
+                         _assembled=True)
 
 
 def _matrix_families(u: Sequence[int], pin_top: bool, cap: int) -> Iterator[Operation]:
@@ -227,10 +226,8 @@ def _matrix_families(u: Sequence[int], pin_top: bool, cap: int) -> Iterator[Oper
     capped_power(count_subunital(u, u), free, cap,
                  "S1+S2 operations" if pin_top else "S1 operations")
     pool = _Pool(u)
-    choices = product(range(len(pool.matrices)), repeat=free)
-    if pin_top:
-        choices = map(pool.with_top, choices)
-    return (pool.operation(rows, pool.table(rows)) for rows in choices)
+    top = [(pool.top,)] if pin_top else []
+    return map(pool.operation, product(*[range(len(pool.matrices))] * free, *top))
 
 
 def enumerate_s1(u: Sequence[int], cap: int = DEFAULT_OP_CAP) -> Iterator[Operation]:
@@ -308,9 +305,13 @@ def _s3_assignments(pool: _Pool, candidates: _Candidates, node_budget: int,
     row a drawing from its kind's lists (_candidates).  Between supports s
     and t the condition reads: s lies in Z_t iff t lies in Z_s.  Each support
     keeps its allowed classes as a bitmask, starting at those with a member
-    in every kind of its elements, and a choice narrows the later ones.  The
-    yielded list is indexed by support bitmask and reused: copy it to keep
-    it.  At the empty support, element 0's, it holds the zero matrix's class.
+    in every kind of its elements, and a choice at a singleton narrows the
+    later ones.  Past the singletons nothing is narrowed: they fix, for every
+    later t and every j, j in Z_t iff t lies in Z_{j}, so each later set
+    already holds at most one class, and s lies in Z_t iff t lies in Z_s
+    follows from the symmetric singleton relation.  The yielded list is
+    indexed by support bitmask and reused: copy it to keep it.  At the empty
+    support, element 0's, it holds the zero matrix's class.
 
     A class's weight for a support is the product, one power per kind, each
     capped at COUNT_LIMIT, of its members in the kinds of the support's
@@ -335,6 +336,7 @@ def _s3_assignments(pool: _Pool, candidates: _Candidates, node_budget: int,
             ws = sizes[t] if m == 1 else [_capped_power(x, m) for x in sizes[t]]
             weight_of[s] = list(map(mul, weight_of[s], ws)) if s in weight_of else ws
     order = sorted(weight_of, key=lambda s: (s & (s - 1) != 0, s))
+    singles = sum(s & (s - 1) == 0 for s in order)
     weights = [weight_of[s] for s in order]
     allowed = [sum(compress(bits, w)) for w in weights]
     # kills[c]: the positions whose support class c sends to 0; zero_at[p]:
@@ -371,43 +373,52 @@ def _s3_assignments(pool: _Pool, candidates: _Candidates, node_budget: int,
         if nodes > node_budget:
             raise NodeBudgetExceeded(over, nodes=node_budget + 1)
         choice[order[pos]] = c
-        zm = kills[c]
-        za = zero_at[pos]
-        narrowed = allowed_at[pos].copy()
-        for t in range(pos + 1, depth):
-            na = narrowed[t] & (za if zm >> t & 1 else ~za)
-            if not na:
-                break
-            narrowed[t] = na
-        else:
-            pos += 1
-            allowed_at[pos] = narrowed
-            weight_at[pos] = min(weight_at[pos - 1] * weights[pos - 1][c], COUNT_LIMIT)
-            if pos < depth:
-                untried[pos] = narrowed[pos]
+        narrowed = allowed_at[pos]
+        if pos < singles:
+            zm = kills[c]
+            za = zero_at[pos]
+            narrowed = narrowed.copy()
+            for t in range(pos + 1, depth):
+                na = narrowed[t] & (za if zm >> t & 1 else ~za)
+                if not na:
+                    narrowed = None
+                    break
+                narrowed[t] = na
+            if narrowed is None:
+                continue
+        pos += 1
+        allowed_at[pos] = narrowed
+        weight_at[pos] = min(weight_at[pos - 1] * weights[pos - 1][c], COUNT_LIMIT)
+        if pos < depth:
+            untried[pos] = narrowed[pos]
 
 
 def _s1sk_survivors(pool: _Pool, k: int, candidates: _Candidates,
-                    node_budget: int) -> Iterator[tuple[tuple[int, ...], Table]]:
-    """Yield (pool indices of every row, product table) for every S1..Sk
-    operation, grouped by class assignment: each assignment of
-    _s3_assignments under the identity top row is expanded into the product
-    of its elements' lists of candidates (_candidates(pool, k)) for their
-    supports' classes, each leaf's table assembled from the pool matrices'
-    actions and, for k >= 4, filtered by S4..Sk as check_axioms checks a
-    table that passes S1."""
+                    node_budget: int) -> Iterator[tuple[int, ...]]:
+    """Yield the pool indices of every row of every S1..Sk operation,
+    grouped by class assignment: each assignment of _s3_assignments under the
+    identity top row is expanded into the product of its elements' lists of
+    candidates (_candidates(pool, k)) for their supports' classes.  At k = 3
+    every leaf is an operation and no table is built; for k >= 4 each leaf's
+    table is assembled from the pool matrices' actions and filtered by S4..Sk
+    as check_axioms checks a table that passes S1."""
     alg = pool.alg
     later = CHECKS_GIVEN_S1[3:k]
     _, kinds, kind_of = candidates
     for choice, _ in _s3_assignments(pool, candidates, node_budget, charge_leaves=True):
-        for rows in product(*[kinds[t][choice[s]] for t, s in zip(kind_of, pool.supports)]):
-            rows = pool.with_top(rows)
-            table = pool.table(rows)
+        leaves = product(*[kinds[t][choice[s]] for t, s in zip(kind_of, pool.supports)],
+                         (pool.top,))
+        if not later:
+            yield from leaves
+            continue
+        actions = pool.actions
+        for rows in leaves:
+            table = tuple(map(actions.__getitem__, rows))
             for check in later:
                 if check(alg, table) is not None:
                     break
             else:
-                yield rows, table
+                yield rows
 
 
 def enumerate_s1sk(u: Sequence[int], k: int, cap: int = DEFAULT_OP_CAP,
@@ -421,7 +432,9 @@ def enumerate_s1sk(u: Sequence[int], k: int, cap: int = DEFAULT_OP_CAP,
     class weights alone, and the operations are listed only when it is
     within cap; each pass has the full node budget.  A count that reaches
     COUNT_LIMIT, which Python cannot write as text, is refused (CapExceeded,
-    with no count) as soon as the running sum gets there.
+    with no count) as soon as the running sum gets there.  Survivors are
+    kept as pool-index tuples, and an Operation is built only for each kept
+    one, after the sort.
     """
     if not _is_int(k) or k not in (3, 4, 5):
         raise ValueError(f"k must be in 3..5, got {k}")
@@ -437,20 +450,17 @@ def enumerate_s1sk(u: Sequence[int], k: int, cap: int = DEFAULT_OP_CAP,
         if class_count > cap:
             return SearchResult(u=u, k=k, count=class_count, certificate="exhaustive",
                                 operations=None)
-    count = 0
-    kept = []
-    for survivor in _s1sk_survivors(pool, k, candidates, node_budget):
-        count += 1
-        if count <= cap:
-            kept.append(survivor)
+    survivors = _s1sk_survivors(pool, k, candidates, node_budget)
+    kept = list(islice(survivors, max(cap, 0)))
+    count = len(kept) + sum(1 for _ in survivors)
     if k == 3 and count != class_count:
         raise RuntimeError(f"the class count {class_count} and the listing {count} disagree "
                            f"on {u}; internal inconsistency")
     ops = None
     if count <= cap:
         # the survivors come grouped by class assignment
-        kept.sort(key=itemgetter(0))
-        ops = [pool.operation(rows, table) for rows, table in kept]
+        kept.sort()
+        ops = list(map(pool.operation, kept))
     return SearchResult(u=u, k=k, count=count, certificate="exhaustive", operations=ops)
 
 

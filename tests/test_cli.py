@@ -199,6 +199,13 @@ def test_enumerate_out_writes_the_same_document(capsys, tmp_path):
     assert code == 0
     assert path.read_text() == out
     assert json.loads(out)["count"] == "1"
+    # the listings' tables reach the encoder as row tuples, and --out gets
+    # the one stdout line
+    for u, axioms in [("2,2", "s1s3"), ("1,1", "s1s2")]:
+        code, out, _ = run(capsys, "enumerate", "--u", u, "--axioms", axioms,
+                           "--out", str(path))
+        assert code == 0 and out.count("\n") == 1
+        assert path.read_text() == out
 
 
 def test_enumerate_cap_exceeded(capsys):
@@ -377,11 +384,12 @@ def test_verify_json_stdout_is_pinned(capsys):
 @pytest.mark.parametrize("u, axioms, digest", [
     ("2,2", "s1s3", "ef91bf6ef0cf4a3553478fabecdada6663de23a6c6345f622577c5c3a5e802e3"),
     ("1,1,1", "s1s5", "6eefb9f823bef74f041f829b5707c3efa2d296d0310ef8867c4ef3851eb4f42f"),
-], ids=["2,2-s1s3", "1,1,1-s1s5"])
+    ("1,1", "s1s2", "625cda57efa30efe225edf6aba413de8615446f207821afe28d9283adf88a7fd"),
+], ids=["2,2-s1s3", "1,1,1-s1s5", "1,1-s1s2"])
 def test_enumerate_listing_stdout_is_pinned(capsys, u, axioms, digest):
-    # a listing byte for byte: the 2,000 S1-S3 tables of (2,2) and the one
-    # S1-S5 table of (1,1,1), in canonical order; a faster search must not
-    # change, drop or reorder an operation
+    # a listing byte for byte: the 2,000 S1-S3 tables of (2,2), the one
+    # S1-S5 table of (1,1,1) and the 729 S1+S2 tables of (1,1), in canonical
+    # order; a faster search must not change, drop or reorder an operation
     code, out, _ = run(capsys, "enumerate", "--u", u, "--axioms", axioms)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

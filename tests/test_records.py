@@ -10,6 +10,7 @@ res._replace(operations=None).  Shape, Elem and SubunitalMatrix still
 normalise their fields to tuples and raise ValueError on invalid input.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -138,7 +139,9 @@ def test_search_result_operations_can_be_dropped():
     assert dropped.to_json() == {"u": [2, 1], "k": 3, "count": "1",
                                  "certificate": "exhaustive"}
     assert dropped != res
-    assert res.to_json()["operations"] == [[list(row) for row in OP.product_table()]]
+    assert res.to_json()["operations"] == [OP.product_table()]
+    assert json.dumps(res.to_json()["operations"]) == json.dumps(
+        [[list(row) for row in OP.product_table()]])
 
 
 def test_validating_records_normalise_their_fields_to_tuples():

@@ -17,6 +17,7 @@ only then compared against the library.
 """
 
 import hashlib
+import json
 from functools import lru_cache
 from itertools import product
 
@@ -505,8 +506,23 @@ def test_search_result_json():
     obj = res.to_json()
     assert obj["count"] == "1"
     assert obj["certificate"] == "exhaustive"
-    assert obj["operations"] == [[[0, 0, 0], [0, 1, 2], [0, 1, 2]]]
+    # the tables go to the encoder as they are, row tuples, and encode as
+    # the arrays list rows would
+    assert obj["operations"] == [((0, 0, 0), (0, 1, 2), (0, 1, 2))]
+    assert json.dumps(obj["operations"]) == "[[[0, 0, 0], [0, 1, 2], [0, 1, 2]]]"
     assert "operations" not in res._replace(operations=None).to_json()
+
+
+@pytest.mark.parametrize("u, k", [((2, 2), 3), ((4, 1), 3), ((1, 1), 4), ((1, 1), 5)])
+def test_search_result_json_text_is_that_of_list_rows(u, k):
+    # to_json hands the row tuples to the encoder, which writes them as the
+    # arrays that list rows give, byte for byte
+    res = enumerate_s1sk(u, k)
+    obj = res.to_json()
+    as_lists = dict(obj, operations=[[list(row) for row in op.product_table()]
+                                     for op in res.operations])
+    assert len(obj["operations"]) == res.count > 0
+    assert json.dumps(obj) == json.dumps(as_lists)
 
 
 def test_existence_json():
