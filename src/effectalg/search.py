@@ -3,37 +3,40 @@
 The S1+S2 candidate space on a box is a Cartesian product: one u-subunital
 matrix per element with the top row pinned to the identity, so it can be
 counted by formula and enumerated directly.  For S3 and beyond one S3-pruned
-depth-first search keeps the bidirectional zero condition (M_a b = 0 iff
-M_b a = 0).  For a nonnegative matrix M, M x = 0 exactly when supp(x) lies
-in M's zero-column set Z, so the condition sees a row only through its class
-Z, and it forces elements of equal support to take equal classes: the search
-assigns one class to each nonempty support below the top (at most 2^r - 1 of
-them, singletons first), not one matrix to each element.  Its input is a few
-kinds of pool matrices, each listed by class, and the kind each element's row
-takes.  An S1-S3 count needs no matrix: it is the sum over class assignments
-of the product of the list lengths.  A listing, and every S4/S5 search,
-expands each class assignment into the product of its elements' lists; a
-leaf is the tuple of its rows' pool indices.  At k = 3 every leaf is an
+search keeps the bidirectional zero condition (M_a b = 0 iff M_b a = 0).
+For a nonnegative matrix M, M x = 0 exactly when supp(x) lies in M's
+zero-column set Z, so the condition sees a row only through Z.  At b of
+support {j} it says j lies in Z_a iff supp(a) lies in N(j) = Z_b, so
+Z_a = CN(supp a), the j whose N(j) holds supp(a), and S3 between singletons
+makes N symmetric: a looped graph on the r coordinates.  Conversely every
+graph passes, as "s x t lies in the edges" is symmetric in s and t.  So the
+search walks the coordinates, not the elements: at j it picks N(j) and
+weighs every support whose highest coordinate is j.  Its input is a few
+kinds of pool matrices, each listed by zero-column set, and the kind each
+element's row takes.  An S1-S3 count needs no matrix: it is the sum over
+graphs of the product of the list lengths.  A listing, and every S4/S5
+search, expands each graph into the product of its elements' lists; a leaf
+is the tuple of its rows' pool indices.  At k = 3 every leaf is an
 operation and no table is built.  At k >= 4 each leaf's table is assembled
 from the pool matrices' actions and filtered by S4 and S5 as
 operations.CHECKS_GIVEN_S1 checks it (every leaf passes S1; see
 check_s4_given_s1).  Survivors stay pool-index tuples through the canonical
 sort, and each kept one becomes an Operation by one gather of its matrices
 and its action rows (_Pool.operation), whose row tuples
-SearchResult.to_json hands to the encoder as they are.  A node is one class
-tried at one support, and a pass that builds tables also charges one node
-per leaf.  An S4/S5 search lists for row a only the pool matrices with
-M u = a: with the zero and identity rows pinned, any other row breaks S4 at
-the instance (a, 0), so this removes no survivor, and an element with no such
-matrix (as on (2, 2), where M u = (1, 0) has no solution) ends the search at
-0 nodes.
+SearchResult.to_json hands to the encoder as they are.  A node is one
+neighbourhood tried at one coordinate, and a pass that builds tables also
+charges one node per leaf.  An S4/S5 search lists for row a only the pool
+matrices with M u = a: with the zero and identity rows pinned, any other
+row breaks S4 at the instance (a, 0), so this removes no survivor, and an
+element with no such matrix (as on (2, 2), where M u = (1, 0) has no
+solution) ends the search at 0 nodes.
 
 Row i of a u-subunital M only has to satisfy row_i . u <= u_i, so the pool
 is the product of r per-row lists, and the box index is linear in the
 coordinates.  The two numbers the search reads of every matrix before a
 leaf are therefore folds over its row choices, computed in one walk of the
 pool, one row at a time and never from matrix entries: the zero-column set
-(column j is zero iff it is zero in every row), which gives the class, and
+(column j is zero iff it is zero in every row), which keys its lists, and
 the index of M u, which gives the S4 row filter.  The matrices are listed,
 and the pool's actions built (operations.matrix_actions), only at the first
 listing or leaf, so a search that ends before one (every obstructed box
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import compress, islice, product
+from itertools import islice, product
 from operator import itemgetter, mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -168,7 +171,7 @@ class _Pool:
     in enumerate_subunital's order (last row fastest), subunital by
     construction.  Everything is built on first use, and the search reads
     only rows (_candidates) and supports before its first leaf, so a count
-    by classes, or a search that ends before its first leaf, lists no matrix
+    by graphs, or a search that ends before its first leaf, lists no matrix
     and builds no action row."""
 
     def __init__(self, u: Sequence[int]):
@@ -241,23 +244,22 @@ def enumerate_s1s2(u: Sequence[int], cap: int = DEFAULT_OP_CAP) -> Iterator[Oper
     return _matrix_families(u, True, cap)
 
 
-# (classes, kinds, kind_of): see _candidates
-_Candidates = tuple[list[int], list[list[list[int]]], list[int]]
+# (kinds, kind_of): see _candidates
+_Candidates = tuple[list[dict[int, list[int]]], list[int]]
 
 
 def _candidates(pool: _Pool, k: int) -> _Candidates:
     """The matrices each row of 0..N-2 may take, from one walk of the pool:
-    (classes, kinds, kind_of).  classes lists the distinct zero-column sets
-    of the pool, ascending; kinds[t][c] lists, ascending, the pool indices of
-    class classes[c] in kind t; and row a may take exactly the matrices of
-    kind kind_of[a].
+    (kinds, kind_of).  kinds[t][z] lists, ascending, the pool indices of
+    kind t whose zero-column set is z, a key only when it has a member; and
+    row a may take exactly the matrices of kind kind_of[a].
 
     The walk folds each matrix's zero-column set (column j is zero iff it is
     zero in every row) and, for k >= 4, the index of M u, sum_i (row_i . u)
     place_i, one row of the pool at a time: every partial fold meets every
     choice of the next row, so the last row varies fastest, as in the pool.
 
-    M u = 0 only for the zero matrix, alone in the class with every column
+    M u = 0 only for the zero matrix, alone in the set with every column
     zero.  At k = 3 kind 0 is the zero matrix, for row 0, and kind 1 every
     other matrix, since S2 and S3 give a o 1 = 0 iff a = 0.  For k >= 4 kind
     a is the matrices with M u = a, for row a, by S1, S2 and S4's b'-clause,
@@ -280,13 +282,11 @@ def _candidates(pool: _Pool, k: int) -> _Candidates:
         n_kinds, kind_of = 2, [0] + [1] * (n - 2)
     else:
         n_kinds, kind_of = n - 1, list(range(n - 1))
-    classes = sorted(set(zeros))
-    number = {z: c for c, z in enumerate(classes)}
-    kinds: list[list[list[int]]] = [[[] for _ in classes] for _ in range(n_kinds)]
+    kinds: list[dict[int, list[int]]] = [{} for _ in range(n_kinds)]
     for i, (z, t) in enumerate(zip(zeros, kind_at)):
         if t < n_kinds:
-            kinds[t][number[z]].append(i)
-    return classes, kinds, kind_of
+            kinds[t].setdefault(z, []).append(i)
+    return kinds, kind_of
 
 
 def _capped_power(base: int, exp: int) -> int:
@@ -299,114 +299,97 @@ def _capped_power(base: int, exp: int) -> int:
 
 def _s3_assignments(pool: _Pool, candidates: _Candidates, node_budget: int,
                     charge_leaves: bool) -> Iterator[tuple[list[int], int]]:
-    """Yield (class of each support, weight) for every assignment of one
-    zero-column class to each nonempty support below the top that keeps
-    M_a b = 0 iff M_b a = 0 for every pair of elements a, b below the top,
-    row a drawing from its kind's lists (_candidates).  Between supports s
-    and t the condition reads: s lies in Z_t iff t lies in Z_s.  Each support
-    keeps its allowed classes as a bitmask, starting at those with a member
-    in every kind of its elements, and a choice at a singleton narrows the
-    later ones.  Past the singletons nothing is narrowed: they fix, for every
-    later t and every j, j in Z_t iff t lies in Z_{j}, so each later set
-    already holds at most one class, and s lies in Z_t iff t lies in Z_s
-    follows from the symmetric singleton relation.  The yielded list is
-    indexed by support bitmask and reused: copy it to keep it.  At the empty
-    support, element 0's, it holds the zero matrix's class.
+    """Yield (CN_G(s) per support s, weight) for every looped graph G on the
+    coordinates (module docstring) under which each nonempty support below
+    the top has members in its elements' kinds (_candidates).  The walk
+    picks N(j) for j = 0..r-1 among the sets with members at support {j}
+    whose bits below j agree with the neighbourhoods already picked (i in
+    N(j) iff j in N(i)), then weighs each support s whose highest coordinate
+    is j by CN(s) = CN(s - {i}) & N(i), i its lowest coordinate, and backs
+    up at the first with no member.  The yielded list is indexed by support
+    bitmask and reused: copy it to keep it.  At the empty support, element
+    0's, it holds every column, the zero matrix's set.
 
-    A class's weight for a support is the product, one power per kind, each
+    A set's weight for a support is the product, one power per kind, each
     capped at COUNT_LIMIT, of its members in the kinds of the support's
-    elements; an assignment's weight, the product along it capped at
+    elements; a graph's weight, the product over supports capped at
     COUNT_LIMIT, is the number of leaves (matrix assignments) it stands for.
     A capped weight only feeds a count at or past COUNT_LIMIT, since every
-    class tried has a member.  One node is one class tried at one
-    support; with charge_leaves, for a pass that builds tables, one leaf is
-    one node more.  Crossing node_budget raises, reporting node_budget + 1
-    nodes, as a search charging one node at a time would.
+    set weighed has a member.  One node is one neighbourhood tried at one
+    coordinate; with charge_leaves, for a pass that builds tables, one leaf
+    is one node more.  Crossing node_budget raises, reporting
+    node_budget + 1 nodes, as a search charging one node at a time would.
     """
-    classes, kinds, kind_of = candidates
-    bits = [1 << c for c in range(len(classes))]
-    sizes = [list(map(len, lists)) for lists in kinds]
-    if not all(any(sizes[t]) for t in set(kind_of)):
+    kinds, kind_of = candidates
+    if not all(kinds[t] for t in set(kind_of)):
         return
-    # per nonempty support below the top, the weight of each class: the
-    # product over its elements' kinds t, m elements each, of sizes[t] ** m
-    weight_of: dict[int, list[int]] = {}
+    # per nonempty support below the top, the weight of each set: the
+    # product over its elements' kinds t, m elements each, of the size of
+    # kinds[t][z] ** m, over the sets z with members in every such kind
+    weight_of: dict[int, dict[int, int]] = {}
     for (s, t), m in Counter(zip(pool.supports, kind_of)).items():
         if s:
-            ws = sizes[t] if m == 1 else [_capped_power(x, m) for x in sizes[t]]
-            weight_of[s] = list(map(mul, weight_of[s], ws)) if s in weight_of else ws
-    order = sorted(weight_of, key=lambda s: (s & (s - 1) != 0, s))
-    singles = sum(s & (s - 1) == 0 for s in order)
-    weights = [weight_of[s] for s in order]
-    allowed = [sum(compress(bits, w)) for w in weights]
-    # kills[c]: the positions whose support class c sends to 0; zero_at[p]:
-    # the classes sending the support at position p to 0
-    kills = [sum(1 << p for p, s in enumerate(order) if not s & ~z) for z in classes]
-    zero_at = [sum(1 << c for c, z in enumerate(classes) if not s & ~z) for s in order]
+            ws = {z: len(zs) if m == 1 else _capped_power(len(zs), m)
+                  for z, zs in kinds[t].items()}
+            weight_of[s] = ({z: w * ws[z] for z, w in weight_of[s].items() if z in ws}
+                            if s in weight_of else ws)
+    r = pool.alg.shape.r
+    # u = (1) has no element between 0 and the top, so no coordinate to walk
+    depth = r if weight_of else 0
+    # per coordinate j, the sets with members at support {j}, by their bits
+    # below j
+    options: list[dict[int, list[int]]] = [{} for _ in range(depth)]
+    for j in range(depth):
+        for z in weight_of[1 << j]:
+            options[j].setdefault(z & ((1 << j) - 1), []).append(z)
+    common = [(1 << r) - 1] * (1 << r)
     over = f"S3 search exceeded the node budget {node_budget}"
-    depth = len(order)
-    choice = [len(classes) - 1] * (1 << pool.alg.shape.r)
-    # per depth: the class sets, the weight of the path above it, and the
-    # untried classes at it
-    allowed_at = [allowed] + [None] * depth
-    weight_at = [1] * (depth + 1)
-    untried = allowed[:1] + [0] * depth
     nodes = 0
-    pos = 0
-    while pos >= 0:
-        if pos == depth:
+
+    def walk(j: int, weight: int) -> Iterator[tuple[list[int], int]]:
+        nonlocal nodes
+        if j == depth:
             if charge_leaves:
-                nodes += weight_at[pos]
+                nodes += weight
                 if nodes > node_budget:
                     raise NodeBudgetExceeded(over, nodes=node_budget + 1)
-            yield choice, weight_at[pos]
-            pos -= 1
-            continue
-        m = untried[pos]
-        if not m:
-            pos -= 1
-            continue
-        low = m & -m
-        untried[pos] = m ^ low
-        c = low.bit_length() - 1
-        nodes += 1
-        if nodes > node_budget:
-            raise NodeBudgetExceeded(over, nodes=node_budget + 1)
-        choice[order[pos]] = c
-        narrowed = allowed_at[pos]
-        if pos < singles:
-            zm = kills[c]
-            za = zero_at[pos]
-            narrowed = narrowed.copy()
-            for t in range(pos + 1, depth):
-                na = narrowed[t] & (za if zm >> t & 1 else ~za)
-                if not na:
-                    narrowed = None
-                    break
-                narrowed[t] = na
-            if narrowed is None:
-                continue
-        pos += 1
-        allowed_at[pos] = narrowed
-        weight_at[pos] = min(weight_at[pos - 1] * weights[pos - 1][c], COUNT_LIMIT)
-        if pos < depth:
-            untried[pos] = narrowed[pos]
+            yield common, weight
+            return
+        below = sum(1 << i for i in range(j) if common[1 << i] >> j & 1)
+        for z in options[j].get(below, ()):
+            nodes += 1
+            if nodes > node_budget:
+                raise NodeBudgetExceeded(over, nodes=node_budget + 1)
+            common[1 << j] = z
+            w = weight
+            for s in range(1 << j, 2 << j):
+                low = s & -s
+                c = common[s] = common[s ^ low] & common[low]
+                if s in weight_of:
+                    x = weight_of[s].get(c)
+                    if x is None:
+                        break
+                    w = min(w * x, COUNT_LIMIT)
+            else:
+                yield from walk(j + 1, w)
+
+    yield from walk(0, 1)
 
 
 def _s1sk_survivors(pool: _Pool, k: int, candidates: _Candidates,
                     node_budget: int) -> Iterator[tuple[int, ...]]:
     """Yield the pool indices of every row of every S1..Sk operation,
-    grouped by class assignment: each assignment of _s3_assignments under the
-    identity top row is expanded into the product of its elements' lists of
-    candidates (_candidates(pool, k)) for their supports' classes.  At k = 3
+    grouped by graph: each graph of _s3_assignments under the identity top
+    row is expanded into the product of its elements' lists of candidates
+    (_candidates(pool, k)) for their supports' zero-column sets.  At k = 3
     every leaf is an operation and no table is built; for k >= 4 each leaf's
     table is assembled from the pool matrices' actions and filtered by S4..Sk
     as check_axioms checks a table that passes S1."""
     alg = pool.alg
     later = CHECKS_GIVEN_S1[3:k]
-    _, kinds, kind_of = candidates
-    for choice, _ in _s3_assignments(pool, candidates, node_budget, charge_leaves=True):
-        leaves = product(*[kinds[t][choice[s]] for t, s in zip(kind_of, pool.supports)],
+    kinds, kind_of = candidates
+    for common, _ in _s3_assignments(pool, candidates, node_budget, charge_leaves=True):
+        leaves = product(*[kinds[t][common[s]] for t, s in zip(kind_of, pool.supports)],
                          (pool.top,))
         if not later:
             yield from leaves
@@ -429,7 +412,7 @@ def enumerate_s1sk(u: Sequence[int], k: int, cap: int = DEFAULT_OP_CAP,
     The count is exact; the operations list is dropped (None) when the
     count exceeds cap, and is otherwise in canonical order: by the pool
     index of each row, row 0 first.  At k = 3 the count comes from the
-    class weights alone, and the operations are listed only when it is
+    graph weights alone, and the operations are listed only when it is
     within cap; each pass has the full node budget.  A count that reaches
     COUNT_LIMIT, which Python cannot write as text, is refused (CapExceeded,
     with no count) as soon as the running sum gets there.  Survivors are
@@ -442,23 +425,23 @@ def enumerate_s1sk(u: Sequence[int], k: int, cap: int = DEFAULT_OP_CAP,
     pool = _Pool(u)
     candidates = _candidates(pool, k)
     if k == 3:
-        class_count = 0
+        graph_count = 0
         for _, w in _s3_assignments(pool, candidates, node_budget, charge_leaves=False):
-            class_count += w
-            if class_count >= COUNT_LIMIT:
+            graph_count += w
+            if graph_count >= COUNT_LIMIT:
                 raise CapExceeded(f"S1-S3 operations on {u}: more than 4300 digits")
-        if class_count > cap:
-            return SearchResult(u=u, k=k, count=class_count, certificate="exhaustive",
+        if graph_count > cap:
+            return SearchResult(u=u, k=k, count=graph_count, certificate="exhaustive",
                                 operations=None)
     survivors = _s1sk_survivors(pool, k, candidates, node_budget)
     kept = list(islice(survivors, max(cap, 0)))
     count = len(kept) + sum(1 for _ in survivors)
-    if k == 3 and count != class_count:
-        raise RuntimeError(f"the class count {class_count} and the listing {count} disagree "
+    if k == 3 and count != graph_count:
+        raise RuntimeError(f"the graph count {graph_count} and the listing {count} disagree "
                            f"on {u}; internal inconsistency")
     ops = None
     if count <= cap:
-        # the survivors come grouped by class assignment
+        # the survivors come grouped by graph
         kept.sort()
         ops = list(map(pool.operation, kept))
     return SearchResult(u=u, k=k, count=count, certificate="exhaustive", operations=ops)

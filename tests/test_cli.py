@@ -396,15 +396,29 @@ def test_enumerate_listing_stdout_is_pinned(capsys, u, axioms, digest):
 
 
 def test_verify_budget_trip_in_the_classification_is_undecided(capsys):
-    # budget 6 lets every criterion-4 search finish but stops the Boolean-cube
-    # classification of criterion 5: its three rows are undecided, not failed
-    code, doc, _ = run_json(capsys, "--node-budget", "6", "verify", "--suite", "paper",
+    # budgets 2 to 41 let every criterion-4 search finish but stop the
+    # Boolean-cube classification of criterion 5, whose listing pass tries 8
+    # neighbourhoods and charges 34 leaves: its three rows are undecided, not
+    # failed
+    for budget in (2, 6, 41):
+        code, doc, _ = run_json(capsys, "--node-budget", str(budget), "verify", "--suite",
+                                "paper", "--json")
+        assert code == 0, budget
+        assert (doc["ok"], doc["passed"], doc["failed"], doc["undecided"]) == (True, 51, 0, 3)
+        undecided = [row for row in doc["rows"] if row["status"] == "UNDECIDED"]
+        assert [(row["criterion"], row["actual"]) for row in undecided] == [
+            (5, "undecided (node budget)")] * 3
+
+
+def test_verify_budget_edges_around_the_classification(capsys):
+    # budget 1 trips in criterion 4, so the run exits 3; from 42 on every row
+    # is decided
+    code, doc, _ = run_json(capsys, "--node-budget", "1", "verify", "--suite", "paper", "--json")
+    assert (code, doc) == (3, {"error": "node_budget_exceeded", "nodes": 2})
+    code, doc, _ = run_json(capsys, "--node-budget", "42", "verify", "--suite", "paper",
                             "--json")
     assert code == 0
-    assert (doc["ok"], doc["passed"], doc["failed"], doc["undecided"]) == (True, 51, 0, 3)
-    undecided = [row for row in doc["rows"] if row["status"] == "UNDECIDED"]
-    assert [(row["criterion"], row["actual"]) for row in undecided] == [
-        (5, "undecided (node budget)")] * 3
+    assert (doc["ok"], doc["passed"], doc["failed"], doc["undecided"]) == (True, 54, 0, 0)
 
 
 def test_verify_internal_error_in_the_classification_fails(capsys, monkeypatch):

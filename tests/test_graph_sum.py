@@ -15,15 +15,18 @@ set exactly Z, and m_s = prod_{i in s} u_i is the number of elements of
 support s, less 1 for the top.  u = (1) has no middle element: its count is 1.
 
 W_u comes from the per-row lists of maps.enumerate_rows, not from the
-library's search or its candidate lists.
+library's search or its candidate lists.  The search walks the same graphs
+(search._s3_assignments), and a test below reads them off it one by one.
 """
 
 import hashlib
+from functools import reduce
 from math import prod
+from operator import and_
 
 import pytest
 
-from effectalg import enumerate_s1sk
+from effectalg import enumerate_s1sk, search
 from effectalg.maps import enumerate_rows
 
 
@@ -84,6 +87,27 @@ BOXES = [(1,), (2,), (3,), (1, 1), (2, 1), (3, 1), (2, 2), (3, 3), (5, 4), (9, 2
 @pytest.mark.parametrize("u", BOXES, ids=lambda u: ",".join(map(str, u)))
 def test_the_graph_sum_matches_the_class_search(u):
     assert graph_count(u) == enumerate_s1sk(u, 3, cap=0).count
+
+
+@pytest.mark.parametrize("u", [u for u in BOXES if u != (1,)],
+                         ids=lambda u: ",".join(map(str, u)))
+def test_the_walk_yields_the_graphs_of_the_sum(u):
+    # the search's coordinate walk, read graph by graph: exactly the graphs
+    # with a nonzero term, each once and weighted by its term, with the set
+    # of every support its common neighbourhood (every column at the empty
+    # support, element 0's).  (1) has no middle element and no graph to walk
+    pool = search._Pool(u)
+    full = (1 << len(u)) - 1
+    walked = {}
+    for common, weight in search._s3_assignments(pool, search._candidates(pool, 3),
+                                                 10**9, charge_leaves=False):
+        neighbours = tuple(common[1 << i] for i in range(len(u)))
+        assert neighbours not in walked, (u, neighbours)
+        walked[neighbours] = weight
+        assert common[0] == full
+        for s in range(1, full + 1):
+            assert common[s] == reduce(and_, (nb for i, nb in enumerate(neighbours) if s >> i & 1))
+    assert walked == {nb: term for nb, term in graph_terms(u) if term}
 
 
 B5_DIGEST = "7ffdf23d9fd44033fced078e942aed5b0b3b6cea554980c6cc458dbdadf9497c"

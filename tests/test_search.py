@@ -451,7 +451,7 @@ def test_s1s4_existence_refuses_an_oversized_boolean_box_before_building_the_mee
 
 
 def test_s1s4_existence_reports_undecided_on_a_tiny_budget():
-    # (2, 1, 1, 1) needs 3 nodes; (2, 2) is decided before its first one
+    # (2, 1, 1, 1) needs 14 nodes; (2, 2) is decided before its first one
     res = exists_s1s4((2, 1, 1, 1), node_budget=2)
     assert res.exists is None
     assert res.certificate == "undecided"

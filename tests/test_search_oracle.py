@@ -1,13 +1,14 @@
-"""The zero-column-class search core against the pool-index search it replaced.
+"""The coordinate-walk search core against the pool-index search it replaced.
 
 pool_index_survivors below is the earlier depth-first search, kept here as an
 oracle: it narrows, per element, the bitmask of pool matrices still allowed,
-one node per matrix tried.  The library narrows sets of zero-column classes,
-one per support, instead, and counts S1-S3 operations by class weights.
-Listing must give the same operations in the same order, every count must
-agree, and the leaves a listing charges to its node budget must be the
-oracle's leaves.  The oracle's own listings check the support lemma the
-class search rests on.
+one node per matrix tried.  The library instead walks the coordinates,
+picking one neighbourhood of a looped graph at each, with one node per
+neighbourhood tried, and counts S1-S3 operations by graph weights.  Listing
+must give the same operations in the same order, every count must agree,
+and the leaves a listing charges to its node budget must be the oracle's
+leaves.  The oracle's own listings check the support lemma the walk rests
+on; tests/test_graph_sum.py checks the walk graph by graph.
 
 For k >= 4 the library tries for row a only pool matrices with M u = a (S4 at
 the instance (a, 0)).  Without masks the oracle walks every S3 leaf and is the
@@ -155,7 +156,7 @@ def test_listing_and_counts_match_the_oracle(u):
 
 @pytest.mark.parametrize("u", SHAPES)
 def test_elements_of_equal_support_take_equal_classes(u):
-    # the lemma the class search rests on, read off the oracle's listing with
+    # the lemma the walk rests on, read off the oracle's listing with
     # no library search: in an S1-S3 operation, S3 between a and b of support
     # {j} says j lies in Z_a iff supp(a) lies in Z_b, so elements of equal
     # support have equal zero-column classes
@@ -198,9 +199,9 @@ def _listing(u, k):
 
 def test_node_count_of_a_complete_run_matches_the_oracle():
     # a complete run of T nodes passes at budget T and trips at T - 1,
-    # reporting T.  T is the classes tried at supports plus, in a pass that
-    # builds tables, one node per leaf, so T less the nodes of the class
-    # search alone is the oracle's count of S3 leaves: unfiltered at k = 3,
+    # reporting T.  T is the neighbourhoods tried at coordinates plus, in a
+    # pass that builds tables, one node per leaf, so T less the nodes of the
+    # walk alone is the oracle's count of S3 leaves: unfiltered at k = 3,
     # where the listing pass is the larger of the two, and over the
     # right-unit-filtered tree at k >= 4
     runs = [(u, 3) for u in [(2, 2), (3, 1)]]
@@ -214,15 +215,15 @@ def test_node_count_of_a_complete_run_matches_the_oracle():
         assert total == 0 or _trips(run, total - 1), (u, k)
         pool = search._Pool(u)
         candidates = search._candidates(pool, k)
-        classes_tried = _complete_nodes(lambda budget: list(search._s3_assignments(
+        walked = _complete_nodes(lambda budget: list(search._s3_assignments(
             pool, candidates, budget, charge_leaves=False)))
-        assert total - classes_tried == leaves, (u, k)
+        assert total - walked == leaves, (u, k)
         totals[u, k] = total
-    # (2, 2) lists 13 classes tried and 2,000 leaves, (3, 1) 13 and 695;
+    # (2, 2) lists 8 neighbourhoods tried and 2,000 leaves, (3, 1) 8 and 695;
     # (1, 1) and (1, 1, 1) keep one survivor each at k = 4 and 5
-    assert totals == {((2, 2), 3): 2013, ((3, 1), 3): 708, ((1, 1), 4): 6, ((1, 1), 5): 6,
-                      ((3, 1), 4): 1, ((3, 1), 5): 1, ((2, 1, 1), 4): 2, ((2, 1, 1), 5): 2,
-                      ((1, 1, 1), 4): 56, ((1, 1, 1), 5): 56}
+    assert totals == {((2, 2), 3): 2008, ((3, 1), 3): 703, ((1, 1), 4): 6, ((1, 1), 5): 6,
+                      ((3, 1), 4): 1, ((3, 1), 5): 1, ((2, 1, 1), 4): 4, ((2, 1, 1), 5): 4,
+                      ((1, 1, 1), 4): 44, ((1, 1, 1), 5): 44}
     assert [len(_oracle(u, k, filtered=True)[1]) for u in [(1, 1), (1, 1, 1)]
             for k in (4, 5)] == [1, 1, 1, 1]
 
@@ -347,13 +348,12 @@ def assert_pool_matches_the_matrix_route(u):
     for k, kind_of_matrix, n_kinds, want_kind_of in [
             (3, nonzero, 2, [0] + [1] * (n - 2)),
             (4, images, n - 1, list(range(n - 1)))]:
-        classes, kinds, kind_of = search._candidates(pool, k)
-        assert classes == sorted(set(zero_columns))
+        kinds, kind_of = search._candidates(pool, k)
         assert kind_of == want_kind_of
-        want = [[[] for _ in classes] for _ in range(n_kinds)]
+        want = [{} for _ in range(n_kinds)]
         for i, (z, t) in enumerate(zip(zero_columns, kind_of_matrix)):
             if t < n_kinds:
-                want[t][classes.index(z)].append(i)
+                want[t].setdefault(z, []).append(i)
         assert kinds == want
 
 
@@ -370,9 +370,9 @@ def test_pool_matches_the_matrix_route_on_random_boxes(u):
 
 @pytest.mark.parametrize("u", [(2, 2), (4, 1), (2, 1, 1), (1, 1, 1, 1)])
 def test_candidate_lists_match_the_matrix_route(u):
-    # per element, by zero-column class in ascending order, ascending pool
-    # indices: at k = 3 the zero matrix for element 0 and every other matrix
-    # for the rest, at k >= 4 the right-unit masks
+    # per element, keyed by zero-column set, ascending pool indices: at k = 3
+    # the zero matrix for element 0 and every other matrix for the rest, at
+    # k >= 4 the right-unit masks
     pool = search._Pool(u)
     n = pool.alg.size
     matrices = [M.rows for M in enumerate_subunital(u, u)]
@@ -382,16 +382,13 @@ def test_candidate_lists_match_the_matrix_route(u):
     everything = (1 << len(matrices)) - 1
     for k, want in [(3, [zero] + [everything ^ zero] * (n - 2)),
                     (4, right_unit_masks(pool.alg, matrices))]:
-        classes, kinds, kind_of = search._candidates(pool, k)
-        assert classes == sorted(set(zero_columns))
+        kinds, kind_of = search._candidates(pool, k)
         assert len(kind_of) == n - 1
         for t, mask in zip(kind_of, want):
-            by_class = kinds[t]
-            assert len(by_class) == len(classes)
-            for z, members in zip(classes, by_class):
-                assert members == sorted(set(members))
+            for z, members in kinds[t].items():
+                assert members == sorted(set(members)) != []
                 assert all(zero_columns[i] == z for i in members)
-            assert sum(1 << i for members in by_class for i in members) == mask
+            assert sum(1 << i for members in kinds[t].values() for i in members) == mask
 
 
 def test_pool_refusals_keep_their_counts(capsys):
