@@ -13,7 +13,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .algebra import atoms, load_algebra, make_simplicial
+from .algebra import atoms, has_obstruction_atom, load_algebra, make_simplicial
 from .errors import CapExceeded, InvalidTableAlgebra, NodeBudgetExceeded, count_text
 from .maps import DEFAULT_MATRIX_CAP, count_subunital, enumerate_subunital
 from .operations import (
@@ -154,8 +154,7 @@ def cmd_algebra(args) -> int:
         "algebra": alg.to_json(),
         "size": alg.size,
         "atoms": [{"atom": alg.element_json(rec.atom), "ord": rec.ord} for rec in recs],
-        # has_obstruction_atom's test, on the atoms read above
-        "obstruction": any(rec.ord >= 2 for rec in recs),
+        "obstruction": has_obstruction_atom(alg),
         "valid": True,
     }
     if args.json:

@@ -53,8 +53,8 @@ class NodeBudgetExceeded(RuntimeError):
     """A backtracking search crossed its node budget before finishing.
 
     `nodes` is the number of nodes visited, the one that crossed the budget
-    included: neighbourhoods tried at coordinates, plus leaves in a pass that
-    builds tables.
+    included: neighbourhoods tried at coordinates, plus, in an S4/S5 search,
+    its leaves.
     """
 
     def __init__(self, message: str, nodes: int | None = None):

@@ -13,23 +13,24 @@ graph passes, as "s x t lies in the edges" is symmetric in s and t.  So the
 search walks the coordinates, not the elements: at j it picks N(j) and
 weighs every support whose highest coordinate is j.  Its input is a few
 kinds of pool matrices, each listed by zero-column set, and the kind each
-element's row takes.  An S1-S3 count needs no matrix: it is the sum over
-graphs of the product of the list lengths.  A listing, and every S4/S5
-search, expands each graph into the product of its elements' lists; a leaf
-is the tuple of its rows' pool indices.  At k = 3 every leaf is an
-operation and no table is built.  At k >= 4 each leaf's table is assembled
-from the pool matrices' actions and filtered by S4 and S5 as
+element's row takes.  One walk serves every k.  At k = 3 a graph's weight
+is its number of operations, the product of its elements' list lengths,
+so a count needs no matrix, and a listing expands, after the walk, only the
+graphs taken while the running count was within cap: each leaf is an
+operation, the tuple of its rows' pool indices, and no table is built.  At
+k >= 4 each graph is expanded as the walk yields it, and each leaf's table
+is assembled from the pool matrices' actions and filtered by S4 and S5 as
 operations.CHECKS_GIVEN_S1 checks it (every leaf passes S1; see
 check_s4_given_s1).  Survivors stay pool-index tuples through the canonical
 sort, and each kept one becomes an Operation by one gather of its matrices
 and its action rows (_Pool.operation), whose row tuples
 SearchResult.to_json hands to the encoder as they are.  A node is one
-neighbourhood tried at one coordinate, and a pass that builds tables also
-charges one node per leaf.  An S4/S5 search lists for row a only the pool
-matrices with M u = a: with the zero and identity rows pinned, any other
-row breaks S4 at the instance (a, 0), so this removes no survivor, and an
-element with no such matrix (as on (2, 2), where M u = (1, 0) has no
-solution) ends the search at 0 nodes.
+neighbourhood tried at one coordinate, and at k >= 4 each leaf is one node
+more.  An S4/S5 search lists for row a only the pool matrices with M u = a:
+with the zero and identity rows pinned, any other row breaks S4 at the
+instance (a, 0), so this removes no survivor, and an element with no such
+matrix (as on (2, 2), where M u = (1, 0) has no solution) ends the search
+at 0 nodes.
 
 Row i of a u-subunital M only has to satisfy row_i . u <= u_i, so the pool
 is the product of r per-row lists, and the box index is linear in the
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import islice, product
+from itertools import chain, product
 from operator import itemgetter, mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -316,8 +317,8 @@ def _s3_assignments(pool: _Pool, candidates: _Candidates, node_budget: int,
     COUNT_LIMIT, is the number of leaves (matrix assignments) it stands for.
     A capped weight only feeds a count at or past COUNT_LIMIT, since every
     set weighed has a member.  One node is one neighbourhood tried at one
-    coordinate; with charge_leaves, for a pass that builds tables, one leaf
-    is one node more.  Crossing node_budget raises, reporting
+    coordinate; with charge_leaves, for a search that builds tables (k >= 4),
+    one leaf is one node more.  Crossing node_budget raises, reporting
     node_budget + 1 nodes, as a search charging one node at a time would.
     """
     kinds, kind_of = candidates
@@ -376,74 +377,56 @@ def _s3_assignments(pool: _Pool, candidates: _Candidates, node_budget: int,
     yield from walk(0, 1)
 
 
-def _s1sk_survivors(pool: _Pool, k: int, candidates: _Candidates,
-                    node_budget: int) -> Iterator[tuple[int, ...]]:
-    """Yield the pool indices of every row of every S1..Sk operation,
-    grouped by graph: each graph of _s3_assignments under the identity top
-    row is expanded into the product of its elements' lists of candidates
-    (_candidates(pool, k)) for their supports' zero-column sets.  At k = 3
-    every leaf is an operation and no table is built; for k >= 4 each leaf's
-    table is assembled from the pool matrices' actions and filtered by S4..Sk
-    as check_axioms checks a table that passes S1."""
+def _s1sk(pool: _Pool, k: int, cap: int,
+          node_budget: int) -> tuple[int, Optional[list[Operation]]]:
+    """(count, operations) of S1..Sk on the pool's box, by the one walk of
+    _s3_assignments (module docstring); operations is None when the count
+    exceeds cap.  The count is refused (CapExceeded, with no count) as soon
+    as its running sum reaches COUNT_LIMIT, which Python cannot write as
+    text.  A graph's leaves, the product of its elements' lists for their
+    supports' sets, are built at k = 3 only for a graph taken while that sum
+    is within cap, and at k >= 4 for every graph, to filter them."""
     alg = pool.alg
     later = CHECKS_GIVEN_S1[3:k]
-    kinds, kind_of = candidates
-    for common, _ in _s3_assignments(pool, candidates, node_budget, charge_leaves=True):
-        leaves = product(*[kinds[t][common[s]] for t, s in zip(kind_of, pool.supports)],
-                         (pool.top,))
-        if not later:
-            yield from leaves
-            continue
-        actions = pool.actions
-        for rows in leaves:
-            table = tuple(map(actions.__getitem__, rows))
-            for check in later:
-                if check(alg, table) is not None:
-                    break
-            else:
-                yield rows
+    kinds, kind_of = candidates = _candidates(pool, k)
+
+    def leaves(common: list[int]) -> Iterator[tuple[int, ...]]:
+        return product(*[kinds[t][common[s]] for t, s in zip(kind_of, pool.supports)],
+                       (pool.top,))
+
+    def passes(rows: tuple[int, ...]) -> bool:
+        table = tuple(map(pool.actions.__getitem__, rows))
+        for check in later:
+            if check(alg, table) is not None:
+                return False
+        return True
+
+    count, kept = 0, []
+    for common, weight in _s3_assignments(pool, candidates, node_budget, charge_leaves=k > 3):
+        if later:
+            survivors = list(filter(passes, leaves(common)))
+            weight = len(survivors)
+        count += weight
+        if count >= COUNT_LIMIT:
+            raise CapExceeded(f"S1-S{k} operations on {alg.shape.u}: more than 4300 digits")
+        if count <= cap:
+            kept.append(survivors if later else leaves(common))
+    if count > cap:
+        return count, None
+    # the survivors come grouped by graph
+    return count, list(map(pool.operation, sorted(chain.from_iterable(kept))))
 
 
 def enumerate_s1sk(u: Sequence[int], k: int, cap: int = DEFAULT_OP_CAP,
                    node_budget: int = DEFAULT_NODE_BUDGET) -> SearchResult:
-    """All operations passing S1..Sk for k in 3..5, by S3-pruned backtracking
-    with the S4/S5 filter on each leaf's table.
-
-    The count is exact; the operations list is dropped (None) when the
-    count exceeds cap, and is otherwise in canonical order: by the pool
-    index of each row, row 0 first.  At k = 3 the count comes from the
-    graph weights alone, and the operations are listed only when it is
-    within cap; each pass has the full node budget.  A count that reaches
-    COUNT_LIMIT, which Python cannot write as text, is refused (CapExceeded,
-    with no count) as soon as the running sum gets there.  Survivors are
-    kept as pool-index tuples, and an Operation is built only for each kept
-    one, after the sort.
-    """
+    """All operations passing S1..Sk for k in 3..5 (_s1sk).  The count is
+    exact; the operations list is dropped (None) when the count exceeds
+    cap, and is otherwise in canonical order: by the pool index of each
+    row, row 0 first."""
     if not _is_int(k) or k not in (3, 4, 5):
         raise ValueError(f"k must be in 3..5, got {k}")
     u = tuple(u)
-    pool = _Pool(u)
-    candidates = _candidates(pool, k)
-    if k == 3:
-        graph_count = 0
-        for _, w in _s3_assignments(pool, candidates, node_budget, charge_leaves=False):
-            graph_count += w
-            if graph_count >= COUNT_LIMIT:
-                raise CapExceeded(f"S1-S3 operations on {u}: more than 4300 digits")
-        if graph_count > cap:
-            return SearchResult(u=u, k=k, count=graph_count, certificate="exhaustive",
-                                operations=None)
-    survivors = _s1sk_survivors(pool, k, candidates, node_budget)
-    kept = list(islice(survivors, max(cap, 0)))
-    count = len(kept) + sum(1 for _ in survivors)
-    if k == 3 and count != graph_count:
-        raise RuntimeError(f"the graph count {graph_count} and the listing {count} disagree "
-                           f"on {u}; internal inconsistency")
-    ops = None
-    if count <= cap:
-        # the survivors come grouped by graph
-        kept.sort()
-        ops = list(map(pool.operation, kept))
+    count, ops = _s1sk(_Pool(u), k, cap, node_budget)
     return SearchResult(u=u, k=k, count=count, certificate="exhaustive", operations=ops)
 
 
@@ -453,10 +436,11 @@ def exists_s1s4(u: Sequence[int],
 
     Boolean shapes get the componentwise meet as an explicit witness (re-run
     through the checker before being returned).  Every other shape has an
-    obstruction atom, so the S3-pruned search, with row a restricted to the
-    pool matrices with M u = a (S4 at (a, 0)), is run to exhaustion expecting
-    no survivor; each of its leaves is still checked against S4.  A budget
-    trip reports undecided rather than guessing.
+    obstruction atom, so the search of enumerate_s1sk at k = 4 and cap 0,
+    with row a restricted to the pool matrices with M u = a (S4 at (a, 0)),
+    is run to exhaustion expecting no survivor; each of its leaves is still
+    checked against S4.  A budget trip reports undecided rather than
+    guessing.
     """
     u = tuple(u)
     pool = _Pool(u)
@@ -468,10 +452,10 @@ def exists_s1s4(u: Sequence[int],
         return S4Existence(u=u, exists=True, certificate="witness", witness=op)
 
     try:
-        found = next(_s1sk_survivors(pool, 4, _candidates(pool, 4), node_budget), None)
+        count, _ = _s1sk(pool, 4, 0, node_budget)
     except NodeBudgetExceeded:
         return S4Existence(u=u, exists=None, certificate="undecided", witness=None)
-    if found is not None:
+    if count:
         raise RuntimeError(f"an S1-S4 operation turned up on the obstructed shape {u}; "
                            "internal inconsistency")
     return S4Existence(u=u, exists=False, certificate="exhaustive", witness=None)

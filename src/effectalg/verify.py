@@ -3,10 +3,10 @@
 Each row compares a frozen expected value against a freshly computed one.
 A node-budget trip in the Boolean-cube classification of criterion 5 or in
 an S1-S4 nonexistence search of criterion 6 makes its rows UNDECIDED instead
-of raising.  The criterion-6 searches end within 2 nodes, below any budget
-the S1-S3 searches of criterion 4 finish in, so in practice only criterion
-5 is undecided: budgets 0-1 trip in criterion 4 and the run exits 3,
-budgets 2-41 leave criterion 5 undecided, and from 42 every row is decided.
+of raising.  The criterion-6 searches end within 1 node, as the S1-S3
+searches of criterion 4 do, which run first, so in practice only criterion
+5 is undecided: budget 0 trips in criterion 4 and the run exits 3,
+budgets 1-7 leave criterion 5 undecided, and from 8 every row is decided.
 UNDECIDED does not fail the suite, while any FAIL does; any other error in
 the classification is a FAIL row.
 """

@@ -396,11 +396,10 @@ def test_enumerate_listing_stdout_is_pinned(capsys, u, axioms, digest):
 
 
 def test_verify_budget_trip_in_the_classification_is_undecided(capsys):
-    # budgets 2 to 41 let every criterion-4 search finish but stop the
-    # Boolean-cube classification of criterion 5, whose listing pass tries 8
-    # neighbourhoods and charges 34 leaves: its three rows are undecided, not
-    # failed
-    for budget in (2, 6, 41):
+    # budgets 1 to 7 let every criterion-4 and criterion-6 search finish but
+    # stop the Boolean-cube classification of criterion 5, whose listing
+    # tries 8 neighbourhoods: its three rows are undecided, not failed
+    for budget in (1, 4, 7):
         code, doc, _ = run_json(capsys, "--node-budget", str(budget), "verify", "--suite",
                                 "paper", "--json")
         assert code == 0, budget
@@ -411,11 +410,11 @@ def test_verify_budget_trip_in_the_classification_is_undecided(capsys):
 
 
 def test_verify_budget_edges_around_the_classification(capsys):
-    # budget 1 trips in criterion 4, so the run exits 3; from 42 on every row
+    # budget 0 trips in criterion 4, so the run exits 3; from 8 on every row
     # is decided
-    code, doc, _ = run_json(capsys, "--node-budget", "1", "verify", "--suite", "paper", "--json")
-    assert (code, doc) == (3, {"error": "node_budget_exceeded", "nodes": 2})
-    code, doc, _ = run_json(capsys, "--node-budget", "42", "verify", "--suite", "paper",
+    code, doc, _ = run_json(capsys, "--node-budget", "0", "verify", "--suite", "paper", "--json")
+    assert (code, doc) == (3, {"error": "node_budget_exceeded", "nodes": 1})
+    code, doc, _ = run_json(capsys, "--node-budget", "8", "verify", "--suite", "paper",
                             "--json")
     assert code == 0
     assert (doc["ok"], doc["passed"], doc["failed"], doc["undecided"]) == (True, 54, 0, 0)

@@ -490,8 +490,8 @@ def test_the_leaf_filter_checks_s4_with_the_shared_check(monkeypatch):
 
 
 def test_a_chain_of_a_hundred_thousand_elements_counts_in_linear_time():
-    # the search assigns one class to the chain's one support, not one to
-    # each of its 10^5 elements; the set-up is linear in the elements
+    # the search walks the chain's one coordinate, not each of its 10^5
+    # elements; the set-up is linear in the elements
     assert enumerate_s1sk((10**5,), 3, cap=0).count == 1
 
 

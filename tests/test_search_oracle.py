@@ -6,9 +6,9 @@ one node per matrix tried.  The library instead walks the coordinates,
 picking one neighbourhood of a looped graph at each, with one node per
 neighbourhood tried, and counts S1-S3 operations by graph weights.  Listing
 must give the same operations in the same order, every count must agree,
-and the leaves a listing charges to its node budget must be the oracle's
-leaves.  The oracle's own listings check the support lemma the walk rests
-on; tests/test_graph_sum.py checks the walk graph by graph.
+and the leaves an S4/S5 search charges to its node budget must be the
+oracle's leaves.  The oracle's own listings check the support lemma the
+walk rests on; tests/test_graph_sum.py checks the walk graph by graph.
 
 For k >= 4 the library tries for row a only pool matrices with M u = a (S4 at
 the instance (a, 0)).  Without masks the oracle walks every S3 leaf and is the
@@ -197,13 +197,16 @@ def _listing(u, k):
     return lambda budget: enumerate_s1sk(u, k, node_budget=budget).count
 
 
+def _counting(u):
+    return lambda budget: enumerate_s1sk(u, 3, cap=0, node_budget=budget).count
+
+
 def test_node_count_of_a_complete_run_matches_the_oracle():
     # a complete run of T nodes passes at budget T and trips at T - 1,
-    # reporting T.  T is the neighbourhoods tried at coordinates plus, in a
-    # pass that builds tables, one node per leaf, so T less the nodes of the
-    # walk alone is the oracle's count of S3 leaves: unfiltered at k = 3,
-    # where the listing pass is the larger of the two, and over the
-    # right-unit-filtered tree at k >= 4
+    # reporting T.  T is the neighbourhoods tried at coordinates plus, at
+    # k >= 4, one node per leaf, so T less the nodes of the walk alone is
+    # the oracle's count of S3 leaves over the right-unit-filtered tree at
+    # k >= 4, and nothing at k = 3, where a listing charges no leaf
     runs = [(u, 3) for u in [(2, 2), (3, 1)]]
     runs += [(u, k) for u in [(1, 1), (3, 1), (2, 1, 1), (1, 1, 1)] for k in (4, 5)]
     totals = {}
@@ -217,11 +220,11 @@ def test_node_count_of_a_complete_run_matches_the_oracle():
         candidates = search._candidates(pool, k)
         walked = _complete_nodes(lambda budget: list(search._s3_assignments(
             pool, candidates, budget, charge_leaves=False)))
-        assert total - walked == leaves, (u, k)
+        assert total - walked == (leaves if k >= 4 else 0), (u, k)
         totals[u, k] = total
-    # (2, 2) lists 8 neighbourhoods tried and 2,000 leaves, (3, 1) 8 and 695;
-    # (1, 1) and (1, 1, 1) keep one survivor each at k = 4 and 5
-    assert totals == {((2, 2), 3): 2008, ((3, 1), 3): 703, ((1, 1), 4): 6, ((1, 1), 5): 6,
+    # (2, 2) and (3, 1) list in 8 neighbourhoods tried each; (1, 1) and
+    # (1, 1, 1) keep one survivor each at k = 4 and 5
+    assert totals == {((2, 2), 3): 8, ((3, 1), 3): 8, ((1, 1), 4): 6, ((1, 1), 5): 6,
                       ((3, 1), 4): 1, ((3, 1), 5): 1, ((2, 1, 1), 4): 4, ((2, 1, 1), 5): 4,
                       ((1, 1, 1), 4): 44, ((1, 1, 1), 5): 44}
     assert [len(_oracle(u, k, filtered=True)[1]) for u in [(1, 1), (1, 1, 1)]
@@ -247,10 +250,28 @@ def test_budget_trips_below_the_node_count_of_a_complete_run():
                 trips += budget < total
     # (2, 1, 1) and (2, 1, 1, 1) trip at budget 1, (1, 1, 1) also at 37
     assert trips == 8
-    # a k = 3 listing charges its leaves, 2,000 on (2, 2) and 695 on (3, 1)
+    # a k = 3 listing trips below the count-only run's T and finishes at it
     for u in [(2, 2), (3, 1)]:
-        for budget in (37, 100, 600):
-            assert _trips(_listing(u, 3), budget), (u, budget)
+        count = len(_oracle(u, 3)[1])
+        run = _listing(u, 3)
+        total = _complete_nodes(_counting(u))
+        for budget in (1, total - 1, total, 37):
+            assert _trips(run, budget) if budget < total else run(budget) == count
+
+
+@pytest.mark.parametrize("u", [(2, 2), (3, 1), (1, 1), (2, 1, 1)])
+def test_a_k3_listing_takes_the_nodes_of_its_count(u):
+    # a graph's weight is its number of operations, so a k = 3 listing
+    # charges no node per leaf: it finishes at exactly the count-only run's
+    # nodes, with every operation counted listed when the count is within
+    # cap.  (2, 1, 1) has 1,023,774,248, over the default cap, and lists none
+    total = _complete_nodes(_counting(u))
+    assert _complete_nodes(_listing(u, 3)) == total
+    res = enumerate_s1sk(u, 3, node_budget=total)
+    if res.count <= search.DEFAULT_OP_CAP:
+        assert len(res.operations) == res.count
+    else:
+        assert (u, res.count, res.operations) == ((2, 1, 1), 1_023_774_248, None)
 
 
 def test_an_index_level_obstruction_ends_the_search_at_zero_nodes():
