@@ -539,8 +539,10 @@ def validate_table_algebra(alg: TableAlgebra) -> ValidationReport:
       downward: each b with b (+) c in D[a] for some c is itself in D[a].
       That is the undefined-pair test above read for every b outside D[a]
       at once, so when it holds only the b in D[a] are scanned (6,561 of
-      the 65,536 pairs on the Boolean cube 2^8), and otherwise the whole
-      row is.
+      the 65,536 pairs on the Boolean cube 2^8).  Otherwise some b outside
+      D[a] has b (+) c in D[a], and (a, b, c) breaks the law, so the whole
+      row is scanned, each undefined pair by the plain comparison, and the
+      scan ends in that row.
     * Counts, on a row b that cancels (its defined sums are distinct, as on
       every effect algebra).  c |-> b (+) c is then one-to-one on D[b], so
       the c in D[b] with a (+) (b (+) c) defined number as many as the
@@ -596,14 +598,12 @@ def validate_table_algebra(alg: TableAlgebra) -> ValidationReport:
             under = 0
             for x in doms[a]:
                 under |= below[x]
-            # with D[a] closed downward every undefined pair of row a holds
+            # with D[a] closed downward every undefined pair of row a holds;
+            # otherwise one breaks, and the scan ends in this row
             bs = range(n) if under & ~mask_a else doms[a]
             for b in bs:
                 k = row_a[b]
-                if k is None:
-                    if not mask_a & reach[b]:
-                        continue
-                elif not mask[k] & ~mask[b]:
+                if k is not None and not mask[k] & ~mask[b]:
                     if cancels[b]:
                         # the count, then row a at b (+) c against row k at
                         # c for c in D[k], which an empty D[k] skips

@@ -54,8 +54,6 @@ def _shape(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a comma-separated integer list"
         ) from None
-    if not parts:
-        raise argparse.ArgumentTypeError("shape must not be empty")
     return parts
 
 

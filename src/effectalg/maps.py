@@ -7,9 +7,10 @@ i of M only has to satisfy row_i . u <= v_i, the matrices can be counted and
 enumerated row by row.
 
 additive_maps_bruteforce filters raw image tables with no matrix machinery at
-all; it exists so the classification can be cross-checked against it.  It
-assigns images in index order and drops a partial table at its first broken
-sum, so it never lists the functions a broken prefix rules out.
+all, on any finite effect algebra; it exists so the classification can be
+cross-checked against it, and search.bruteforce_prefixes takes its S1 rows
+from it.  It assigns images in index order and drops a partial table at its
+first broken sum, so it never lists the functions a broken prefix rules out.
 """
 
 from __future__ import annotations
@@ -149,9 +150,10 @@ class NotAdditive(NamedTuple):
     witness: tuple[Elem, Elem]
 
 
-def additive_maps_bruteforce(dom: SimplicialAlgebra, cod: SimplicialAlgebra,
-                             cap: int = DEFAULT_FUNCTION_CAP) -> list[tuple[Elem, ...]]:
-    """All additive maps [0, u] -> [0, v] by filtering raw image tables.
+def additive_maps_bruteforce(dom: FiniteEffectAlgebra, cod: FiniteEffectAlgebra,
+                             cap: int = DEFAULT_FUNCTION_CAP) -> list[tuple[int, ...]]:
+    """All additive maps dom -> cod by filtering raw image tables, each the
+    tuple of its images' indices, t(x) at x's index.
 
     Deliberately matrix-free: images are assigned in index order, and each
     defined sum (i, j, i (+) j) is tested against t(x (+) y) = t(x) (+) t(y)
@@ -175,8 +177,7 @@ def additive_maps_bruteforce(dom: SimplicialAlgebra, cod: SimplicialAlgebra,
         extended = (f + (x,) for f in partial for x in range(m))
         # an undefined sum (None) differs from every index
         partial = [f for f in extended if all(ov[f[i]][f[j]] == f[k] for i, j, k in checks[t])]
-    elems = [cod.element(i) for i in range(m)]
-    return [tuple(elems[x] for x in f) for f in partial]
+    return partial
 
 
 def matrix_of_map(dom: SimplicialAlgebra, cod: SimplicialAlgebra,
@@ -228,9 +229,9 @@ def broken_pair(dom: FiniteEffectAlgebra, cod: FiniteEffectAlgebra,
                 images: Sequence[int]) -> Optional[tuple[int, int]]:
     """The least orthogonal pair (b, c), b <= c, of dom at which the map
     b |-> images[b] into cod breaks additivity, or None: the one walk of
-    dom.orthogonal_pairs(), whose pair check_s1, the raw-table oracle,
-    matrix_of_map and from_full_table all report.  It reads only the two sum
-    tables, so a carrier over SUM_TABLE_LIMIT is refused (CapExceeded) first."""
+    dom.orthogonal_pairs(), whose pair check_s1, matrix_of_map and
+    from_full_table all report.  It reads only the two sum tables, so a
+    carrier over SUM_TABLE_LIMIT is refused (CapExceeded) first."""
     sums = cod.oplus_table()
     for b, row_pairs in enumerate(dom.orthogonal_pairs()):
         sums_b = sums[images[b]]

@@ -78,8 +78,7 @@ class Operation:
         if _assembled:
             # valid by construction, so not re-checked: a kept survivor's pool
             # matrices and their action rows, one gather (search._Pool.operation),
-            # a raw-table oracle's generated rows (search.bruteforce_prefixes), or
-            # a checked table and the matrices of its rows (from_full_table)
+            # or a checked table and the matrices of its rows (from_full_table)
             self.matrices = matrices
             self._table = table
             return
@@ -547,11 +546,9 @@ def from_full_table(alg: SimplicialAlgebra,
         raise ValueError("matrix families are only defined on boxes")
     rows = _checked_table(table, alg.size)
     matrices = []
-    known: dict = {}  # rows of a table often repeat
     for a, row in enumerate(rows):
-        if row not in known:
-            known[row] = _classify(alg, alg, row)
-        if isinstance(known[row], NotAdditive):
-            return NotS1(row=a, witness=known[row].witness)
-        matrices.append(known[row])
+        got = _classify(alg, alg, row)
+        if isinstance(got, NotAdditive):
+            return NotS1(row=a, witness=got.witness)
+        matrices.append(got)
     return Operation(alg, tuple(matrices), rows, _assembled=True)

@@ -44,13 +44,14 @@ listing or leaf, so a search that ends before one (every obstructed box
 tried so far) builds neither, and no search builds a SubunitalMatrix.
 Nonexistence results are exhaustive or explicitly undecided, never guessed.
 
-bruteforce_prefixes is the independent oracle, on raw N x N tables with no
-matrix machinery at all.  S1 reads each row of a table on its own, so the
-S1 tables are exactly the products of the rows that pass S1 alone, by the
-full pair walk that shares no atom rule with check_s1's screen; they are
-generated as such, in canonical order, and each runs through check_s2,
-check_s3, ... until its first failure, so every axiom prefix S1..Sk is
-classified at once.  full_bruteforce_ops is its list for one k.
+bruteforce_prefixes is the independent oracle, on raw N x N index tables
+with no matrix machinery at all.  S1 reads each row of a table on its own,
+so the S1 tables are exactly the products of the additive rows, which
+maps.additive_maps_bruteforce generates pruned by prefix, sharing no atom
+rule with check_s1's screen; the tables are generated as such, in canonical
+order, and each runs through check_s2, check_s3, ... until its first
+failure, so every axiom prefix S1..Sk is classified at once.
+full_bruteforce_ops is its list for one k.
 """
 
 from __future__ import annotations
@@ -68,9 +69,8 @@ from .errors import (
     NodeBudgetExceeded,
     capped_power,
     count_text,
-    refuse_over,
 )
-from .maps import broken_pair, count_subunital, subunital_row_lists
+from .maps import additive_maps_bruteforce, count_subunital, subunital_row_lists
 from .operations import (
     AXIOM_CHECKS,
     CHECKS_GIVEN_S1,
@@ -461,8 +461,7 @@ def exists_s1s4(u: Sequence[int],
     return S4Existence(u=u, exists=False, certificate="exhaustive", witness=None)
 
 
-def classify_b2(cap: int = DEFAULT_OP_CAP,
-                node_budget: int = DEFAULT_NODE_BUDGET) -> B2Classification:
+def classify_b2(node_budget: int = DEFAULT_NODE_BUDGET) -> B2Classification:
     """Classify the S1-S3 survivors on the four-element Boolean box.
 
     Each survivor must consist of the zero row at 0, the identity row at the
@@ -471,8 +470,7 @@ def classify_b2(cap: int = DEFAULT_OP_CAP,
     v = 0 iff s = 0.  Survivors are partitioned by that zero pattern into
     blocks of 9 and 25; any structural violation is an internal error.
     """
-    res = enumerate_s1sk((1, 1), 3, cap=cap, node_budget=node_budget)
-    refuse_over(res.count, cap, "S1-S3 operations to list for the classification")
+    res = enumerate_s1sk((1, 1), 3, node_budget=node_budget)
     zero_m: Matrix = ((0, 0), (0, 0))
     ident = _identity(2)
     p, q = 1, 2  # canonical indices of (1,0) and (0,1)
@@ -499,41 +497,41 @@ def classify_b2(cap: int = DEFAULT_OP_CAP,
 
 
 def bruteforce_prefixes(alg: FiniteEffectAlgebra, upto: int = 5,
-                        cap: int = DEFAULT_TABLE_CAP) -> list[list[Operation]]:
+                        cap: int = DEFAULT_TABLE_CAP) -> list[list[Table]]:
     """Classify ALL N x N tables by the longest axiom prefix they pass.
 
     Entry k - 1 of the result lists the tables passing S1..Sk, for k in
-    1..upto, in canonical function order (last cell varying fastest).
-    S1 reads each row of a table on its own, so a table passes S1 exactly
-    when each of its rows does: the N**N candidate rows are filtered once, in
-    lexicographic order, by the full pair walk (maps.broken_pair, with
-    no atom rule), and the product of the rows that pass is
-    every S1 table, in canonical order, with no other table generated.  Each
-    runs through check_s2, check_s3, ... until its first failure, so it is
-    checked once for every k.  The cap counts all N**(N*N) tables, filtered
-    or not.  The independent oracle for the structured searches: table
-    representation only, no matrices anywhere.
+    1..upto, in canonical function order (last cell varying fastest), each
+    a tuple of row tuples of element indices.  S1 reads each row of a table
+    on its own, so a table passes S1 exactly when each of its rows does:
+    the additive rows, in lexicographic order, are those of
+    maps.additive_maps_bruteforce(alg, alg) (no atom rule), and their
+    product is every S1 table, in canonical order, with no other table
+    generated.  Each runs through check_s2, check_s3, ... until its first
+    failure, so it is checked once for every k.  The cap counts all
+    N**(N*N) tables, filtered or not, and bounds the row generator too,
+    whose N**N rows are fewer.  The independent oracle for the structured
+    searches: table representation only, no matrices anywhere.
     """
     if not _is_int(upto) or not 1 <= upto <= 5:
         raise ValueError(f"upto must be in 1..5, got {upto}")
     n = alg.size
     capped_power(n, n * n, cap, "candidate tables")
-    rows = [row for row in product(range(n), repeat=n) if broken_pair(alg, alg, row) is None]
-    passing: list[list[Operation]] = [[] for _ in range(upto)]
+    rows = additive_maps_bruteforce(alg, alg, cap)
+    passing: list[list[Table]] = [[] for _ in range(upto)]
     later = tuple(zip(passing[1:], AXIOM_CHECKS[1:upto]))
     for table in product(rows, repeat=n):
-        # its rows were generated in range(n): built without re-checking
-        op = Operation(alg, table=table, _assembled=True)
-        passing[0].append(op)
-        for ops, check in later:
+        passing[0].append(table)
+        for tables, check in later:
             if check(alg, table) is not None:
                 break
-            ops.append(op)
+            tables.append(table)
     return passing
 
 
 def full_bruteforce_ops(alg: FiniteEffectAlgebra, k: int,
-                        cap: int = DEFAULT_TABLE_CAP) -> list[Operation]:
-    """All N x N tables passing S1..Sk, in canonical function order: the
-    last list of bruteforce_prefixes(alg, k, cap)."""
+                        cap: int = DEFAULT_TABLE_CAP) -> list[Table]:
+    """All N x N tables passing S1..Sk, each a tuple of row tuples, in
+    canonical function order: the last list of bruteforce_prefixes(alg, k,
+    cap)."""
     return bruteforce_prefixes(alg, k, cap)[k - 1]

@@ -95,8 +95,7 @@ def _criterion2() -> list[SuiteRow]:
     for u in [(1,), (2,), (3,), (1, 1), (2, 1)]:
         alg = make_simplicial(u)
         elems = list(alg.elements())
-        brute = {tuple(e.index for e in tab)
-                 for tab in additive_maps_bruteforce(alg, alg)}
+        brute = set(additive_maps_bruteforce(alg, alg))
         structured = {tuple(M.apply(x).index for x in elems)
                       for M in enumerate_subunital(u)}
         actual = ("equal sets" if brute == structured
@@ -207,8 +206,8 @@ def _criterion10(node_budget: int) -> list[SuiteRow]:
     rows = []
     for n in (1, 2):
         by_prefix = bruteforce_prefixes(make_simplicial((n,)))
-        for k, brute_ops in enumerate(by_prefix, start=1):
-            brute = {op.product_table() for op in brute_ops}
+        for k, brute_tables in enumerate(by_prefix, start=1):
+            brute = set(brute_tables)
             if k == 1:
                 structured = {op.product_table() for op in enumerate_s1((n,))}
             elif k == 2:

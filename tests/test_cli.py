@@ -356,6 +356,22 @@ def test_mistyped_json_is_malformed_input(capsys, tmp_path, cmd, doc):
     assert json.loads(out)["error"] == "malformed_input"
 
 
+@pytest.mark.parametrize("cmd, doc, message", [
+    ("algebra", {"type": "table", "size": 2, "zero": 0, "one": 1, "sum": [[0, 1], [1]]},
+     "sum table rows must have 2 entries"),
+    ("check", {"algebra": BOX1, "table": [0, 1]}, '"table" must be a list of rows'),
+])
+def test_misshapen_tables_are_malformed_input(capsys, tmp_path, cmd, doc, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    argv = ("algebra", "--file", str(path)) if cmd == "algebra" else (
+        "check", "--op", str(path), "--upto", "2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert len(out.splitlines()) == 1
+    assert json.loads(out) == {"error": "malformed_input", "message": message}
+
+
 def test_verify_summary(capsys):
     code, doc, _ = run_json(capsys, "verify", "--suite", "paper")
     assert code == 0

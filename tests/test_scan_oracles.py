@@ -18,7 +18,9 @@ replaced are kept below as their references.
 Two raw-table oracles that stop early are checked here too.  S1 reads each
 row on its own (the row-locality lemma that bruteforce_prefixes rests on),
 and additive_maps_bruteforce, which drops a partial image table at its first
-broken sum, must return the same list as the filter over every function.
+broken sum, must return the same list as the filter over every function and,
+on the table fixtures whose self-maps are bruteforce_prefixes' S1 rows, as
+the broken_pair walk over every row.
 """
 
 import math
@@ -47,6 +49,7 @@ from effectalg import (
     validate_table_algebra,
 )
 from effectalg.fixtures import load_fixture
+from effectalg.maps import broken_pair
 from effectalg.operations import check_s1, check_s4, check_s4_given_s1, check_s5
 
 
@@ -146,8 +149,9 @@ def atoms_reference(alg):
 
 
 def additive_maps_reference(dom, cod):
-    """All additive maps dom -> cod, by testing each of the |cod| ** |dom|
-    functions against every defined sum, in canonical function order."""
+    """All additive maps dom -> cod as image index tuples, by testing each of
+    the |cod| ** |dom| functions against every defined sum, in canonical
+    function order."""
     n, m = dom.size, cod.size
     pairs = []
     for i in range(n):
@@ -156,7 +160,6 @@ def additive_maps_reference(dom, cod):
             if k is not None:
                 pairs.append((i, j, k))
     ov = cod.oplus_table()
-    elems = [cod.element(i) for i in range(m)]
     out = []
     for f in product(range(m), repeat=n):
         for i, j, k in pairs:
@@ -164,7 +167,7 @@ def additive_maps_reference(dom, cod):
             if t is None or t != f[k]:
                 break
         else:
-            out.append(tuple(elems[x] for x in f))
+            out.append(f)
     return out
 
 
@@ -733,6 +736,17 @@ def test_additive_map_filter_matches_the_loop_over_every_function():
         want = additive_maps_reference(dom, cod)
         assert want, (u, v)
         assert additive_maps_bruteforce(dom, cod) == want, (u, v)
+    # on the table carriers too, whose self-maps are the S1 rows of
+    # bruteforce_prefixes: the same rows as the loop and as the walk filter
+    # over every row, in the same order
+    for name in ("c1", "c2", "c3", "c4", "mo2"):
+        alg = load_fixture(name)
+        want = additive_maps_reference(alg, alg)
+        walked = [row for row in product(range(alg.size), repeat=alg.size)
+                  if broken_pair(alg, alg, row) is None]
+        assert walked == want, name
+        assert additive_maps_bruteforce(alg, alg) == want, name
+    assert len(want) == 53
 
 
 def assert_box_tables_match_the_coordinates(u):
