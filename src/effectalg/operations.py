@@ -1,9 +1,10 @@
 """Total binary operations on finite effect algebras and the axiom battery.
 
-An operation is stored either as a matrix family (one u-subunital matrix per
-element, boxes only, so every left translation is additive by construction)
-or as a full N x N table of result indices.  check_axioms evaluates the
-sequential-product axioms:
+An operation is its full N x N table of result indices.  Matrices are an
+input format and a derived view: on a box, op_from_json reads one u-subunital
+matrix per element (its "rows") and expands each into its action row
+(matrix_actions), and from_full_table recovers the matrices of a table's rows
+or refutes S1.  check_axioms evaluates the sequential-product axioms:
 
   S1  every left translation b |-> a o b is additive;
   S2  1 o a = a;
@@ -68,48 +69,19 @@ _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class Operation:
-    """A total binary operation a o b on a finite effect algebra."""
+    """A total binary operation a o b on a finite effect algebra, stored as
+    its N x N product table of result indices."""
 
-    def __init__(self, algebra: FiniteEffectAlgebra,
-                 matrices: Optional[Sequence[Sequence[Sequence[int]]]] = None,
-                 table: Optional[Sequence[Sequence[int]]] = None,
+    def __init__(self, algebra: FiniteEffectAlgebra, table: Table,
                  *, _assembled: bool = False):
         self.algebra = algebra
-        if _assembled:
-            # valid by construction, so not re-checked: a kept survivor's pool
-            # matrices and their action rows, one gather (search._Pool.operation),
-            # or a checked table and the matrices of its rows (from_full_table)
-            self.matrices = matrices
-            self._table = table
-            return
-        if (matrices is None) == (table is None):
-            raise ValueError("give exactly one of matrices= or table=")
-        n = algebra.size
-        if matrices is not None:
-            if not isinstance(algebra, SimplicialAlgebra):
-                raise ValueError("matrix families are only defined on boxes")
-            matrices = tuple(tuple(tuple(row) for row in M) for M in matrices)
-            if len(matrices) != n:
-                raise ValueError(f"expected {n} matrices, got {len(matrices)}")
-            u = algebra.shape.u
-            for a, M in enumerate(matrices):
-                if not all(_is_int(m) for row in M for m in row):
-                    raise ValueError(f"matrix for element {a} has entries that are not integers")
-                if not is_subunital(M, u, u):
-                    raise ValueError(f"matrix for element {a} is not u-subunital")
-            self.matrices: Optional[tuple[Matrix, ...]] = matrices
-            self._table: Optional[tuple[tuple[int, ...], ...]] = None
-        else:
-            self.matrices = None
-            self._table = _checked_table(table, n)
-
-    @property
-    def is_matrix_family(self) -> bool:
-        return self.matrices is not None
+        # an assembled table is valid by construction, so not re-checked: a
+        # kept survivor's action rows (search._Pool.operation), the action
+        # rows of checked matrices (op_from_json), or a named operation's
+        self._table = table if _assembled else _checked_table(table, algebra.size)
 
     def __repr__(self):
-        rep = "matrices" if self.is_matrix_family else "table"
-        return f"Operation({self.algebra!r}, {rep})"
+        return f"Operation({self.algebra!r}, table)"
 
     def apply(self, a: int, b: int) -> int:
         """Index of a o b; ValueError unless a and b are element indices."""
@@ -117,19 +89,12 @@ class Operation:
         return self.product_table()[check(a)][check(b)]
 
     def product_table(self) -> tuple[tuple[int, ...], ...]:
-        """The full N x N result table, computed once for matrix families."""
-        if self._table is None:
-            self._table = matrix_actions(self.algebra, self.matrices)
+        """The full N x N result table, a tuple of row tuples."""
         return self._table
 
     def to_json(self) -> dict:
-        out: dict = {"algebra": self.algebra.to_json()}
-        if self.is_matrix_family:
-            out["rows"] = {str(a): [list(r) for r in M]
-                           for a, M in enumerate(self.matrices)}
-        else:
-            out["table"] = [list(row) for row in self._table]
-        return out
+        return {"algebra": self.algebra.to_json(),
+                "table": [list(row) for row in self._table]}
 
 
 def _checked_table(table: Table, n: int) -> tuple[tuple[int, ...], ...]:
@@ -155,7 +120,7 @@ def op_from_json(obj: dict) -> Operation:
     if "table" in obj:
         if not _is_grid(obj["table"]):
             raise ValueError('"table" must be a list of rows')
-        return Operation(alg, table=obj["table"])
+        return Operation(alg, obj["table"])
     if "rows" in obj:
         if not isinstance(alg, SimplicialAlgebra):
             raise ValueError("matrix-family operations need a simplicial algebra")
@@ -167,14 +132,23 @@ def op_from_json(obj: dict) -> Operation:
                    for M in rows.values()):
             raise ValueError("each of rows must be a list of integer rows")
         matrices = tuple(tuple(tuple(r) for r in rows[str(a)]) for a in range(alg.size))
-        return Operation(alg, matrices=matrices)
+        u = alg.shape.u
+        for a, M in enumerate(matrices):
+            if not is_subunital(M, u, u):
+                raise ValueError(f"matrix for element {a} is not u-subunital")
+        # the axiom checks read the sum table, so its cap (CapExceeded, count
+        # N^2) refuses a box over the sum-table limit before N action rows
+        # are built
+        alg.oplus_table()
+        return Operation(alg, matrix_actions(alg, matrices), _assembled=True)
     raise ValueError('operation JSON needs a "table" or "rows" field')
 
 
 def matrix_actions(alg: SimplicialAlgebra,
                    matrices: Sequence[Matrix]) -> tuple[tuple[int, ...], ...]:
     """Per matrix, the index of M x for every element x of the box in
-    canonical order: the product-table row of a matrix-family element.
+    canonical order: the product-table row of an element whose left
+    translation is M.
     Each row is expanded from M's column indices (see column_indices); its
     entries lie in the box because M x <= M u <= u."""
     shape = alg.shape
@@ -192,29 +166,16 @@ def _identity(r: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
 
 
-def _zero_matrix(r: int) -> Matrix:
-    return tuple((0,) * r for _ in range(r))
-
-
-def _family(alg: SimplicialAlgebra, matrix_at) -> Operation:
-    """The matrix family with matrix_at(a) at each element a of the box alg.
-    The axiom checks read the box's sum table, so it is asked for first: its
-    cap (CapExceeded, count N^2) refuses a box over the sum-table limit before
-    anything of size N is built."""
-    alg.oplus_table()
-    return Operation(alg, matrices=tuple(map(matrix_at, range(alg.size))))
-
-
 def sigma_universal(alg: FiniteEffectAlgebra) -> Operation:
-    """The universal operation: a o b = 0 when a = 0, else b."""
-    if isinstance(alg, SimplicialAlgebra):
-        r = alg.shape.r
-        z, ident = _zero_matrix(r), _identity(r)
-        return _family(alg, lambda a: z if a == alg.zero_index else ident)
+    """The universal operation: a o b = 0 when a = 0, else b.  The axiom
+    checks read the sum table, so it is asked for first: its cap
+    (CapExceeded, count N^2) refuses an algebra over the sum-table limit
+    before anything of size N is built."""
+    alg.oplus_table()
     n, zero = alg.size, alg.zero_index
-    return Operation(alg, table=tuple(
-        (zero,) * n if a == zero else tuple(range(n)) for a in range(n)
-    ))
+    zeros, ident = (zero,) * n, tuple(range(n))
+    return Operation(alg, tuple(zeros if a == zero else ident for a in range(n)),
+                     _assembled=True)
 
 
 def tau_perm(u, perm: Sequence[int]) -> Operation:
@@ -232,10 +193,14 @@ def tau_perm(u, perm: Sequence[int]) -> Operation:
     r = shape.r
     if not all(map(_is_int, perm)) or sorted(perm) != list(range(1, r + 1)):
         raise ValueError(f"{perm} is not a permutation of 1..{r}")
-    z, ident = _zero_matrix(r), _identity(r)
     P = tuple(tuple(1 if j == perm[i] - 1 else 0 for j in range(r)) for i in range(r))
-    return _family(alg, lambda a: z if a == alg.zero_index
-                   else ident if a == alg.one_index else P)
+    # the sum table first, as in sigma_universal; on a box 0 and the top
+    # are the first and last indices
+    alg.oplus_table()
+    n = shape.size
+    (twist,) = matrix_actions(alg, (P,))
+    return Operation(alg, ((0,) * n,) + (twist,) * (n - 2) + (tuple(range(n)),),
+                     _assembled=True)
 
 
 def meet_boolean(r) -> Operation:
@@ -253,16 +218,14 @@ def meet_boolean(r) -> Operation:
         alg = make_simplicial((1,) * r)
     else:
         raise ValueError(f"the meet operation needs a box or an integer rank, got {r!r}")
-    shape = alg.shape
-    if any(ui != 1 for ui in shape.u):
-        raise ValueError(f"the meet operation needs u = (1,...,1), got {shape.u}")
-    axes = range(shape.r)
-
-    def diagonal(a: int) -> Matrix:
-        x = shape.coords_of(a)
-        return tuple(tuple(x[i] if i == j else 0 for j in axes) for i in axes)
-
-    return _family(alg, diagonal)
+    u = alg.shape.u
+    if any(ui != 1 for ui in u):
+        raise ValueError(f"the meet operation needs u = (1,...,1), got {u}")
+    # the sum table first, as in sigma_universal; on the Boolean box an index
+    # is the bitmask of its coordinates, so the meet is a AND b
+    alg.oplus_table()
+    ids = range(alg.size)
+    return Operation(alg, tuple(tuple(map(a.__and__, ids)) for a in ids), _assembled=True)
 
 
 class AxiomReport(NamedTuple):
@@ -462,9 +425,6 @@ def check_axioms(op: Operation, upto: int) -> AxiomReport:
     if not _is_int(upto) or not 1 <= upto <= 5:
         raise ValueError(f"upto must be in 1..5, got {upto}")
     alg = op.algebra
-    # S1 reads the sum table; asking for it first lets its size cap refuse an
-    # oversized algebra before the product table is computed
-    alg.oplus_table()
     prod = op.product_table()
     results = {"s1": check_s1(alg, prod)}
     checks = CHECKS_GIVEN_S1 if results["s1"] is None else AXIOM_CHECKS
@@ -536,8 +496,9 @@ class NotS1(NamedTuple):
 
 
 def from_full_table(alg: SimplicialAlgebra,
-                    table: Sequence[Sequence[int]]) -> Union[Operation, NotS1]:
-    """Recover the matrix family of a product table, or refute S1.
+                    table: Sequence[Sequence[int]]) -> Union[tuple[Matrix, ...], NotS1]:
+    """Recover the matrices of a product table's rows, one per element in
+    canonical order, or refute S1.
 
     Each row is classified as matrix_of_map does; the first non-additive row
     (with its orthogonal-pair witness) refutes S1.
@@ -551,4 +512,4 @@ def from_full_table(alg: SimplicialAlgebra,
         if isinstance(got, NotAdditive):
             return NotS1(row=a, witness=got.witness)
         matrices.append(got)
-    return Operation(alg, tuple(matrices), rows, _assembled=True)
+    return tuple(matrices)

@@ -22,9 +22,10 @@ k >= 4 each graph is expanded as the walk yields it, and each leaf's table
 is assembled from the pool matrices' actions and filtered by S4 and S5 as
 operations.CHECKS_GIVEN_S1 checks it (every leaf passes S1; see
 check_s4_given_s1).  Survivors stay pool-index tuples through the canonical
-sort, and each kept one becomes an Operation by one gather of its matrices
-and its action rows (_Pool.operation), whose row tuples
-SearchResult.to_json hands to the encoder as they are.  A node is one
+sort, and each kept one becomes an Operation by one gather of its action
+rows (_Pool.operation), whose row tuples SearchResult.to_json hands to the
+encoder as they are; no survivor keeps its matrices, which
+operations.from_full_table recovers from its table.  A node is one
 neighbourhood tried at one coordinate, and at k >= 4 each leaf is one node
 more.  An S4/S5 search lists for row a only the pool matrices with M u = a:
 with the zero and identity rows pinned, any other row breaks S4 at the
@@ -140,12 +141,11 @@ class S4Existence(NamedTuple):
 
 
 class B2Record(NamedTuple):
-    """One survivor on the four-element Boolean box: its row maps A (at p)
-    and B (at q) and the values (u, v, s, t) = (A p, A q, B p, B q)."""
+    """One survivor on the four-element Boolean box and the values
+    (u, v, s, t) = (p o p, p o q, q o p, q o q) of its rows at p = (1,0) and
+    q = (0,1), which determine its additive rows there."""
 
     op: Operation
-    A: Matrix
-    B: Matrix
     uvst: tuple[int, int, int, int]
 
 
@@ -211,14 +211,12 @@ class _Pool:
         return index
 
     def operation(self, rows: Sequence[int]) -> Operation:
-        """The operation whose row a is pool matrix rows[a], its matrices and
-        its product table gathered by one itemgetter.  Neither is re-checked:
-        the pool matrices are u-subunital, and every entry of an action row is
-        the index of some M x <= M u <= u, so it lies in the box.  A box has
-        at least two elements, so the getter gives tuples."""
-        pick = itemgetter(*rows)
-        return Operation(self.alg, matrices=pick(self.matrices), table=pick(self.actions),
-                         _assembled=True)
+        """The operation whose row a is the action of pool matrix rows[a],
+        its product table gathered by one itemgetter.  It is not re-checked:
+        every entry of an action row is the index of some M x <= M u <= u, so
+        it lies in the box.  A box has at least two elements, so the getter
+        gives a tuple."""
+        return Operation(self.alg, itemgetter(*rows)(self.actions), _assembled=True)
 
 
 def _matrix_families(u: Sequence[int], pin_top: bool, cap: int) -> Iterator[Operation]:
@@ -471,23 +469,20 @@ def classify_b2(node_budget: int = DEFAULT_NODE_BUDGET) -> B2Classification:
     blocks of 9 and 25; any structural violation is an internal error.
     """
     res = enumerate_s1sk((1, 1), 3, node_budget=node_budget)
-    zero_m: Matrix = ((0, 0), (0, 0))
-    ident = _identity(2)
     p, q = 1, 2  # canonical indices of (1,0) and (0,1)
     records = []
     for op in res.operations:
-        ms = op.matrices
-        if ms[0] != zero_m or ms[3] != ident:
+        table = op.product_table()
+        if table[0] != (0, 0, 0, 0) or table[3] != (0, 1, 2, 3):
             raise RuntimeError("survivor lacks the zero/identity row structure; "
                                "internal inconsistency")
-        table = op.product_table()
         uvst = (table[p][p], table[p][q], table[q][p], table[q][q])
         if uvst[:2] == (0, 0) or uvst[2:] == (0, 0):
             raise RuntimeError("survivor has a zero row at p or q; internal inconsistency")
         if (uvst[1] == 0) != (uvst[2] == 0):
             raise RuntimeError("survivor violates the cross-zero condition; "
                                "internal inconsistency")
-        records.append(B2Record(op=op, A=ms[p], B=ms[q], uvst=uvst))
+        records.append(B2Record(op=op, uvst=uvst))
     v_zero = [i for i, rec in enumerate(records) if rec.uvst[1] == 0]
     v_nonzero = [i for i, rec in enumerate(records) if rec.uvst[1] != 0]
     if len(v_zero) != 9 or len(v_nonzero) != 25:

@@ -16,6 +16,7 @@ from effectalg import (
     algebra_from_json,
     atoms,
     chain_table,
+    fixture_path,
     has_obstruction_atom,
     isotropic_index,
     leq,
@@ -42,6 +43,15 @@ def test_shape_rejects_bad_coordinates():
         Shape((True,))
     with pytest.raises(ValueError):
         Shape((1.0,))
+
+
+def test_out_of_range_inputs_are_refused():
+    with pytest.raises(ValueError, match="index 3 out of range"):
+        Shape((2,)).coords_of(3)
+    with pytest.raises(ValueError, match="unknown fixture 'nope'"):
+        fixture_path("nope")
+    with pytest.raises(ValueError, match="chains need n >= 1"):
+        chain_table(0)
 
 
 def test_canonical_order_on_a_mixed_box():

@@ -310,6 +310,15 @@ def test_enumerate_count_only_keeps_no_operations(capsys, monkeypatch):
     # --count-only asks the search to keep nothing
     assert caps == [0, 0]
 
+def test_check_takes_at_most_one_carrier(capsys):
+    code, out, _ = run(capsys, "check", "--algebra", str(fixture_path("mo2")), "--u", "1",
+                       "--op", "sigma", "--upto", "3")
+    assert code == 2
+    assert len(out.splitlines()) == 1
+    assert json.loads(out) == {"error": "malformed_input",
+                               "message": "give at most one of --algebra and --u"}
+
+
 def test_check_input_errors(capsys):
     cases = [
         ("check", "--op", "sigma", "--upto", "3"),  # named op with no carrier

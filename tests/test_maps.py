@@ -44,6 +44,12 @@ def test_row_count_matches_the_listing(u, budget):
     assert all(sum(a * ui for a, ui in zip(row, u)) <= budget for row in rows)
 
 
+def test_rows_refuse_a_negative_budget():
+    for rows in (enumerate_rows, count_rows):
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            rows((1,), -1)
+
+
 def test_row_counts_on_large_budgets():
     # rows alpha >= 0 with sum(alpha) <= b number C(b + r, r), and with
     # 2 a + 3 c <= b one for each c and each a <= (b - 3 c) // 2

@@ -35,43 +35,47 @@ small_shapes = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
 
 
 def test_operation_needs_exactly_one_representation():
+    # an operation is its table; matrices come in only as op_from_json's
+    # "rows", which checks them
     alg = make_simplicial((1,))
-    ident = ((1,),)
-    with pytest.raises(ValueError):
+    box, ident = alg.to_json(), [[1]]
+    with pytest.raises(TypeError):
         Operation(alg)
+    with pytest.raises(TypeError):
+        Operation(alg, matrices=[((0,),), ((1,),)])
     with pytest.raises(ValueError):
-        Operation(alg, matrices=[((0,),), ident], table=[[0, 0], [0, 1]])
+        op_from_json({"algebra": box, "rows": {"0": ident}})  # one matrix short
+    with pytest.raises(ValueError, match="matrix for element 0 is not u-subunital"):
+        op_from_json({"algebra": box, "rows": {"0": [[2]], "1": ident}})
+    with pytest.raises(ValueError, match="need a simplicial algebra"):
+        op_from_json({"algebra": chain_table(1).to_json(), "rows": {"0": [[0]], "1": ident}})
     with pytest.raises(ValueError):
-        Operation(alg, matrices=[ident])  # one matrix short
+        Operation(alg, [[0, 2], [0, 1]])
     with pytest.raises(ValueError):
-        Operation(alg, matrices=[((2,),), ident])  # not subunital
-    with pytest.raises(ValueError):
-        Operation(chain_table(1), matrices=[((0,),), ident])
-    with pytest.raises(ValueError):
-        Operation(alg, table=[[0, 2], [0, 1]])
-    with pytest.raises(ValueError):
-        Operation(alg, table=[[0, 0]])
+        Operation(alg, [[0, 0]])
 
 
 @pytest.mark.parametrize("entry", [0.5, 1.0, True, False])
 def test_matrix_entries_must_be_integers(entry):
-    # a float entry reached the product table, where check_axioms failed
-    # with a TypeError; a bool reached to_json, whose output op_from_json
-    # rejects
-    alg = make_simplicial((2,))
+    # a float entry would reach the action rows, and a bool would pass as 0
+    # or 1; both are refused before any row is built
+    obj = {"algebra": make_simplicial((2,)).to_json(),
+           "rows": {"0": [[0]], "1": [[entry]], "2": [[1]]}}
     with pytest.raises(ValueError) as exc:
-        Operation(alg, matrices=[((0,),), ((entry,),), ((1,),)])
-    assert str(exc.value) == "matrix for element 1 has entries that are not integers"
+        op_from_json(obj)
+    assert str(exc.value) == "each of rows must be a list of integer rows"
 
 
 def test_matrix_and_table_routes_compute_the_same_products():
     alg = make_simplicial((2, 1))
     op = sigma_universal(alg)
-    table_op = Operation(op.algebra, table=op.product_table())
-    assert not table_op.is_matrix_family
+    zero, ident = [[0, 0], [0, 0]], [[1, 0], [0, 1]]
+    rows = {str(a): zero if a == alg.zero_index else ident for a in range(alg.size)}
+    matrix_op = op_from_json({"algebra": alg.to_json(), "rows": rows})
+    table_op = Operation(op.algebra, op.product_table())
     for a in range(alg.size):
         for b in range(alg.size):
-            assert op.apply(a, b) == table_op.apply(a, b)
+            assert op.apply(a, b) == matrix_op.apply(a, b) == table_op.apply(a, b)
 
 
 def test_sigma_table_on_the_three_chain():
@@ -300,21 +304,26 @@ def test_check_axioms_rejects_bad_upto():
 
 def test_check_axioms_refuses_an_oversized_algebra_before_its_product_table(monkeypatch):
     # 47 x 47 = 2209 elements, over the 2048-element sum table limit; an
-    # operation built directly is refused by check_axioms, a named one when
-    # it is built
+    # operation built from a table is refused by check_axioms, whose S1 check
+    # asks for the sum table first, and a named one, or one read from
+    # matrices, before its action rows are built
     alg = make_simplicial((46, 46))
-    op = Operation(alg, matrices=[((1, 0), (0, 1))] * alg.size)
-
-    def no_table(self):
-        raise AssertionError("the product table was computed before the cap check")
-
-    monkeypatch.setattr(Operation, "product_table", no_table)
+    n = alg.size
+    op = Operation(alg, ((0,) * n,) * n)
     with pytest.raises(CapExceeded) as exc:
         check_axioms(op, 1)
     assert exc.value.count == 2209 ** 2
-    with pytest.raises(CapExceeded) as exc:
-        sigma_universal(alg)
-    assert exc.value.count == 2209 ** 2
+
+    def no_rows(*args):
+        raise AssertionError("action rows were built before the cap check")
+
+    monkeypatch.setattr(operations, "matrix_actions", no_rows)
+    rows = {str(a): [[1, 0], [0, 1]] for a in range(n)}
+    for build in (lambda: sigma_universal(alg), lambda: tau_perm(alg, (2, 1)),
+                  lambda: op_from_json({"algebra": alg.to_json(), "rows": rows})):
+        with pytest.raises(CapExceeded) as exc:
+            build()
+        assert exc.value.count == 2209 ** 2
 
 
 def test_report_json_shape():
@@ -409,12 +418,14 @@ def test_commutes():
 
 
 def test_from_full_table_recovers_matrix_families():
-    alg = make_simplicial((2, 1))
-    for op in (sigma_universal(alg), meet_boolean(2), tau_perm((2, 2), (2, 1))):
-        box = op.algebra
-        back = from_full_table(box, op.product_table())
-        assert isinstance(back, Operation)
-        assert back.matrices == op.matrices
+    zero, ident = ((0, 0), (0, 0)), ((1, 0), (0, 1))
+    cases = [
+        (sigma_universal(make_simplicial((2, 1))), (zero,) + (ident,) * 5),
+        (meet_boolean(2), (zero, ((1, 0), (0, 0)), ((0, 0), (0, 1)), ident)),
+        (tau_perm((2, 2), (2, 1)), (zero,) + (((0, 1), (1, 0)),) * 7 + (ident,)),
+    ]
+    for op, matrices in cases:
+        assert from_full_table(op.algebra, op.product_table()) == matrices
 
 
 def test_from_full_table_refutes_non_additive_rows():
@@ -434,13 +445,19 @@ def test_from_full_table_refutes_non_additive_rows():
 
 
 def test_operation_json_round_trips():
-    mat_op = tau_perm((1, 1), (2, 1))
-    obj = mat_op.to_json()
-    assert set(obj["rows"]) == {"0", "1", "2", "3"}
-    assert op_from_json(obj).product_table() == mat_op.product_table()
+    tau = tau_perm((1, 1), (2, 1))
+    obj = tau.to_json()
+    assert set(obj) == {"algebra", "table"}
+    assert op_from_json(obj).product_table() == tau.product_table()
+    # the matrices of its rows, read back as "rows", give the same table
+    matrices = from_full_table(tau.algebra, tau.product_table())
+    rows = {str(a): [list(r) for r in M] for a, M in enumerate(matrices)}
+    assert set(rows) == {"0", "1", "2", "3"}
+    again = op_from_json({"algebra": obj["algebra"], "rows": rows})
+    assert again.product_table() == tau.product_table()
 
     sigma = sigma_universal(mo2())
-    table_op = Operation(sigma.algebra, table=sigma.product_table())
+    table_op = Operation(sigma.algebra, sigma.product_table())
     again = op_from_json(table_op.to_json())
     assert again.product_table() == table_op.product_table()
 
@@ -452,10 +469,8 @@ def test_operation_json_errors():
         op_from_json({"table": [[0, 0], [0, 1]]})
     with pytest.raises(ValueError):
         op_from_json({"algebra": alg.to_json()})
-    bad = op.to_json()
-    bad["rows"] = {"0": bad["rows"]["0"]}
     with pytest.raises(ValueError):
-        op_from_json(bad)
+        op_from_json({"algebra": op.algebra.to_json(), "rows": {"0": [[0]]}})
     with pytest.raises(ValueError):
         op_from_json({"algebra": chain_table(1).to_json(),
                       "rows": {"0": [[0]], "1": [[1]]}})

@@ -57,7 +57,7 @@ SAMPLES = {
     SearchResult: {"u": (2, 1), "k": 3, "count": 1, "certificate": "exhaustive",
                    "operations": [OP]},
     S4Existence: {"u": (2, 1), "exists": False, "certificate": "exhaustive", "witness": None},
-    B2Record: {"op": OP, "A": ((1, 0), (0, 0)), "B": ((0, 0), (0, 1)), "uvst": (1, 0, 0, 2)},
+    B2Record: {"op": OP, "uvst": (1, 0, 0, 2)},
     B2Classification: {"records": [], "block_v_zero": [0], "block_v_nonzero": [1, 2]},
     SuiteRow: {"criterion": 1, "name": "count", "expected": "9", "actual": "9",
                "status": "PASS"},

@@ -46,7 +46,7 @@ from effectalg import (
 )
 from effectalg import operations, search
 from effectalg.errors import COUNT_LIMIT, capped_power, count_text, refuse_over
-from effectalg.operations import AXIOM_NAMES
+from effectalg.operations import AXIOM_NAMES, matrix_actions
 
 B2_ELEMS = [(0, 0), (1, 0), (0, 1), (1, 1)]
 B2_MEET_TABLE = ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 2, 2), (0, 1, 2, 3))
@@ -147,9 +147,9 @@ def test_s1s2_enumeration_matches_its_count_and_passes():
         assert len(ops) == count_s1s2(u)
         assert len({op.product_table() for op in ops}) == len(ops)
         assert all(check_axioms(op, 2).all_pass for op in ops)
-        # the table assembled from the pool actions is the one the checked
-        # matrix-family constructor computes
-        assert all(Operation(op.algebra, matrices=op.matrices).product_table()
+        # the table assembled from the pool actions is the action of the
+        # matrices recovered from its rows
+        assert all(matrix_actions(op.algebra, from_full_table(op.algebra, op.product_table()))
                    == op.product_table() for op in ops)
 
 
@@ -158,7 +158,7 @@ def test_s1_enumeration():
         ops = list(enumerate_s1(u))
         assert len(ops) == want
         assert all(check_axioms(op, 1).all_pass for op in ops)
-        assert all(Operation(op.algebra, matrices=op.matrices).product_table()
+        assert all(matrix_actions(op.algebra, from_full_table(op.algebra, op.product_table()))
                    == op.product_table() for op in ops)
     with pytest.raises(CapExceeded):
         enumerate_s1((1, 1), cap=100)
@@ -287,8 +287,9 @@ def test_pruned_search_agrees_with_the_unpruned_filter():
 
 
 def test_kept_survivors_are_consistent_operations():
-    # each kept survivor carries its pool matrices and the table the search
-    # assembled; both must describe the same operation, and it must pass
+    # each kept survivor carries the table the search assembled from its pool
+    # matrices' actions; the matrices recovered from its rows must give the
+    # same table, and it must pass
     for u, k in [((2, 2), 3), ((4, 1), 3), ((1, 1), 4), ((1, 1), 5)]:
         alg = make_simplicial(u)
         res = enumerate_s1sk(u, k)
@@ -297,7 +298,8 @@ def test_kept_survivors_are_consistent_operations():
             # the table is not range-checked when it is built, so check it here
             assert all(0 <= v < alg.size for row in op.product_table() for v in row)
             assert check_axioms(op, k).all_pass, (u, k)
-            assert from_full_table(alg, op.product_table()).matrices == op.matrices
+            assert matrix_actions(alg, from_full_table(alg, op.product_table())) \
+                == op.product_table()
 
 
 def test_search_agrees_with_raw_table_bruteforce():
@@ -375,7 +377,7 @@ def test_bruteforce_cap_refusal(monkeypatch):
 
     # the refusal must come before any table is generated or built
     monkeypatch.setattr(search, "product", no_tables)
-    monkeypatch.setattr(search, "Operation", no_tables)
+    monkeypatch.setattr(search, "additive_maps_bruteforce", no_tables)
     alg = make_simplicial((1, 1))
     with pytest.raises(CapExceeded) as exc:
         full_bruteforce_ops(alg, 1, cap=100)

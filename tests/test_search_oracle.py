@@ -31,8 +31,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effectalg import (CapExceeded, NodeBudgetExceeded, enumerate_s1sk, exists_s1s4,
-                       has_obstruction_atom, make_simplicial, meet_boolean, sigma_universal,
-                       tau_perm)
+                       from_full_table, has_obstruction_atom, make_simplicial, meet_boolean,
+                       sigma_universal, tau_perm)
 from effectalg import maps, search
 from effectalg.algebra import Shape
 from effectalg.cli import main
@@ -138,7 +138,7 @@ SHAPES = [(1,), (2,), (3,), (4,), (1, 1), (2, 1), (3, 1), (2, 2), (4, 1), (3, 2)
 
 @pytest.mark.parametrize("u", SHAPES)
 def test_listing_and_counts_match_the_oracle(u):
-    ident = _identity(len(u))
+    alg, ident = make_simplicial(u), _identity(len(u))
     for k in (3, 4, 5):
         pool, leaves, _ = _oracle(u, k)
         res = enumerate_s1sk(u, k)
@@ -146,7 +146,7 @@ def test_listing_and_counts_match_the_oracle(u):
         assert res.certificate == "exhaustive"
         # same operations in the same order, with the same matrices
         assert [op.product_table() for op in res.operations] == [t for _, t in leaves]
-        assert [op.matrices for op in res.operations] == [
+        assert [from_full_table(alg, op.product_table()) for op in res.operations] == [
             tuple(pool[i] for i in choice) + (ident,) for choice, _ in leaves]
         assert enumerate_s1sk(u, k, cap=0).count == len(leaves), (u, k)
         if k >= 4:
@@ -431,14 +431,23 @@ def test_pool_refusals_keep_their_counts(capsys):
 
 @pytest.mark.parametrize("u", [(1,), (3,), (1, 1), (2, 1), (2, 2), (1, 1, 1), (3, 1, 2)])
 def test_named_operation_tables_match_the_coordinate_route(u):
+    # each named operation's table against the coordinate actions of its
+    # matrices, built here from their definitions
     alg = make_simplicial(u)
-    ops = [sigma_universal(alg)]
+    r, n = len(u), alg.size
+    axes = range(r)
+    zero, ident = ((0,) * r,) * r, _identity(r)
+    cases = [(sigma_universal(alg), (zero,) + (ident,) * (n - 1))]
     if all(ui == 1 for ui in u):
-        ops.append(meet_boolean(alg))
+        diagonals = tuple(tuple(tuple(x[i] if i == j else 0 for j in axes) for i in axes)
+                          for x in alg.shape.all_coords)
+        cases.append((meet_boolean(alg), diagonals))
     if len(u) > 1 and len(set(u)) == 1:
-        ops.append(tau_perm(alg, tuple(range(len(u), 0, -1))))
-    for op in ops:
-        assert op.product_table() == coordinate_actions(alg, op.matrices), op
+        perm = tuple(range(r, 0, -1))
+        P = tuple(tuple(int(j == perm[i] - 1) for j in axes) for i in axes)
+        cases.append((tau_perm(alg, perm), (zero,) + (P,) * (n - 2) + (ident,)))
+    for op, matrices in cases:
+        assert op.product_table() == coordinate_actions(alg, matrices), op
 
 
 def test_an_early_ending_s1s4_search_builds_no_table(monkeypatch):
