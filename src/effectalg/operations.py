@@ -21,13 +21,15 @@ the b'-clause is tried before the associativity clause).  The S1, S4 and S5
 scans work a row at a time: S1 screens each row at the atoms, x (+) p for
 every atom p, where the carrier's laws are known to hold (alg._laws_hold),
 and walks every defined sum of a row the screen rejects or of any row
-elsewhere; S4 compares a whole composition row in one step; S5 intersects
-per-element commutant bitmasks, each built by comparing a row with its
-column in one step, with the centre (the elements that commute with every
-element, which never break S5) masked out, so that a row whose commutant is
-central is skipped (check_s5 states why).  Each looks at single entries only
-to pick the least witness in a failing row, so the witnesses are those of
-the plain element-by-element scan.
+elsewhere; S4 flags, for every b at once, the b that commute with a and
+break a clause, by byte gathers (bytes.translate) on up to 256 elements and
+by itemgetter gathers over b above that, and rescans the least of them over
+every c; S5 intersects per-element commutant bitmasks, each built by
+comparing a row with its column in one step, with the centre (the elements
+that commute with every element, which never break S5) masked out, so that
+a row whose commutant is central is skipped (check_s5 states why).  Each
+looks at single entries only to pick the least witness in a failing row, so
+the witnesses are those of the plain element-by-element scan.
 
 Once S1 has passed, check_axioms checks S4 with check_s4_given_s1, which
 compares the composition clause at fewer c, again only where alg._laws_hold,
@@ -40,8 +42,9 @@ tuple against the operation.
 from __future__ import annotations
 
 from functools import reduce
-from operator import and_, eq, itemgetter
-from typing import NamedTuple, Optional, Sequence, Union
+from itertools import repeat
+from operator import and_, eq, itemgetter, ne
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .algebra import (
     CARRIER_LIMIT,
@@ -66,6 +69,8 @@ AXIOM_NAMES = ("s1", "s2", "s3", "s4", "s5")
 _WITNESS_LENGTHS = {"s1": (3,), "s2": (1,), "s3": (2,), "s4": (2, 3), "s5": (3,)}
 # byte 0 or 1 to the digit "0" or "1", for reading a row of bits as a numeral
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# byte 0 to 1 and every other byte to 0: the equal entries of two XORed rows
+_ZERO_TO_ONE = b"\x01" + bytes(255)
 
 
 class Operation:
@@ -323,41 +328,98 @@ def check_s4(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]
 
 def _s4_scan(alg: FiniteEffectAlgebra, prod: Table,
              cs: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """S4 with the composition clause compared only at the c in `cs`
-    (increasing indices); a pair that fails there is rescanned over every c.
-    Exact when every c is in `cs`, and on the terms of check_s4_given_s1."""
+    """S4 a row a at a time, with the composition clause compared only at
+    the c in `cs` (increasing indices).  Exact when every c is in `cs`, and
+    on the terms of check_s4_given_s1.
+
+    Each row gives, as one integer with byte b standing for b, the b that
+    commute with a and fail a clause: the b'-clause where b' does not
+    commute with a, the composition clause where a o (b o c) differs from
+    (a o b) o c at some c in `cs`.  The lowest set bit is the least failing
+    b, the scan's pair; its b'-clause is tried first and the composition
+    clause rescanned over every c, so the witness is the plain scan's."""
     n = alg.size
     ortho = alg.ortho_table()
-    # pick(row) is row read at cs, and through[b](row) is row read at b o c
-    # for each c in cs (built on first use), so for a commuting pair the
-    # composition clause is one comparison.  A mismatch is rescanned over
-    # every c for the least witness; when none turns up (n = 1, where
-    # itemgetter gives a scalar and tuple a 1-tuple) the clause holds.
-    # picked[k] is pick(prod[k]), also built on first use.
-    pick = tuple if len(cs) == n else itemgetter(*cs)
-    through = [None] * n
-    picked = [None] * n
-    for a in range(n):
-        row = prod[a]
-        for b in range(n):
-            if row[b] != prod[b][a]:
-                continue
-            bp = ortho[b]
+    failing = _s4_bytes if n <= 256 else _s4_gathers
+    for a, bad in enumerate(failing(prod, ortho, cs)):
+        if bad:
+            b = (bad & -bad).bit_length() - 1 >> 3
+            row, bp = prod[a], ortho[b]
             if row[bp] != prod[bp][a]:
                 return (a, b)
-            get = through[b]
-            if get is None:
-                get = through[b] = itemgetter(*map(prod[b].__getitem__, cs))
-            ab = row[b]
-            want = picked[ab]
-            if want is None:
-                want = picked[ab] = pick(prod[ab])
-            if get(row) != want:
-                rowb, row_ab = prod[b], prod[ab]
-                for c in range(n):
-                    if row[rowb[c]] != row_ab[c]:
-                        return (a, b, c)
+            rowb, row_ab = prod[b], prod[row[b]]
+            for c in range(n):
+                if row[rowb[c]] != row_ab[c]:
+                    return (a, b, c)
     return None
+
+
+def _s4_bytes(prod: Table, ortho: Sequence[int], cs: Sequence[int]) -> Iterator[int]:
+    """_s4_scan's failing b, row by row, on at most 256 elements, where a
+    row is a byte string and bytes.translate reads it at every b in one step.
+
+    The table is joined into one byte string, so row a and column a are
+    slices of it.  Row a XORed with column a is zero at the b that commute
+    with a, and these flags read at ortho say whether b' commutes.  For
+    each c in cs, column c translated by row a is a o (b o c) and row a
+    translated by column c is (a o b) o c, for every b.  The join costs
+    less than the columns of cs built one by one, so it is made even for
+    the searches' leaves, which mostly fail within their first rows."""
+    n = len(prod)
+    pad = bytes(256 - n)  # bytes.translate takes a 256-byte table
+    at_ortho = bytes(ortho)
+    flat = b"".join(map(bytes, prod))
+    cols = [flat[c::n] for c in cs]
+    cols_pad = [col + pad for col in cols]
+    for a in range(n):
+        row = flat[a * n:a * n + n]
+        comm = (int.from_bytes(row, "little") ^ int.from_bytes(flat[a::n], "little")
+                ).to_bytes(n, "little").translate(_ZERO_TO_ONE)
+        commuting = int.from_bytes(comm, "little")
+        bad = commuting & ~int.from_bytes(at_ortho.translate(comm + pad), "little")
+        # a o (b o c) and (a o b) o c for every b, one c after another
+        got = b"".join(map(bytes.translate, cols, repeat(row + pad)))
+        want = b"".join(map(row.translate, cols_pad))
+        if got != want:
+            # commuting * 255 is 0xff at each commuting b, 0 elsewhere
+            mask = commuting * 255
+            for i in range(0, len(got), n):
+                bad |= mask & (int.from_bytes(got[i:i + n], "little")
+                               ^ int.from_bytes(want[i:i + n], "little"))
+        yield bad
+
+
+def _s4_gathers(prod: Table, ortho: Sequence[int], cs: Sequence[int]) -> Iterator[int]:
+    """_s4_scan's failing b, row by row, on more than 256 elements, where
+    an entry no longer fits in a byte: for every b, row a read at b o c
+    for the c in cs (a o (b o c)) is compared in C with row a o b read at
+    cs ((a o b) o c), one tuple per b.  With at most 32 c, one itemgetter
+    reads row a at every b o c and zip cuts the result into one tuple per
+    b; with more, the cut costs more than a call, so one itemgetter per b
+    is mapped over b.  The getters and the rows read at cs are built
+    before the first row."""
+    n, m = len(prod), len(cs)
+    if m <= 32:
+        picked = [tuple(map(row_k.__getitem__, cs)) for row_k in prod]
+        every = itemgetter(*[row_b[c] for row_b in prod for c in cs])
+
+        def composed(row):
+            return zip(*[iter(every(row))] * m)
+    else:
+        at_cs = tuple if m == n else itemgetter(*cs)
+        picked = list(map(at_cs, prod))
+        through = [itemgetter(*at_cs(row_b)) for row_b in prod]
+        call = itemgetter.__call__
+
+        def composed(row):
+            return map(call, through, repeat(row))
+    at_ortho = itemgetter(*ortho)
+    for a, row in enumerate(prod):
+        comm = bytes(map(eq, row, map(itemgetter(a), prod)))
+        commuting = int.from_bytes(comm, "little")
+        bad = commuting & ~int.from_bytes(bytes(at_ortho(comm)), "little")
+        broken = bytes(map(ne, composed(row), map(picked.__getitem__, row)))
+        yield bad | commuting & int.from_bytes(broken, "little")
 
 
 def check_s4_given_s1(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]:
@@ -370,6 +432,12 @@ def check_s4_given_s1(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[i
     entries per pair on the Boolean cube 2^8, and every element elsewhere,
     as on a table that validate_table_algebra has not passed.  Zero alone
     would not do: a o (b o 0) = 0 = (a o b) o 0 under S1.
+
+    The c-set is read a row a at a time, for every b at once (_s4_scan):
+    per row of the cube, 9 translations of column c by row a against 9 of
+    row a by column c, where a per-pair loop would make 256 gathers of 9
+    entries.  Above 256 elements, itemgetter gathers over b take the place
+    of the translations (_s4_gathers).
     """
     return _s4_scan(alg, prod, alg.sum_generators())
 

@@ -48,6 +48,7 @@ from effectalg import (
     tau_perm,
     validate_table_algebra,
 )
+from effectalg import operations
 from effectalg.fixtures import load_fixture
 from effectalg.maps import broken_pair
 from effectalg.operations import check_s1, check_s4, check_s4_given_s1, check_s5
@@ -490,6 +491,147 @@ def test_restricted_s4_scan_on_lists_and_one_element():
     assert one.sum_generators() == (0,)
     assert check_axioms(Operation(one, table=[[0]]), 5).all_pass
     assert check_s4_given_s1(one, [[0]]) is None
+
+
+def s4_at_generators(alg, prod):
+    """s4_reference with the composition clause compared at the sum
+    generators only, and a pair that fails there rescanned over every c:
+    check_s4_given_s1's rule as a plain loop, for S1 tables on which
+    s4_reference, with every c, takes too long to pass."""
+    n = alg.size
+    ortho = alg.ortho_table()
+    gens = alg.sum_generators()
+    for a in range(n):
+        row = prod[a]
+        for b in range(n):
+            if row[b] != prod[b][a]:
+                continue
+            bp = ortho[b]
+            if row[bp] != prod[bp][a]:
+                return (a, b)
+            rowb, row_ab = prod[b], prod[row[b]]
+            if any(row[rowb[c]] != row_ab[c] for c in gens):
+                return (a, b, next(c for c in range(n) if row[rowb[c]] != row_ab[c]))
+    return None
+
+
+def as_lists(table):
+    return [list(row) for row in table]
+
+
+def test_s4_on_either_side_of_the_byte_gather_boundary():
+    # S4 reads rows as bytes up to 256 elements and gathers per b above
+    # that: the cube 2^8 has 256 elements, the cube 2^9 512, and the
+    # horizontal sums of chains 256 and 257.  Every table below fails within
+    # its first two rows, where s4_reference ends quickly, except the
+    # meets, which pass and are checked at the generators
+    rng = random.Random("scan-oracles/boundary")
+    for rank in (8, 9):
+        alg, meet = cube_meet(rank, rng)
+        assert validate_table_algebra(alg).ok
+        assert alg.size == 1 << rank
+        for table in (meet, as_lists(meet)):
+            assert check_s4_given_s1(alg, table) is None
+        assert s4_at_generators(alg, meet) is None
+        if rank == 8:
+            assert check_s4(alg, meet) is None
+        for table in perturbed(meet, rng, 4, max_cells=2):
+            want = s4_reference(alg, table)
+            assert want is not None
+            assert check_s4(alg, table) == check_s4(alg, as_lists(table)) == want
+            assert check_axioms(Operation(alg, table=table), 4).results["s4"] == want
+        composite = 0
+        for twisted, table in twisted_meets(rank, rng, 3):
+            assert validate_table_algebra(twisted).ok
+            want = s4_reference(twisted, table)
+            assert len(want) == 3
+            assert (check_s4_given_s1(twisted, table) == check_s4(twisted, table)
+                    == check_s4_given_s1(twisted, as_lists(table)) == want)
+            composite += want[2] not in twisted.sum_generators()
+        assert composite == 3
+    for chains in ((127, 129), (128, 129)):
+        # the sigma table passes S1 and fails S4's b'-clause
+        alg, table = hsum_sigma(chains, rng)
+        assert validate_table_algebra(alg).ok
+        assert alg.size == sum(chains) - len(chains) + 2
+        want = s4_reference(alg, table)
+        assert len(want) == 2
+        results = check_axioms(Operation(alg, table=table), 4).results
+        assert results["s1"] is None and results["s4"] == want
+        assert check_s4(alg, table) == check_s4_given_s1(alg, as_lists(table)) == want
+
+
+def test_s4_on_one_and_two_elements():
+    one = TableAlgebra(1, 0, 0, [[0]])
+    for table in (((0,),), [[0]]):
+        assert check_s4(one, table) is None and check_s4_given_s1(one, table) is None
+    for alg in (make_simplicial((1,)), chain_table(1)):
+        for flat in product(range(2), repeat=4):
+            table = (flat[:2], flat[2:])
+            want = s4_reference(alg, table)
+            assert check_s4(alg, table) == check_s4(alg, as_lists(table)) == want
+        assert check_s4_given_s1(alg, ((0, 0), (0, 1))) is None
+
+
+def bent_meet(rank, a, b, value):
+    """The meet on the Boolean box 2^rank, exported as a validated table
+    (index = bitmask, 0 the zero, 2^rank - 1 the top), with a o b set to value."""
+    alg = make_simplicial((1,) * rank).to_table()
+    assert validate_table_algebra(alg).ok
+    table = as_lists(meet_boolean(rank).product_table())
+    table[a][b] = value
+    return alg, table
+
+
+@pytest.mark.parametrize("rank", [3, 8, 9])
+def test_s4_witness_order_on_bent_meets(rank):
+    # each witness is read row by row, b by b, the b'-clause before the
+    # composition clause; rank 8 takes the byte path, rank 9 the gathers
+    n = 1 << rank
+
+    def clauses(alg, table, a, b):
+        """(commutes, b'-clause fails, composition fails at some c)"""
+        row, bp = table[a], alg.ortho_table()[b]
+        return (row[b] == table[b][a], row[bp] != table[bp][a],
+                any(row[table[b][c]] != table[row[b]][c] for c in range(n)))
+
+    # both clauses fail at the least pair, (0, 1): the b'-clause is reported
+    alg, table = bent_meet(rank, 0, n - 2, n - 2)
+    assert clauses(alg, table, 0, 1) == (True, True, True)
+    # the composition clause fails at (0, 2) and the b'-clause only at
+    # (0, n - 2), a larger b: the composition witness is reported
+    alg2, table2 = bent_meet(rank, 0, 1, 1)
+    assert clauses(alg2, table2, 0, 2) == (True, False, True)
+    assert clauses(alg2, table2, 0, n - 2)[:2] == (True, True)
+    # the b'-clause fails at (1, n - 3), and the composition clause breaks
+    # only at (1, 2), a pair that does not commute, so it does not count
+    alg3, table3 = bent_meet(rank, 2, 1, 1)
+    commutes, _, composition_fails = clauses(alg3, table3, 1, 2)
+    assert not commutes and composition_fails
+    assert clauses(alg3, table3, 1, n - 3) == (True, True, False)
+    for alg, table, want in ((alg, table, (0, 1)), (alg2, table2, (0, 2, 1)),
+                             (alg3, table3, (1, n - 3))):
+        assert s4_reference(alg, table) == want
+        assert check_s4(alg, table) == want
+        assert check_axioms(Operation(alg, table=table), 4).results["s4"] == want
+
+
+def test_the_byte_path_takes_every_table_up_to_256_elements(monkeypatch):
+    # both paths give the same witnesses, so only the path taken shows where
+    # the switch between them is
+    def refuse(*args):
+        raise AssertionError("S4 took the wrong path")
+
+    rng = random.Random("scan-oracles/switch")
+    monkeypatch.setattr(operations, "_s4_gathers", refuse)
+    alg, table = hsum_sigma((127, 129), rng)
+    assert alg.size == 256
+    assert check_s4(alg, table) == s4_reference(alg, table)
+    monkeypatch.undo()
+    monkeypatch.setattr(operations, "_s4_bytes", refuse)
+    alg, table = hsum_sigma((128, 129), rng)
+    assert alg.size == 257
+    assert check_s4(alg, table) == s4_reference(alg, table)
 
 
 def test_generators_are_zero_and_the_atoms():
