@@ -17,19 +17,25 @@ or refutes S1.  check_axioms evaluates the sequential-product axioms:
 A failed axiom reports the lexicographically least witness tuple in canonical
 element order (for S1 the orthogonal pair is scanned with b <= c, which still
 finds the least witness because the instance is symmetric in b and c; for S4
-the b'-clause is tried before the associativity clause).  The S1, S4 and S5
-scans work a row at a time: S1 screens each row at the atoms, x (+) p for
-every atom p, where the carrier's laws are known to hold (alg._laws_hold),
-and walks every defined sum of a row the screen rejects or of any row
-elsewhere; S4 flags, for every b at once, the b that commute with a and
-break a clause, by byte gathers (bytes.translate) on up to 256 elements and
-by itemgetter gathers over b above that, and rescans the least of them over
-every c; S5 intersects per-element commutant bitmasks, each built by
-comparing a row with its column in one step, with the centre (the elements
-that commute with every element, which never break S5) masked out, so that
-a row whose commutant is central is skipped (check_s5 states why).  Each
-looks at single entries only to pick the least witness in a failing row, so
-the witnesses are those of the plain element-by-element scan.
+the b'-clause is tried before the associativity clause).  The scans read
+whole rows: S1 screens each row at the atoms, x (+) p for every atom p, where
+the carrier's laws are known to hold (alg._laws_hold), and walks every
+defined sum of a row the screen rejects or of any row elsewhere; S3 compares
+the zero pattern {(a, b) : a o b = 0} with its transpose (check_s3 states
+why that decides S3); S4 flags, for every b at once, the b that commute with
+a and break a clause, and rescans the least of them over every c; S5
+intersects per-element commutant bitmasks, each built by comparing a row
+with its column in one step, with the centre (the elements that commute with
+every element, which never break S5) masked out, so that a row whose
+commutant is central is skipped (check_s5 states why).  On tables of up to
+256 elements, where an entry fits a byte, rows are read as byte strings by
+bytes.translate gathers: S4's at every size, and S1's screen, S3's and S5's
+from _BYTES_FROM elements, below which their set-up costs about what they
+save.  Outside those sizes S1's screen reads rows with itemgetter, S3 runs
+the plain loop and S5 compares a row with its column by map(eq), and above
+256 elements S4 gathers over b with itemgetter.  Each looks at single
+entries only to pick the least witness in a failing row, so the witnesses
+are those of the plain element-by-element scan.
 
 Once S1 has passed, check_axioms checks S4 with check_s4_given_s1, which
 compares the composition clause at fewer c, again only where alg._laws_hold,
@@ -71,6 +77,13 @@ _WITNESS_LENGTHS = {"s1": (3,), "s2": (1,), "s3": (2,), "s4": (2, 3), "s5": (3,)
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 # byte 0 to 1 and every other byte to 0: the equal entries of two XORed rows
 _ZERO_TO_ONE = b"\x01" + bytes(255)
+# The least carrier size at which check_s1's screen, check_s3 and check_s5
+# read a table as bytes (up to 256 elements, where an entry fits a byte).
+# Below it a byte path's set-up costs about what it saves: on tables of 8 to
+# 13 elements each byte path took 0.86-1.29 times its loop's time.  From 16
+# elements each was faster on every table measured, S1's screen at parity
+# (0.93-1.15) only on a carrier whose memos were not yet built.
+_BYTES_FROM = 16
 
 
 class Operation:
@@ -276,6 +289,11 @@ def check_s1(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]
     passed.  It reads 8 x 128 pairs per row on the Boolean cube 2^8, where
     the walk reads 3,281.  A rejected row is walked in full, so the first
     failing row and its least witness are the walk's.
+
+    On the cube, read as bytes (_atom_screen), the screen takes 1.4-1.7 ms
+    a table once the carrier's memos are built, against 8.5-12 ms with
+    itemgetter gathers, and 3.1-3.6 ms on a fresh carrier, about 1.5 ms of
+    which finds the atoms (in process, Python 3.11, a shared 2-vCPU VM).
     """
     passes = _atom_screen(alg)
     for a, row in enumerate(prod):
@@ -288,10 +306,35 @@ def check_s1(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]
 
 def _atom_screen(alg: FiniteEffectAlgebra):
     """check_s1's screen on alg: a predicate that is True when a row passes at
-    every (x, p) of alg.atom_sums(), whose getters the carrier memoizes; None
-    where alg._laws_hold is False."""
+    every (x, p) of the atom sums, which the carrier memoizes; None where
+    alg._laws_hold is False.
+
+    From _BYTES_FROM to 256 elements a row f is a byte string.  For each
+    atom p it is read by bytes.translate at the x orthogonal to p, giving
+    f(x), and at the sums x (+) p, giving f(x (+) p) (alg.atom_sum_bytes);
+    row f(p) of the sum table, read at every f(x) the same way, gives
+    f(p) (+) f(x) and whether each is defined (alg.sum_row_bytes, built per
+    value f(p) on first use).  Row f passes at p when those sums equal
+    f(x (+) p) and every one of them is defined: the byte 0 stands in for
+    an undefined sum, and may equal f(x (+) p).  Elsewhere itemgetter
+    gathers read the row."""
     if not alg._laws_hold:
         return None
+    n = alg.size
+    if _BYTES_FROM <= n <= 256:
+        atoms, sum_rows = alg.atom_sum_bytes(), alg.sum_row_bytes()
+        pad = bytes(256 - n)
+
+        def passes(row: Sequence[int]) -> bool:
+            f = bytes(row) + pad
+            for p, xs, ks in atoms:
+                fx = xs.translate(f)
+                summed, defined = sum_rows[row[p]]
+                if fx.translate(summed) != ks.translate(f) or 0 in fx.translate(defined):
+                    return False
+            return True
+
+        return passes
     sums, getters = alg.oplus_table(), alg.atom_sums()
 
     def passes(row: Sequence[int]) -> bool:
@@ -313,13 +356,35 @@ def check_s2(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]
 
 
 def check_s3(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]:
+    """S3 by the zero pattern Z = {(a, b) : a o b = 0}.
+
+    The symmetry rule: S3 says that Z lies inside its transpose, and a
+    finite relation inside its transpose equals it, so S3 holds iff Z is
+    symmetric.  From _BYTES_FROM to 256 elements the table is joined into
+    one byte string and translated to Z's 0/1 flags, which are compared
+    with their transpose in one step.  Only a table that fails is read a row
+    at a time, and the least b in row a of Z but not of the transpose is the
+    witness, as in the plain loop, which every other size runs.  On the
+    cube 2^8 this takes about 0.6 ms, most of it the join, against
+    1.5-1.7 ms for the loop over every pair."""
     n, zero = alg.size, alg.zero_index
+    if not _BYTES_FROM <= n <= 256:
+        for a in range(n):
+            row = prod[a]
+            for b in range(n):
+                if row[b] == zero and prod[b][a] != zero:
+                    return (a, b)
+        return None
+    z = _joined(prod).translate(bytes(zero) + b"\x01" + bytes(255 - zero))
+    zt = b"".join([z[b::n] for b in range(n)])
+    if z == zt:
+        return None
     for a in range(n):
-        row = prod[a]
-        for b in range(n):
-            if row[b] == zero and prod[b][a] != zero:
-                return (a, b)
-    return None
+        bad = (int.from_bytes(z[a * n:a * n + n], "little")
+               & ~int.from_bytes(zt[a * n:a * n + n], "little"))
+        if bad:
+            return (a, (bad & -bad).bit_length() - 1 >> 3)
+    raise AssertionError("Z differs from its transpose, so some pair of Z is not in it")
 
 
 def check_s4(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]:
@@ -337,7 +402,10 @@ def _s4_scan(alg: FiniteEffectAlgebra, prod: Table,
     commute with a, the composition clause where a o (b o c) differs from
     (a o b) o c at some c in `cs`.  The lowest set bit is the least failing
     b, the scan's pair; its b'-clause is tried first and the composition
-    clause rescanned over every c, so the witness is the plain scan's."""
+    clause rescanned over every c, so the witness is the plain scan's.
+    Hence the composition clause is compared only at the commuting b below
+    the row's least b'-clause failure, and not at all when that failure is
+    at the row's least commuting b."""
     n = alg.size
     ortho = alg.ortho_table()
     failing = _s4_bytes if n <= 256 else _s4_gathers
@@ -359,34 +427,49 @@ def _s4_bytes(prod: Table, ortho: Sequence[int], cs: Sequence[int]) -> Iterator[
     row is a byte string and bytes.translate reads it at every b in one step.
 
     The table is joined into one byte string, so row a and column a are
-    slices of it.  Row a XORed with column a is zero at the b that commute
-    with a, and these flags read at ortho say whether b' commutes.  For
-    each c in cs, column c translated by row a is a o (b o c) and row a
-    translated by column c is (a o b) o c, for every b.  The join costs
-    less than the columns of cs built one by one, so it is made even for
-    the searches' leaves, which mostly fail within their first rows."""
+    slices of it.  The flags of the b that commute with a (_commuting) read
+    at ortho say whether b' commutes.  For each c in cs, column c translated
+    by row a is a o (b o c) and row a translated by column c is
+    (a o b) o c, for every b.  The join costs less than the columns of cs
+    built one by one, so it is made even for the searches' leaves, which
+    mostly fail within their first rows."""
     n = len(prod)
     pad = bytes(256 - n)  # bytes.translate takes a 256-byte table
     at_ortho = bytes(ortho)
-    flat = b"".join(map(bytes, prod))
+    flat = _joined(prod)
     cols = [flat[c::n] for c in cs]
     cols_pad = [col + pad for col in cols]
-    for a in range(n):
-        row = flat[a * n:a * n + n]
-        comm = (int.from_bytes(row, "little") ^ int.from_bytes(flat[a::n], "little")
-                ).to_bytes(n, "little").translate(_ZERO_TO_ONE)
+    for a, comm in enumerate(_commuting(flat, n)):
         commuting = int.from_bytes(comm, "little")
         bad = commuting & ~int.from_bytes(at_ortho.translate(comm + pad), "little")
-        # a o (b o c) and (a o b) o c for every b, one c after another
-        got = b"".join(map(bytes.translate, cols, repeat(row + pad)))
-        want = b"".join(map(row.translate, cols_pad))
-        if got != want:
-            # commuting * 255 is 0xff at each commuting b, 0 elsewhere
-            mask = commuting * 255
-            for i in range(0, len(got), n):
-                bad |= mask & (int.from_bytes(got[i:i + n], "little")
-                               ^ int.from_bytes(want[i:i + n], "little"))
+        below = commuting & (bad & -bad) - 1 if bad else commuting
+        if below:
+            # a o (b o c) and (a o b) o c for every b, one c after another
+            row = flat[a * n:a * n + n]
+            got = b"".join(map(bytes.translate, cols, repeat(row + pad)))
+            want = b"".join(map(row.translate, cols_pad))
+            if got != want:
+                # below * 255 is 0xff at each b it flags, 0 elsewhere
+                mask = below * 255
+                for i in range(0, len(got), n):
+                    bad |= mask & (int.from_bytes(got[i:i + n], "little")
+                                   ^ int.from_bytes(want[i:i + n], "little"))
         yield bad
+
+
+def _joined(prod: Table) -> bytes:
+    """An n x n table of at most 256 elements as one byte string, row after row."""
+    return b"".join(map(bytes, prod))
+
+
+def _commuting(flat: bytes, n: int) -> Iterator[bytes]:
+    """Per element a of an n x n table joined into one byte string, the
+    flags of the b that commute with a, byte b 1 where a o b = b o a and 0
+    elsewhere: row a XORed with column a, translated."""
+    for a in range(n):
+        row, col = flat[a * n:a * n + n], flat[a::n]
+        xor = int.from_bytes(row, "little") ^ int.from_bytes(col, "little")
+        yield xor.to_bytes(n, "little").translate(_ZERO_TO_ONE)
 
 
 def _s4_gathers(prod: Table, ortho: Sequence[int], cs: Sequence[int]) -> Iterator[int]:
@@ -418,8 +501,11 @@ def _s4_gathers(prod: Table, ortho: Sequence[int], cs: Sequence[int]) -> Iterato
         comm = bytes(map(eq, row, map(itemgetter(a), prod)))
         commuting = int.from_bytes(comm, "little")
         bad = commuting & ~int.from_bytes(bytes(at_ortho(comm)), "little")
-        broken = bytes(map(ne, composed(row), map(picked.__getitem__, row)))
-        yield bad | commuting & int.from_bytes(broken, "little")
+        below = commuting & (bad & -bad) - 1 if bad else commuting
+        if below:
+            broken = bytes(map(ne, composed(row), map(picked.__getitem__, row)))
+            bad |= below & int.from_bytes(broken, "little")
+        yield bad
 
 
 def check_s4_given_s1(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]:
@@ -449,7 +535,10 @@ def check_s5(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]
     commutant, so it commutes with a o b and with a (+) b too and never
     breaks S5.  Dropping it from comm[a] changes no failing c, and a row
     whose commutant lies inside the centre is skipped, so on a commutative
-    product, such as the meet, S5 costs only the commutant build.
+    product, such as the meet, S5 costs only the commutant build.  From
+    _BYTES_FROM to 256 elements that build reads the joined table, row a
+    XORed with column a (_commuting): on the cube 2^8 S5 takes 1.0-1.2 ms,
+    against 2.3-3.0 ms with map(eq) over zip(*prod).
     """
     n = alg.size
     sums = alg.oplus_table()
@@ -459,8 +548,11 @@ def check_s5(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]
     # x in one step, and the 0/1 bytes of the comparison, reversed so that
     # bit c is read last, are read as a binary numeral.  Commuting is
     # symmetric, so the AND of every comm[x] holds the centre.
-    comm = [int(bytes(map(eq, row, col))[::-1].translate(_BINARY_DIGITS), 2)
-            for row, col in zip(prod, zip(*prod))]
+    if _BYTES_FROM <= n <= 256:
+        flags = _commuting(_joined(prod), n)
+    else:
+        flags = (bytes(map(eq, row, col)) for row, col in zip(prod, zip(*prod)))
+    comm = [int(f[::-1].translate(_BINARY_DIGITS), 2) for f in flags]
     off_centre = ~reduce(and_, comm)
     for a in range(n):
         comm_a = comm[a] & off_centre

@@ -8,8 +8,11 @@ have a single element.  That covers the restricted scans too: S4's
 composition clause read only at the sum generators once S1 holds;
 associativity read only where one side is defined, decided a row at a time
 by down-sets, and by counts on the rows that cancel, with the rows that do
-not cancel and the domains that are no down-sets tested on their own; and
-S5 with the centre masked out, on products whose centre is proper.
+not cancel and the domains that are no down-sets tested on their own;
+S5 with the centre masked out, on products whose centre is proper; and the
+byte paths of S1's atom screen, S3 (the zero pattern against its
+transpose) and S5, on tables on either side of the sizes where they take
+over, with the path each size takes checked as well.
 
 The box sum and orthosupplement tables are read by index arithmetic (i + j
 when no coordinate carries, N - 1 - i); the coordinate-tuple loops they
@@ -40,6 +43,7 @@ from effectalg import (
     chain_table,
     check_axioms,
     enumerate_s1sk,
+    enumerate_subunital,
     isotropic_index,
     make_simplicial,
     meet_boolean,
@@ -49,9 +53,17 @@ from effectalg import (
     validate_table_algebra,
 )
 from effectalg import operations
+from effectalg.algebra import FiniteEffectAlgebra
 from effectalg.fixtures import load_fixture
 from effectalg.maps import broken_pair
-from effectalg.operations import check_s1, check_s4, check_s4_given_s1, check_s5
+from effectalg.operations import (
+    check_s1,
+    check_s3,
+    check_s4,
+    check_s4_given_s1,
+    check_s5,
+    matrix_actions,
+)
 
 
 def oplus_table_reference(alg):
@@ -79,8 +91,7 @@ def ortho_table_reference(alg):
 def s1_reference(alg, prod):
     n = alg.size
     sums = alg.oplus_table()
-    for a in range(n):
-        row = prod[a]
+    for a, row in enumerate(prod):
         for b in range(n):
             sb = sums[b]
             ab = row[b]
@@ -91,6 +102,15 @@ def s1_reference(alg, prod):
                 t = sums[ab][row[c]]
                 if t is None or t != row[k]:
                     return (a, b, c)
+    return None
+
+
+def s3_reference(alg, prod):
+    n, zero = alg.size, alg.zero_index
+    for a in range(n):
+        for b in range(n):
+            if prod[a][b] == zero and prod[b][a] != zero:
+                return (a, b)
     return None
 
 
@@ -226,7 +246,8 @@ def validation_reference(alg):
     }
 
 
-SCANS = ((check_s1, s1_reference), (check_s4, s4_reference), (check_s5, s5_reference))
+SCANS = {"s1": (check_s1, s1_reference), "s3": (check_s3, s3_reference),
+         "s4": (check_s4, s4_reference), "s5": (check_s5, s5_reference)}
 
 
 def assert_same_witnesses(alg, tables):
@@ -234,7 +255,7 @@ def assert_same_witnesses(alg, tables):
     whenever S1 holds, against the reference loops."""
     for prod in tables:
         results = check_axioms(Operation(alg, table=prod), 5).results
-        for (scan, reference), name in zip(SCANS, ("s1", "s4", "s5")):
+        for name, (scan, reference) in SCANS.items():
             want = reference(alg, prod)
             assert scan(alg, prod) == want, (scan.__name__, prod)
             assert results[name] == want, (name, prod)
@@ -632,6 +653,152 @@ def test_the_byte_path_takes_every_table_up_to_256_elements(monkeypatch):
     alg, table = hsum_sigma((128, 129), rng)
     assert alg.size == 257
     assert check_s4(alg, table) == s4_reference(alg, table)
+
+
+def s1_by_rows(alg, prod):
+    """s1_reference one distinct row at a time: a row's verdict depends on
+    that row alone, so tables of 256 elements with few distinct rows are
+    checked in a fraction of the full loop's time."""
+    verdicts = {}
+    for a, row in enumerate(prod):
+        row = tuple(row)
+        if row not in verdicts:
+            verdicts[row] = s1_reference(alg, (row,))
+        if verdicts[row] is not None:
+            return (a, *verdicts[row][1:])
+    return None
+
+
+def zero_below_the_diagonal(table, zero, rng):
+    """A copy of a table with a symmetric zero pattern, such as sigma, with
+    b o a set to zero for some a < b where a o b is not zero, and (b, a).
+    The least pair at which the zero pattern and its transpose differ is
+    then (a, b), which is in the transpose only, and the S3 witness is the
+    later (b, a), the one pair of the pattern outside the transpose."""
+    n = len(table)
+    while True:
+        a, b = sorted(rng.sample(range(n), 2))
+        if zero not in (a, b) and table[a][b] != zero:
+            rows = as_lists(table)
+            rows[b][a] = zero
+            return rows, (b, a)
+
+
+# Carriers on either side of the byte paths' gates: check_s1's screen,
+# check_s3 and check_s5 read a table as bytes from operations._BYTES_FROM to
+# 256 elements.  Horizontal sums of chains, validated, with their sigma tables
+GATE_SIZES = {15: (4, 5, 7), 16: (4, 5, 8), 256: (127, 129), 257: (128, 129)}
+
+
+@pytest.mark.parametrize("size", sorted(GATE_SIZES))
+def test_s1_s3_s5_on_either_side_of_the_byte_gates(size, monkeypatch):
+    assert operations._BYTES_FROM == 16
+    rng = random.Random(f"scan-oracles/gates/{size}")
+    alg, sigma = hsum_sigma(GATE_SIZES[size], rng)
+    assert alg.size == size and validate_table_algebra(alg).ok
+    zero = alg.zero_index
+    assert check_s3(alg, sigma) is None
+    asymmetric = [zero_below_the_diagonal(sigma, zero, rng) for _ in range(3)]
+    for table, witness in asymmetric:
+        assert check_s3(alg, table) == witness
+    tables = [sigma, as_lists(sigma)] + perturbed(sigma, rng, 4, max_cells=2)
+    tables += [table for table, _ in asymmetric] + random_tables(size, rng, 1)
+    # which path each check takes: the byte paths read the carrier's
+    # byte-string atom sums (S1) or the joined table (S3, S5)
+    calls = {"joined": 0, "atom_sum_bytes": 0, "atom_sums": 0}
+
+    def spy(name, real):
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(operations, "_joined", spy("joined", operations._joined))
+    for name in ("atom_sum_bytes", "atom_sums"):
+        monkeypatch.setattr(FiniteEffectAlgebra, name,
+                            spy(name, getattr(FiniteEffectAlgebra, name)))
+    s3_failures = 0
+    for table in tables:
+        want_s3 = s3_reference(alg, table)
+        assert check_s1(alg, table) == s1_by_rows(alg, table)
+        assert check_s3(alg, table) == want_s3
+        assert check_s5(alg, table) == s5_reference(alg, table)
+        s3_failures += want_s3 is not None
+    assert s3_failures >= 3
+    by_bytes = 16 <= size <= 256
+    assert calls == {"joined": 2 * len(tables) if by_bytes else 0,
+                     "atom_sum_bytes": len(tables) if by_bytes else 0,
+                     "atom_sums": 0 if by_bytes else len(tables)}
+
+
+def parity_row(alg, v):
+    """On a box, v at the elements with an odd coordinate sum and zero (index
+    0) elsewhere.  Where v (+) v is undefined this row is not additive, yet
+    it passes every atom sum if an undefined f(p) (+) f(x) is read as the
+    byte 0: at an odd x, f(p) (+) f(x) = v (+) v and f(x (+) p) = 0."""
+    return tuple(v if sum(alg.shape.coords_of(x)) % 2 else 0 for x in range(alg.size))
+
+
+@pytest.mark.parametrize("u", [(15,), (3, 3), (1, 1, 1, 1), (2, 2, 2), (1,) * 8])
+def test_byte_screen_passes_exactly_the_additive_rows(u):
+    # the byte screen against the walk, on boxes and their validated tables
+    # of 16 to 256 elements; test_operations checks every row of smaller
+    # carriers, where the itemgetter screen runs
+    box = make_simplicial(u)
+    table = box.to_table()
+    assert validate_table_algebra(table).ok
+    n = box.size
+    assert operations._BYTES_FROM <= n <= 256
+    rng = random.Random(f"scan-oracles/screen/{u}")
+    if len(u) < 8:
+        matrices = list(enumerate_subunital(u))
+        picked = rng.sample(matrices, min(40, len(matrices)))
+        additive = list(matrix_actions(box, [M.rows for M in picked]))
+    else:
+        additive = list(meet_boolean(len(u)).product_table()[::8])
+    rows = list(additive)
+    for row in rng.choices(additive, k=40):
+        row = list(row)
+        row[rng.randrange(n)] = rng.randrange(n)
+        rows.append(tuple(row))
+    rows += [tuple(rng.randrange(n) for _ in range(n)) for _ in range(20)]
+    rows += [parity_row(box, n - 1), parity_row(box, n - 2)]
+    for alg in (box, table):
+        passes = operations._atom_screen(alg)
+        verdicts = []
+        for row in rows:
+            walked = broken_pair(alg, alg, row)
+            assert passes(row) == (walked is None), row
+            assert check_s1(alg, (row,)) == (None if walked is None else (0, *walked))
+            verdicts.append(walked is None)
+        assert verdicts[:len(additive)] == [True] * len(additive)
+        assert verdicts[-2:] == [False, False]
+        assert verdicts.count(False) > 20
+
+
+def test_validation_records_the_orthosupplements():
+    # once the orthosupplement law holds, ortho_table() reads what the
+    # validation recorded instead of counting the top in every row again
+    for u in [(1,), (3,), (2, 1), (1, 1, 1), (2, 3), (1,) * 8]:
+        box = make_simplicial(u)
+        table = box.to_table()
+        assert table._ortho is None
+        assert validate_table_algebra(table).ok
+        assert table._ortho == ortho_table_reference(box)
+        assert table.ortho_table() == ortho_table_reference(box)
+    # the law holds and associativity does not: recorded all the same
+    rows = [[0, 1, 2, 3], [1, 2, 3, None], [2, 3, 1, None], [3, None, None, None]]
+    alg = TableAlgebra(4, 0, 3, rows)
+    report = validate_table_algebra(alg)
+    assert report.checks["associativity"] == {"a": 1, "b": 1, "c": 2}
+    assert report.checks["orthosupplement"] is None
+    assert alg._ortho == TableAlgebra(4, 0, 3, rows).ortho_table() == (3, 2, 1, 0)
+    # the law fails: nothing is recorded, and ortho_table() still refuses
+    alg = TableAlgebra(3, 0, 2, [[0, 1, 2], [1, 2, 2], [2, 2, None]])
+    assert validate_table_algebra(alg).checks["orthosupplement"] == {"a": 1, "partners": [1, 2]}
+    assert alg._ortho is None
+    with pytest.raises(ValueError, match="element 1 has 2 orthosupplements"):
+        alg.ortho_table()
 
 
 def test_generators_are_zero_and_the_atoms():
