@@ -274,9 +274,11 @@ class FiniteEffectAlgebra:
 
     def atom_indices(self) -> tuple[int, ...]:
         """The atoms, in index order, memoized: the nonzero elements that are
-        no sum b (+) c with b and c both different from the element.  In an
-        effect algebra, whose sum is commutative and cancellative, these are
-        exactly the minimal nonzero elements."""
+        no sum b (+) c with b and c both different from the element (the
+        pairs rule, read off orthogonal_pairs()).  In an effect algebra,
+        whose sum is commutative and cancellative, these are exactly the
+        minimal nonzero elements.  On a table that validate_table_algebra
+        has passed they are the ones it recorded, and no pair is read."""
         if self._atoms is None:
             split = [False] * self.size
             for b, row_pairs in enumerate(self.orthogonal_pairs()):
@@ -405,7 +407,7 @@ class TableAlgebra(FiniteEffectAlgebra):
             if len(row) != size:
                 raise ValueError(f"sum table rows must have {size} entries")
             for v in row:
-                if v is not None and (not _is_int(v) or not 0 <= v < size):
+                if v is not None and (not (type(v) is int or _is_int(v)) or not 0 <= v < size):
                     raise ValueError(f"sum entry {v!r} is not None or an index below {size}")
             rows.append(tuple(row))
         super().__init__(size, zero, one)
@@ -566,14 +568,19 @@ def validate_table_algebra(alg: TableAlgebra) -> ValidationReport:
 
     Each law is tested a row at a time and single entries are read only in a
     failing row, to pick its least witness, so the witnesses are those of the
-    plain element-by-element scan.  Commutativity compares row a with column
-    a; positivity scans only the rows that contain zero.  Associativity reads
-    only the entries that can break it: with D[b] the c for which b (+) c is
-    defined, at a pair (a, b) one side is defined only at some c in D[b] or
-    in D[a (+) b].  So when a (+) b is undefined the pair holds iff no
-    b (+) c with c in D[b] is summable with a, and when a (+) b = k it holds
-    iff D[k] lies inside D[b] and the two sides agree, undefined included,
-    on D[b].  Two rules decide most pairs without that comparison:
+    plain element-by-element scan.  Every entry is read once at Python level,
+    to list each row b's domain D[b], the c for which b (+) c is defined, and
+    the sums there.  Commutativity compares row a with column a in C, the
+    zero-one law reads the top's column, and the orthosupplement and
+    positivity laws read only the defined sums (6,561 of the 65,536 entries
+    on the cube 2^8).
+
+    Associativity reads only the entries that can break it: at a pair
+    (a, b) one side is defined only at some c in D[b] or in D[a (+) b].  So
+    when a (+) b is undefined the pair holds iff no b (+) c with c in D[b]
+    is summable with a, and when a (+) b = k it holds iff D[k] lies inside
+    D[b] and the two sides agree, undefined included, on D[b].  Two rules
+    decide most pairs without that comparison:
 
     * Down-sets.  Every undefined pair of row a holds iff D[a] is closed
       downward: each b with b (+) c in D[a] for some c is itself in D[a].
@@ -593,13 +600,39 @@ def validate_table_algebra(alg: TableAlgebra) -> ValidationReport:
       cancel keeps the comparison on D[b].
 
     The verdict is recorded on the algebra (see FiniteEffectAlgebra), and
-    so are the orthosupplements where their law holds, which ortho_table()
-    then returns without counting the top in every row again (on the cube
-    2^8 that saves about 1.0 of the 1.5 ms that ortho_table() took).
+    so are the orthosupplements where their law holds, for ortho_table().
+    Only when every law holds are the atoms recorded, for atom_indices():
+    the x != 0 whose below[x] (the b with b (+) c = x for some c) holds
+    only 0 and x, which on an effect algebra, as it cancels, is the pairs
+    rule.
     """
     n = alg.size
     s = alg.sum_table
     zero, one = alg.zero_index, alg.one_index
+    domains = list(map(_row_domain, s))
+    # mask[b] has the bits of D[b], size[b] is |D[b]| and reach[b] has the
+    # bits of every defined b (+) c; at_dom[b](row) reads row at D[b], and
+    # own[b] is at_dom[b](row b).  below[x] has the bit of every b with
+    # x = b (+) c for some c, and cancels[b] says that c |-> b (+) c is
+    # one-to-one; only a row that does not cancel gets through[b], a reader
+    # of any row at each b (+) c in D[b]'s order
+    mask, size, reach, at_dom, own, cancels = ([] for _ in range(6))
+    through = {}
+    below = [0] * n
+    for b, (row, (dom, sums)) in enumerate(zip(s, domains)):
+        at = _reader(dom)
+        mask.append(_bits(dom))
+        size.append(len(dom))
+        reach.append(_bits(sums))
+        at_dom.append(at)
+        own.append(at(row))
+        cancel = len(set(sums)) == len(sums)
+        cancels.append(cancel)
+        if not cancel:
+            through[b] = _reader(sums)
+        bit = 1 << b
+        for x in sums:
+            below[x] |= bit
     checks: dict[str, Optional[dict]] = {}
 
     def commutativity():
@@ -611,39 +644,14 @@ def validate_table_algebra(alg: TableAlgebra) -> ValidationReport:
         return None
 
     def associativity():
-        # mask[b] has the bits of D[b], size[b] is |D[b]| and reach[b] has
-        # the bits of every defined b (+) c; at_dom[b](row) reads row at D[b],
-        # and own[b] is at_dom[b](row b).  below[x] has the bit of every b
-        # with x = b (+) c for some c, and cancels[b] says that c |-> b (+) c
-        # is one-to-one; only a row that does not cancel gets through[b], a
-        # reader of any row at each b (+) c in D[b]'s order
-        doms, mask, size, reach, at_dom, own, cancels = ([] for _ in range(7))
-        through = {}
-        below = [0] * n
-        for b, row in enumerate(s):
-            dom, sums = _row_domain(row)
-            at = _reader(dom)
-            doms.append(dom)
-            mask.append(_bits(dom))
-            size.append(len(dom))
-            reach.append(_bits(sums))
-            at_dom.append(at)
-            own.append(at(row))
-            cancel = len(set(sums)) == len(sums)
-            cancels.append(cancel)
-            if not cancel:
-                through[b] = _reader(sums)
-            bit = 1 << b
-            for x in sums:
-                below[x] |= bit
-        for a, row_a in enumerate(s):
+        for a, (row_a, (dom_a, _)) in enumerate(zip(s, domains)):
             mask_a = mask[a]
             under = 0
-            for x in doms[a]:
+            for x in dom_a:
                 under |= below[x]
             # with D[a] closed downward every undefined pair of row a holds;
             # otherwise one breaks, and the scan ends in this row
-            bs = range(n) if under & ~mask_a else doms[a]
+            bs = range(n) if under & ~mask_a else dom_a
             for b in bs:
                 k = row_a[b]
                 if k is not None and not mask[k] & ~mask[b]:
@@ -665,10 +673,10 @@ def validate_table_algebra(alg: TableAlgebra) -> ValidationReport:
         return None
 
     def orthosupplement_law():
-        for a, row in enumerate(s):
-            if row.count(one) != 1:
-                return {"a": a, "partners": [b for b in range(n) if row[b] == one]}
-        alg._ortho = tuple(row.index(one) for row in s)
+        for a, (dom, sums) in enumerate(domains):
+            if sums.count(one) != 1:
+                return {"a": a, "partners": [b for b, k in zip(dom, sums) if k == one]}
+        alg._ortho = tuple(dom[sums.index(one)] for dom, sums in domains)
         return None
 
     def zero_one():
@@ -678,10 +686,10 @@ def validate_table_algebra(alg: TableAlgebra) -> ValidationReport:
         return None
 
     def positivity():
-        for a, row in enumerate(s):
-            if zero in row:
-                for b in range(n):
-                    if row[b] == zero and (a != zero or b != zero):
+        for a, (dom, sums) in enumerate(domains):
+            if zero in sums:
+                for b, k in zip(dom, sums):
+                    if k == zero and (a != zero or b != zero):
                         return {"a": a, "b": b}
         return None
 
@@ -692,6 +700,9 @@ def validate_table_algebra(alg: TableAlgebra) -> ValidationReport:
     checks["positivity"] = positivity()
     report = ValidationReport(size=n, checks=checks)
     alg._laws_hold = report.ok
+    if report.ok:
+        alg._atoms = tuple(x for x in range(n)
+                           if x != zero and not below[x] & ~(1 << zero | 1 << x))
     return report
 
 
@@ -721,7 +732,8 @@ def algebra_from_json(obj: dict) -> FiniteEffectAlgebra:
             raise ValueError('"sum" must be a list of rows')
         # only the int -1 means undefined (no bool equals -1); -1.0 is left
         # for the constructor to refuse, like any other float
-        table = [[None if v == -1 and isinstance(v, int) else v for v in row] for row in raw]
+        table = [[None if v == -1 and (type(v) is int or isinstance(v, int)) else v for v in row]
+                 for row in raw]
         alg = TableAlgebra(size, obj["zero"], obj["one"], table)
         report = validate_table_algebra(alg)
         if not report.ok:

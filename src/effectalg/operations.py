@@ -31,13 +31,15 @@ commutant is central is skipped (check_s5 states why).  On tables of up to
 256 elements, where an entry fits a byte, rows are read as byte strings by
 bytes.translate gathers: S4's at every size, and S1's screen, S3's and S5's
 from _BYTES_FROM elements, below which their set-up costs about what they
-save.  Outside those sizes S1's screen reads rows with itemgetter, S3 runs
-the plain loop and S5 compares a row with its column by map(eq), and above
-256 elements S4 gathers over b with itemgetter.  Each looks at single
+save.  S3, S4 and S5 read the table joined into one byte string and the
+commuting flags of its rows (_Joined), which check_axioms builds once for
+the three.  Outside those sizes S1's screen reads rows with itemgetter, S3
+runs the plain loop and S5 compares a row with its column by map(eq), and
+above 256 elements S4 gathers over b with itemgetter.  Each looks at single
 entries only to pick the least witness in a failing row, so the witnesses
 are those of the plain element-by-element scan.
 
-Once S1 has passed, check_axioms checks S4 with check_s4_given_s1, which
+Once S1 has passed, check_axioms checks S4 as check_s4_given_s1 does, which
 compares the composition clause at fewer c, again only where alg._laws_hold,
 the one gate of both atom rules; the rule that makes this exact is stated
 there, and the searches' leaf filter takes the same checks (CHECKS_GIVEN_S1).
@@ -290,10 +292,12 @@ def check_s1(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]
     the walk reads 3,281.  A rejected row is walked in full, so the first
     failing row and its least witness are the walk's.
 
-    On the cube, read as bytes (_atom_screen), the screen takes 1.4-1.7 ms
+    On the cube, read as bytes (_atom_screen), the screen takes 1.7-1.8 ms
     a table once the carrier's memos are built, against 8.5-12 ms with
-    itemgetter gathers, and 3.1-3.6 ms on a fresh carrier, about 1.5 ms of
-    which finds the atoms (in process, Python 3.11, a shared 2-vCPU VM).
+    itemgetter gathers, and 2.2-2.3 ms on a freshly validated table, whose
+    atoms the validation recorded (finding them by the pairs rule of
+    atom_indices took 1.1-1.6 ms more; in process, Python 3.11, a shared
+    2-vCPU VM).
     """
     passes = _atom_screen(alg)
     for a, row in enumerate(prod):
@@ -307,7 +311,9 @@ def check_s1(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]
 def _atom_screen(alg: FiniteEffectAlgebra):
     """check_s1's screen on alg: a predicate that is True when a row passes at
     every (x, p) of the atom sums, which the carrier memoizes; None where
-    alg._laws_hold is False.
+    alg._laws_hold is False.  The atoms are the shape's unit vectors on a
+    box and on a table those that validate_table_algebra recorded, so the
+    set-up reads no pair of the sum table beyond the atoms' rows.
 
     From _BYTES_FROM to 256 elements a row f is a byte string.  For each
     atom p it is read by bytes.translate at the x orthogonal to p, giving
@@ -367,6 +373,10 @@ def check_s3(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]
     witness, as in the plain loop, which every other size runs.  On the
     cube 2^8 this takes about 0.6 ms, most of it the join, against
     1.5-1.7 ms for the loop over every pair."""
+    return _s3(alg, prod, _Joined(prod))
+
+
+def _s3(alg: FiniteEffectAlgebra, prod: Table, joined: _Joined) -> Optional[tuple[int, ...]]:
     n, zero = alg.size, alg.zero_index
     if not _BYTES_FROM <= n <= 256:
         for a in range(n):
@@ -375,7 +385,7 @@ def check_s3(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]
                 if row[b] == zero and prod[b][a] != zero:
                     return (a, b)
         return None
-    z = _joined(prod).translate(bytes(zero) + b"\x01" + bytes(255 - zero))
+    z = joined.flat().translate(bytes(zero) + b"\x01" + bytes(255 - zero))
     zt = b"".join([z[b::n] for b in range(n)])
     if z == zt:
         return None
@@ -388,11 +398,11 @@ def check_s3(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]
 
 
 def check_s4(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]:
-    return _s4_scan(alg, prod, range(alg.size))
+    return _s4_scan(alg, prod, range(alg.size), _Joined(prod))
 
 
-def _s4_scan(alg: FiniteEffectAlgebra, prod: Table,
-             cs: Sequence[int]) -> Optional[tuple[int, ...]]:
+def _s4_scan(alg: FiniteEffectAlgebra, prod: Table, cs: Sequence[int],
+             joined: _Joined) -> Optional[tuple[int, ...]]:
     """S4 a row a at a time, with the composition clause compared only at
     the c in `cs` (increasing indices).  Exact when every c is in `cs`, and
     on the terms of check_s4_given_s1.
@@ -408,8 +418,8 @@ def _s4_scan(alg: FiniteEffectAlgebra, prod: Table,
     at the row's least commuting b."""
     n = alg.size
     ortho = alg.ortho_table()
-    failing = _s4_bytes if n <= 256 else _s4_gathers
-    for a, bad in enumerate(failing(prod, ortho, cs)):
+    failing = _s4_bytes(joined, ortho, cs) if n <= 256 else _s4_gathers(prod, ortho, cs)
+    for a, bad in enumerate(failing):
         if bad:
             b = (bad & -bad).bit_length() - 1 >> 3
             row, bp = prod[a], ortho[b]
@@ -422,24 +432,24 @@ def _s4_scan(alg: FiniteEffectAlgebra, prod: Table,
     return None
 
 
-def _s4_bytes(prod: Table, ortho: Sequence[int], cs: Sequence[int]) -> Iterator[int]:
+def _s4_bytes(joined: _Joined, ortho: Sequence[int], cs: Sequence[int]) -> Iterator[int]:
     """_s4_scan's failing b, row by row, on at most 256 elements, where a
     row is a byte string and bytes.translate reads it at every b in one step.
 
-    The table is joined into one byte string, so row a and column a are
-    slices of it.  The flags of the b that commute with a (_commuting) read
-    at ortho say whether b' commutes.  For each c in cs, column c translated
-    by row a is a o (b o c) and row a translated by column c is
-    (a o b) o c, for every b.  The join costs less than the columns of cs
-    built one by one, so it is made even for the searches' leaves, which
-    mostly fail within their first rows."""
-    n = len(prod)
+    Row a and column a are slices of the joined table (_Joined.flat).  The
+    flags of the b that commute with a (_Joined.commuting) read at ortho say
+    whether b' commutes.  For each c in cs, column c translated by row a is
+    a o (b o c) and row a translated by column c is (a o b) o c, for every
+    b.  The join costs less than the columns of cs built one by one, so it
+    is made even for the searches' leaves, which mostly fail within their
+    first rows."""
+    n = len(joined.prod)
     pad = bytes(256 - n)  # bytes.translate takes a 256-byte table
     at_ortho = bytes(ortho)
-    flat = _joined(prod)
+    flat = joined.flat()
     cols = [flat[c::n] for c in cs]
     cols_pad = [col + pad for col in cols]
-    for a, comm in enumerate(_commuting(flat, n)):
+    for a, comm in enumerate(joined.commuting()):
         commuting = int.from_bytes(comm, "little")
         bad = commuting & ~int.from_bytes(at_ortho.translate(comm + pad), "little")
         below = commuting & (bad & -bad) - 1 if bad else commuting
@@ -462,14 +472,39 @@ def _joined(prod: Table) -> bytes:
     return b"".join(map(bytes, prod))
 
 
-def _commuting(flat: bytes, n: int) -> Iterator[bytes]:
-    """Per element a of an n x n table joined into one byte string, the
-    flags of the b that commute with a, byte b 1 where a o b = b o a and 0
-    elsewhere: row a XORed with column a, translated."""
-    for a in range(n):
-        row, col = flat[a * n:a * n + n], flat[a::n]
-        xor = int.from_bytes(row, "little") ^ int.from_bytes(col, "little")
-        yield xor.to_bytes(n, "little").translate(_ZERO_TO_ONE)
+class _Joined:
+    """A product table as the byte paths of S3, S4 and S5 read it, on at
+    most 256 elements; check_axioms makes one per call, which the three
+    share, and each public check its own.  Each view is built on first use:
+    flat(), the rows joined into one byte string (_joined), so that row a
+    and column a are slices of it, and commuting(), per a the flags of the
+    b that commute with a."""
+
+    __slots__ = ("prod", "_flat", "_flags")
+
+    def __init__(self, prod: Table):
+        self.prod = prod
+        self._flat: Optional[bytes] = None
+        self._flags: list[bytes] = []
+
+    def flat(self) -> bytes:
+        if self._flat is None:
+            self._flat = _joined(self.prod)
+        return self._flat
+
+    def commuting(self) -> Iterator[bytes]:
+        """Per a, byte b 1 where a o b = b o a and 0 elsewhere: row a XORed
+        with column a, translated.  A row is built when it is first read and
+        kept, so a scan that stops early builds no more, and a later scan
+        reads the rows built so far and builds the rest."""
+        built, flat, n = self._flags, self.flat(), len(self.prod)
+        yield from built
+        for a in range(len(built), n):
+            xor = (int.from_bytes(flat[a * n:a * n + n], "little")
+                   ^ int.from_bytes(flat[a::n], "little"))
+            row = xor.to_bytes(n, "little").translate(_ZERO_TO_ONE)
+            built.append(row)
+            yield row
 
 
 def _s4_gathers(prod: Table, ortho: Sequence[int], cs: Sequence[int]) -> Iterator[int]:
@@ -525,7 +560,7 @@ def check_s4_given_s1(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[i
     entries.  Above 256 elements, itemgetter gathers over b take the place
     of the translations (_s4_gathers).
     """
-    return _s4_scan(alg, prod, alg.sum_generators())
+    return _s4_scan(alg, prod, alg.sum_generators(), _Joined(prod))
 
 
 def check_s5(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]:
@@ -537,9 +572,13 @@ def check_s5(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]
     whose commutant lies inside the centre is skipped, so on a commutative
     product, such as the meet, S5 costs only the commutant build.  From
     _BYTES_FROM to 256 elements that build reads the joined table, row a
-    XORed with column a (_commuting): on the cube 2^8 S5 takes 1.0-1.2 ms,
-    against 2.3-3.0 ms with map(eq) over zip(*prod).
+    XORed with column a (_Joined.commuting): on the cube 2^8 S5 takes
+    1.0-1.2 ms, against 2.3-3.0 ms with map(eq) over zip(*prod).
     """
+    return _s5(alg, prod, _Joined(prod))
+
+
+def _s5(alg: FiniteEffectAlgebra, prod: Table, joined: _Joined) -> Optional[tuple[int, ...]]:
     n = alg.size
     sums = alg.oplus_table()
     # comm[x] has bit c set when c o x = x o c.  The c that break S5 at (a, b)
@@ -549,7 +588,7 @@ def check_s5(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]
     # bit c is read last, are read as a binary numeral.  Commuting is
     # symmetric, so the AND of every comm[x] holds the centre.
     if _BYTES_FROM <= n <= 256:
-        flags = _commuting(_joined(prod), n)
+        flags = joined.commuting()
     else:
         flags = (bytes(map(eq, row, col)) for row, col in zip(prod, zip(*prod)))
     comm = [int(f[::-1].translate(_BINARY_DIGITS), 2) for f in flags]
@@ -572,7 +611,7 @@ def check_s5(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]
 
 
 AXIOM_CHECKS = (check_s1, check_s2, check_s3, check_s4, check_s5)
-# the same once S1 has passed, for check_axioms and the searches' leaf filter
+# the same once S1 has passed, as the searches' leaf filter and check_axioms take them
 CHECKS_GIVEN_S1 = (check_s1, check_s2, check_s3, check_s4_given_s1, check_s5)
 
 
@@ -580,16 +619,26 @@ def check_axioms(op: Operation, upto: int) -> AxiomReport:
     """Evaluate axioms S1..S<upto> exactly, collecting least witnesses.
 
     Each axiom short-circuits at its first violation but every axiom up to
-    `upto` is evaluated.
+    `upto` is evaluated.  S3, S4 and S5 share one _Joined, so a table of at
+    most 256 elements is joined into bytes once per call, and its commuting
+    flags built once.
     """
     if not _is_int(upto) or not 1 <= upto <= 5:
         raise ValueError(f"upto must be in 1..5, got {upto}")
     alg = op.algebra
     prod = op.product_table()
     results = {"s1": check_s1(alg, prod)}
-    checks = CHECKS_GIVEN_S1 if results["s1"] is None else AXIOM_CHECKS
-    for name, check in zip(AXIOM_NAMES[1:upto], checks[1:upto]):
-        results[name] = check(alg, prod)
+    if upto >= 2:
+        results["s2"] = check_s2(alg, prod)
+    joined = _Joined(prod)
+    if upto >= 3:
+        results["s3"] = _s3(alg, prod, joined)
+    if upto >= 4:
+        # check_s4_given_s1's c-set once S1 holds, check_s4's otherwise
+        cs = range(alg.size) if results["s1"] is not None else alg.sum_generators()
+        results["s4"] = _s4_scan(alg, prod, cs, joined)
+    if upto == 5:
+        results["s5"] = _s5(alg, prod, joined)
     return AxiomReport(upto=upto, results=results)
 
 

@@ -24,6 +24,7 @@ from effectalg import (
     load_fixture,
     make_simplicial,
     mo2,
+    op_from_json,
     oplus,
     orthosupplement,
     validate_table_algebra,
@@ -325,6 +326,27 @@ def test_json_decode_errors():
     chain = {"type": "table", "size": 2, "zero": 0, "one": 1, "sum": [[0, 1], [1, -1.0]]}
     with pytest.raises(ValueError, match="sum entry -1.0 is not None or an index below 2"):
         algebra_from_json(chain)
+
+
+@pytest.mark.parametrize("bad", [-1.0, True, False, 2, -2, 2.0, None, "1"])
+def test_decode_refuses_what_is_no_entry(bad):
+    # the sum table's -1 is the int -1 only; a float equal to an index, a
+    # bool and an index out of range are refused with the entry named, in a
+    # sum table and in a product table (whose -1 is refused too)
+    chain = {"type": "table", "size": 2, "zero": 0, "one": 1, "sum": [[0, 1], [1, -1]]}
+    refused = dict(chain, sum=[[0, 1], [1, bad]])
+    if bad is None:
+        # a JSON null is taken as undefined, like -1
+        assert algebra_from_json(refused).sum_table == algebra_from_json(chain).sum_table
+    else:
+        message = f"sum entry {bad!r} is not None or an index below 2$"
+        with pytest.raises(ValueError, match=message):
+            algebra_from_json(refused)
+    for entry in (bad, -1):
+        table = [[0, 0], [0, entry]]
+        with pytest.raises(ValueError, match=f"table entry {entry!r} is not an index below 2$"):
+            op_from_json({"algebra": chain, "table": table})
+    assert op_from_json({"algebra": chain, "table": [[0, 0], [0, 1]]}).product_table()[1] == (0, 1)
 
 
 def test_table_wellformedness_errors():

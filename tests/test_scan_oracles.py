@@ -377,6 +377,28 @@ def test_rows_given_as_lists():
     assert_same_witnesses(alg, tables)
 
 
+def test_list_tables_changed_between_calls():
+    # the byte paths share one join per check_axioms call, not across calls:
+    # a list table changed in place is read afresh by the next call, whether
+    # it is handed to the checks or to a new Operation
+    rng = random.Random("scan-oracles/changed-lists")
+    for alg, table in (cube_meet(4, rng), cube_meet(5, rng), hsum_sigma((4, 5, 8), rng)):
+        assert validate_table_algebra(alg).ok
+        rows = as_lists(table)
+        zero = alg.zero_index
+        a, b = next((a, b) for a in range(alg.size) for b in range(alg.size)
+                    if a != b and table[a][b] != zero and table[b][a] != zero)
+        assert_same_witnesses(alg, [rows])
+        before = check_axioms(Operation(alg, table=rows), 5).results
+        assert before["s3"] is None
+        rows[a][b] = zero
+        assert_same_witnesses(alg, [rows])
+        assert check_axioms(Operation(alg, table=rows), 5).results["s3"] == (a, b)
+        rows[a][b] = table[a][b]
+        assert_same_witnesses(alg, [rows])
+        assert check_axioms(Operation(alg, table=rows), 5).results == before
+
+
 def test_size_one_table_algebra():
     alg = TableAlgebra(1, 0, 0, [[0]])
     assert validate_table_algebra(alg).checks == validation_reference(alg)
@@ -799,6 +821,55 @@ def test_validation_records_the_orthosupplements():
     assert alg._ortho is None
     with pytest.raises(ValueError, match="element 1 has 2 orthosupplements"):
         alg.ortho_table()
+
+
+def atoms_by_below_sets(alg):
+    """The validation's rule on any table: the x != 0 such that every b with
+    b (+) c = x for some c is 0 or x.  On an effect algebra, which cancels,
+    these are the atoms; elsewhere they may differ from the pairs rule."""
+    n, zero = alg.size, alg.zero_index
+    below = [set() for _ in range(n)]
+    for b, row in enumerate(alg.sum_table):
+        for x in row:
+            if x is not None:
+                below[x].add(b)
+    return tuple(x for x in range(n) if x != zero and below[x] <= {zero, x})
+
+
+def unvalidated_copy(alg):
+    return TableAlgebra(alg.size, alg.zero_index, alg.one_index, alg.sum_table)
+
+
+def test_validation_records_the_atoms():
+    # a passing validation records the atoms from its below-sets, so
+    # atom_indices() builds no orthogonal_pairs() memo, and gives what the
+    # pairs rule gives on a fresh copy that was never validated
+    rng = random.Random("scan-oracles/recorded-atoms")
+    bases = [chain_table(1), chain_table(3), chain_table(9), mo2()]
+    bases += [load_fixture(name) for name in ("c1", "c2", "c3", "c4")]
+    bases += [make_simplicial(u).to_table() for u in ((2, 1), (1, 1, 1), (3, 3), (1,) * 8)]
+    bases += [cube_meet(5, rng)[0], hsum_sigma((2, 3, 4), rng)[0]]
+    bases += [hsum_sigma(chains, rng)[0] for chains in GATE_SIZES.values()]
+    assert sorted({alg.size for alg in bases} & set(GATE_SIZES)) == sorted(GATE_SIZES)
+    for base in bases:
+        pairs_rule = unvalidated_copy(base).atom_indices()
+        alg = unvalidated_copy(base)
+        assert validate_table_algebra(alg).ok
+        assert alg._atoms == pairs_rule
+        assert alg.atom_indices() == pairs_rule and alg._pairs is None
+        assert [rec.atom for rec in atoms_reference(alg)] == list(pairs_rule)
+    # a failed validation records nothing, and the pairs rule still answers,
+    # on tables where the below-set rule gives other elements too
+    differ = 0
+    for base in bases[:12]:
+        for alg in flipped_sum_tables(base, rng, 30):
+            if validate_table_algebra(alg).ok:
+                continue
+            assert alg._atoms is None
+            pairs_rule = unvalidated_copy(alg).atom_indices()
+            assert alg.atom_indices() == pairs_rule
+            differ += atoms_by_below_sets(alg) != pairs_rule
+    assert differ >= 10
 
 
 def test_generators_are_zero_and_the_atoms():
