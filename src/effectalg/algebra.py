@@ -32,11 +32,6 @@ SUM_TABLE_LIMIT = 2048
 
 # Per element b, the pairs (c, b (+) c) with c >= b whose sum is defined.
 SumPairs = tuple[tuple[tuple[int, int], ...], ...]
-# Per atom p, (p, at_xs, at_ks): getters that read a row at the x with
-# p (+) x defined and at the sums p (+) x.
-AtomSums = tuple[tuple[int, Callable, Callable], ...]
-# Per atom p, (p, xs, ks): those x, and the sums p (+) x, as byte strings.
-AtomBytes = tuple[tuple[int, bytes, bytes], ...]
 
 
 def _is_int(v) -> bool:
@@ -175,24 +170,6 @@ class Elem(_ElemFields):
         return self.shape.index_of(self.coords)
 
 
-class _SumRowBytes(dict):
-    """v -> row v of a sum table of at most 256 elements as two 256-byte
-    bytes.translate tables: the sums v (+) y, with 0 standing in where the
-    sum is undefined, and the flags 1 where v (+) y is defined and 0
-    elsewhere.  A row is built when it is first looked up."""
-
-    def __init__(self, sums: Sequence[Sequence[Optional[int]]]):
-        super().__init__()
-        self.sums = sums
-
-    def __missing__(self, v: int) -> tuple[bytes, bytes]:
-        row = self.sums[v]
-        pad = bytes(256 - len(row))
-        got = self[v] = (bytes([0 if k is None else k for k in row]) + pad,
-                         bytes([k is not None for k in row]) + pad)
-        return got
-
-
 class FiniteEffectAlgebra:
     """The index-level interface of both carriers: elements 0 .. size-1, a
     zero and a one, the sum table oplus_table() (None where undefined) and
@@ -205,7 +182,9 @@ class FiniteEffectAlgebra:
     validate_table_algebra has found them to hold.  It is the one gate of
     the two rules that rest on every element being a sum of atoms, check_s1's
     atom screen and check_s4_given_s1's c-set (sum_generators()): each is
-    used only then."""
+    used only then.  _screen is where the checker keeps that screen, built
+    once per carrier while _laws_hold (operations._atom_screen); the carrier
+    never reads it."""
 
     _laws_hold = False
 
@@ -215,9 +194,7 @@ class FiniteEffectAlgebra:
         self.one_index = one
         self._ortho: Optional[tuple[int, ...]] = None
         self._pairs: Optional[SumPairs] = None
-        self._atom_sums: Optional[AtomSums] = None
-        self._atom_bytes: Optional[AtomBytes] = None
-        self._sum_bytes: Optional[_SumRowBytes] = None
+        self._screen = None
         self._atoms: Optional[tuple[int, ...]] = None
         self._gens: Optional[tuple[int, ...]] = None
 
@@ -238,39 +215,6 @@ class FiniteEffectAlgebra:
                 for b, row in enumerate(self.oplus_table())
             )
         return self._pairs
-
-    def atom_sums(self) -> AtomSums:
-        """Per atom p, in atom_indices() order, (p, at_xs, at_ks): at_xs reads
-        a row at the x for which p (+) x is defined, in x order, and at_ks
-        reads it at those sums, each as a tuple (see _reader); memoized.
-        They are read off row p, which is column p where the sum commutes,
-        as it does wherever _laws_hold."""
-        if self._atom_sums is None:
-            sums = self.oplus_table()
-            out = []
-            for p in self.atom_indices():
-                xs, ks = _row_domain(sums[p])
-                out.append((p, _reader(xs), _reader(ks)))
-            self._atom_sums = tuple(out)
-        return self._atom_sums
-
-    def atom_sum_bytes(self) -> AtomBytes:
-        """atom_sums() as byte strings, on a carrier of at most 256 elements:
-        per atom p, (p, xs, ks), xs the x for which p (+) x is defined, in x
-        order, and ks the sums p (+) x there; memoized."""
-        if self._atom_bytes is None:
-            sums = self.oplus_table()
-            self._atom_bytes = tuple((p, *map(bytes, _row_domain(sums[p])))
-                                     for p in self.atom_indices())
-        return self._atom_bytes
-
-    def sum_row_bytes(self) -> _SumRowBytes:
-        """The sum table's rows as bytes.translate tables, on a carrier of at
-        most 256 elements: a mapping memoized here that builds row v on first
-        use (see _SumRowBytes)."""
-        if self._sum_bytes is None:
-            self._sum_bytes = _SumRowBytes(self.oplus_table())
-        return self._sum_bytes
 
     def atom_indices(self) -> tuple[int, ...]:
         """The atoms, in index order, memoized: the nonzero elements that are

@@ -29,15 +29,17 @@ with its column in one step, with the centre (the elements that commute with
 every element, which never break S5) masked out, so that a row whose
 commutant is central is skipped (check_s5 states why).  On tables of up to
 256 elements, where an entry fits a byte, rows are read as byte strings by
-bytes.translate gathers: S4's at every size, and S1's screen, S3's and S5's
-from _BYTES_FROM elements, below which their set-up costs about what they
-save.  S3, S4 and S5 read the table joined into one byte string and the
-commuting flags of its rows (_Joined), which check_axioms builds once for
-the three.  Outside those sizes S1's screen reads rows with itemgetter, S3
-runs the plain loop and S5 compares a row with its column by map(eq), and
-above 256 elements S4 gathers over b with itemgetter.  Each looks at single
-entries only to pick the least witness in a failing row, so the witnesses
-are those of the plain element-by-element scan.
+bytes.translate gathers: S4's at every size, and S1's screen and S3's from
+_BYTES_FROM elements, below which their set-up costs about what they save.
+S3, S4 and S5 read the table joined into one byte string and the commuting
+flags of its rows (_Joined), which check_axioms builds once for the three;
+above 256 elements S4 and S5 still share the flags, each row compared with
+its column by map(eq).  Outside those sizes S1's screen reads rows with
+itemgetter, S3 runs the plain loop, and above 256 elements S4 gathers over
+b with itemgetter.  S1's screen is built once per carrier and kept on it
+(_atom_screen).  Each looks at single entries only to pick the least
+witness in a failing row, so the witnesses are those of the plain
+element-by-element scan.
 
 Once S1 has passed, check_axioms checks S4 as check_s4_given_s1 does, which
 compares the composition clause at fewer c, again only where alg._laws_hold,
@@ -49,7 +51,7 @@ tuple against the operation.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from itertools import repeat
 from operator import and_, eq, itemgetter, ne
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
@@ -63,6 +65,8 @@ from .algebra import (
     TableAlgebra,
     _is_grid,
     _is_int,
+    _reader,
+    _row_domain,
     algebra_from_json,
     make_simplicial,
 )
@@ -79,12 +83,12 @@ _WITNESS_LENGTHS = {"s1": (3,), "s2": (1,), "s3": (2,), "s4": (2, 3), "s5": (3,)
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 # byte 0 to 1 and every other byte to 0: the equal entries of two XORed rows
 _ZERO_TO_ONE = b"\x01" + bytes(255)
-# The least carrier size at which check_s1's screen, check_s3 and check_s5
-# read a table as bytes (up to 256 elements, where an entry fits a byte).
-# Below it a byte path's set-up costs about what it saves: on tables of 8 to
-# 13 elements each byte path took 0.86-1.29 times its loop's time.  From 16
+# The least carrier size at which check_s1's screen and check_s3 read a
+# table as bytes (up to 256 elements, where an entry fits a byte).  Below it
+# a byte path's set-up costs about what it saves: on tables of 8 to 13
+# elements each byte path took 0.86-1.29 times its loop's time.  From 16
 # elements each was faster on every table measured, S1's screen at parity
-# (0.93-1.15) only on a carrier whose memos were not yet built.
+# (0.93-1.15) only on a carrier whose screen was not yet built.
 _BYTES_FROM = 16
 
 
@@ -292,8 +296,8 @@ def check_s1(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]
     the walk reads 3,281.  A rejected row is walked in full, so the first
     failing row and its least witness are the walk's.
 
-    On the cube, read as bytes (_atom_screen), the screen takes 1.7-1.8 ms
-    a table once the carrier's memos are built, against 8.5-12 ms with
+    On the cube, read as bytes (_byte_screen), the screen takes 1.7-1.8 ms
+    a table once the carrier's screen is built, against 8.5-12 ms with
     itemgetter gathers, and 2.2-2.3 ms on a freshly validated table, whose
     atoms the validation recorded (finding them by the pairs rule of
     atom_indices took 1.1-1.6 ms more; in process, Python 3.11, a shared
@@ -310,38 +314,60 @@ def check_s1(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]
 
 def _atom_screen(alg: FiniteEffectAlgebra):
     """check_s1's screen on alg: a predicate that is True when a row passes at
-    every (x, p) of the atom sums, which the carrier memoizes; None where
-    alg._laws_hold is False.  The atoms are the shape's unit vectors on a
-    box and on a table those that validate_table_algebra recorded, so the
-    set-up reads no pair of the sum table beyond the atoms' rows.
-
-    From _BYTES_FROM to 256 elements a row f is a byte string.  For each
-    atom p it is read by bytes.translate at the x orthogonal to p, giving
-    f(x), and at the sums x (+) p, giving f(x (+) p) (alg.atom_sum_bytes);
-    row f(p) of the sum table, read at every f(x) the same way, gives
-    f(p) (+) f(x) and whether each is defined (alg.sum_row_bytes, built per
-    value f(p) on first use).  Row f passes at p when those sums equal
-    f(x (+) p) and every one of them is defined: the byte 0 stands in for
-    an undefined sum, and may equal f(x (+) p).  Elsewhere itemgetter
-    gathers read the row."""
+    every atom sum x (+) p; None where alg._laws_hold is False.  It is built
+    on first use, from _BYTES_FROM to 256 elements by _byte_screen and at
+    every other size by _gather_screen, and kept in the carrier's _screen
+    slot, which is filled only while _laws_hold.  The atoms are the shape's
+    unit vectors on a box and on a table those that validate_table_algebra
+    recorded, so the set-up reads no pair of the sum table beyond the
+    atoms' rows: row p stands for column p, since the sum commutes wherever
+    _laws_hold."""
     if not alg._laws_hold:
         return None
-    n = alg.size
-    if _BYTES_FROM <= n <= 256:
-        atoms, sum_rows = alg.atom_sum_bytes(), alg.sum_row_bytes()
-        pad = bytes(256 - n)
+    if alg._screen is None:
+        build = _byte_screen if _BYTES_FROM <= alg.size <= 256 else _gather_screen
+        alg._screen = build(alg)
+    return alg._screen
 
-        def passes(row: Sequence[int]) -> bool:
-            f = bytes(row) + pad
-            for p, xs, ks in atoms:
-                fx = xs.translate(f)
-                summed, defined = sum_rows[row[p]]
-                if fx.translate(summed) != ks.translate(f) or 0 in fx.translate(defined):
-                    return False
-            return True
 
-        return passes
-    sums, getters = alg.oplus_table(), alg.atom_sums()
+def _byte_screen(alg: FiniteEffectAlgebra):
+    """The screen on at most 256 elements, where a row f is a byte string.
+    For each atom p it is read by bytes.translate at the x orthogonal to p,
+    giving f(x), and at the sums x (+) p, giving f(x (+) p); row f(p) of
+    the sum table, read at every f(x) the same way, gives f(p) (+) f(x) and
+    whether each is defined.  Row f passes at p when those sums equal
+    f(x (+) p) and every one of them is defined: the byte 0 stands in for
+    an undefined sum, and may equal f(x (+) p)."""
+    sums = alg.oplus_table()
+    atoms = [(p, *map(bytes, _row_domain(sums[p]))) for p in alg.atom_indices()]
+    pad = bytes(256 - alg.size)
+
+    @cache
+    def sum_row(v: int) -> tuple[bytes, bytes]:
+        """Row v of the sum table as two bytes.translate tables, built on
+        first use: the sums, 0 where undefined, and the flags of the
+        defined ones."""
+        row = sums[v]
+        return (bytes([0 if k is None else k for k in row]) + pad,
+                bytes([k is not None for k in row]) + pad)
+
+    def passes(row: Sequence[int]) -> bool:
+        f = bytes(row) + pad
+        for p, xs, ks in atoms:
+            fx = xs.translate(f)
+            summed, defined = sum_row(row[p])
+            if fx.translate(summed) != ks.translate(f) or 0 in fx.translate(defined):
+                return False
+        return True
+
+    return passes
+
+
+def _gather_screen(alg: FiniteEffectAlgebra):
+    """The screen read by itemgetter: per atom p, one getter reads a row at
+    the x orthogonal to p and one at the sums x (+) p (algebra._reader)."""
+    sums = alg.oplus_table()
+    getters = [(p, *map(_reader, _row_domain(sums[p]))) for p in alg.atom_indices()]
 
     def passes(row: Sequence[int]) -> bool:
         for p, at_xs, at_ks in getters:
@@ -418,7 +444,7 @@ def _s4_scan(alg: FiniteEffectAlgebra, prod: Table, cs: Sequence[int],
     at the row's least commuting b."""
     n = alg.size
     ortho = alg.ortho_table()
-    failing = _s4_bytes(joined, ortho, cs) if n <= 256 else _s4_gathers(prod, ortho, cs)
+    failing = _s4_bytes(joined, ortho, cs) if n <= 256 else _s4_gathers(joined, ortho, cs)
     for a, bad in enumerate(failing):
         if bad:
             b = (bad & -bad).bit_length() - 1 >> 3
@@ -467,55 +493,64 @@ def _s4_bytes(joined: _Joined, ortho: Sequence[int], cs: Sequence[int]) -> Itera
         yield bad
 
 
-def _joined(prod: Table) -> bytes:
-    """An n x n table of at most 256 elements as one byte string, row after row."""
-    return b"".join(map(bytes, prod))
-
-
 class _Joined:
-    """A product table as the byte paths of S3, S4 and S5 read it, on at
-    most 256 elements; check_axioms makes one per call, which the three
-    share, and each public check its own.  Each view is built on first use:
-    flat(), the rows joined into one byte string (_joined), so that row a
-    and column a are slices of it, and commuting(), per a the flags of the
-    b that commute with a."""
+    """A product table as S3, S4 and S5 read it; check_axioms makes one per
+    call, which the three share, and each public check its own.  Each view
+    is built on first use: flat(), on at most 256 elements, the rows joined
+    into one byte string, so that row a and column a are slices of it, and
+    commuting(), at every size, per a the flags of the b that commute with
+    a."""
 
-    __slots__ = ("prod", "_flat", "_flags")
+    __slots__ = ("prod", "_flat", "_flags", "_columns")
 
     def __init__(self, prod: Table):
         self.prod = prod
         self._flat: Optional[bytes] = None
         self._flags: list[bytes] = []
+        self._columns: Optional[Iterator[tuple[int, ...]]] = None
 
     def flat(self) -> bytes:
         if self._flat is None:
-            self._flat = _joined(self.prod)
+            self._flat = b"".join(map(bytes, self.prod))
         return self._flat
 
     def commuting(self) -> Iterator[bytes]:
-        """Per a, byte b 1 where a o b = b o a and 0 elsewhere: row a XORed
-        with column a, translated.  A row is built when it is first read and
-        kept, so a scan that stops early builds no more, and a later scan
+        """Per a, byte b 1 where a o b = b o a and 0 elsewhere.  On at most
+        256 elements it is row a XORed with column a, both slices of flat(),
+        translated; above, where an entry does not fit a byte, row a compared
+        with column a by map(eq), the columns taken one at a time from
+        zip(*prod), which builds none ahead of the rows read.  A row is
+        built when a scan first reads it and kept, in row order, so a scan
+        that stops early builds no more, and a later or interleaved scan
         reads the rows built so far and builds the rest."""
-        built, flat, n = self._flags, self.flat(), len(self.prod)
-        yield from built
-        for a in range(len(built), n):
-            xor = (int.from_bytes(flat[a * n:a * n + n], "little")
-                   ^ int.from_bytes(flat[a::n], "little"))
-            row = xor.to_bytes(n, "little").translate(_ZERO_TO_ONE)
-            built.append(row)
-            yield row
+        built, prod = self._flags, self.prod
+        n = len(prod)
+        if n <= 256:
+            flat = self.flat()
+        elif self._columns is None:
+            self._columns = zip(*prod)
+        for a in range(n):
+            if a == len(built):
+                if n <= 256:
+                    xor = (int.from_bytes(flat[a * n:a * n + n], "little")
+                           ^ int.from_bytes(flat[a::n], "little"))
+                    built.append(xor.to_bytes(n, "little").translate(_ZERO_TO_ONE))
+                else:
+                    built.append(bytes(map(eq, prod[a], next(self._columns))))
+            yield built[a]
 
 
-def _s4_gathers(prod: Table, ortho: Sequence[int], cs: Sequence[int]) -> Iterator[int]:
+def _s4_gathers(joined: _Joined, ortho: Sequence[int], cs: Sequence[int]) -> Iterator[int]:
     """_s4_scan's failing b, row by row, on more than 256 elements, where
-    an entry no longer fits in a byte: for every b, row a read at b o c
-    for the c in cs (a o (b o c)) is compared in C with row a o b read at
-    cs ((a o b) o c), one tuple per b.  With at most 32 c, one itemgetter
+    an entry no longer fits in a byte.  The commuting flags are
+    _Joined.commuting()'s; for every b, row a read at b o c for the c in cs
+    (a o (b o c)) is compared in C with row a o b read at cs
+    ((a o b) o c), one tuple per b.  With at most 32 c, one itemgetter
     reads row a at every b o c and zip cuts the result into one tuple per
     b; with more, the cut costs more than a call, so one itemgetter per b
     is mapped over b.  The getters and the rows read at cs are built
     before the first row."""
+    prod = joined.prod
     n, m = len(prod), len(cs)
     if m <= 32:
         picked = [tuple(map(row_k.__getitem__, cs)) for row_k in prod]
@@ -532,8 +567,7 @@ def _s4_gathers(prod: Table, ortho: Sequence[int], cs: Sequence[int]) -> Iterato
         def composed(row):
             return map(call, through, repeat(row))
     at_ortho = itemgetter(*ortho)
-    for a, row in enumerate(prod):
-        comm = bytes(map(eq, row, map(itemgetter(a), prod)))
+    for row, comm in zip(prod, joined.commuting()):
         commuting = int.from_bytes(comm, "little")
         bad = commuting & ~int.from_bytes(bytes(at_ortho(comm)), "little")
         below = commuting & (bad & -bad) - 1 if bad else commuting
@@ -570,10 +604,10 @@ def check_s5(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]
     commutant, so it commutes with a o b and with a (+) b too and never
     breaks S5.  Dropping it from comm[a] changes no failing c, and a row
     whose commutant lies inside the centre is skipped, so on a commutative
-    product, such as the meet, S5 costs only the commutant build.  From
-    _BYTES_FROM to 256 elements that build reads the joined table, row a
-    XORed with column a (_Joined.commuting): on the cube 2^8 S5 takes
-    1.0-1.2 ms, against 2.3-3.0 ms with map(eq) over zip(*prod).
+    product, such as the meet, S5 costs only the commutant build.  That
+    build reads the commuting flags (_Joined.commuting), which on up to 256
+    elements XOR row a with column a of the joined table: on the cube 2^8
+    S5 takes 1.0-1.2 ms, against 2.3-3.0 ms with map(eq) over zip(*prod).
     """
     return _s5(alg, prod, _Joined(prod))
 
@@ -587,11 +621,7 @@ def _s5(alg: FiniteEffectAlgebra, prod: Table, joined: _Joined) -> Optional[tupl
     # x in one step, and the 0/1 bytes of the comparison, reversed so that
     # bit c is read last, are read as a binary numeral.  Commuting is
     # symmetric, so the AND of every comm[x] holds the centre.
-    if _BYTES_FROM <= n <= 256:
-        flags = joined.commuting()
-    else:
-        flags = (bytes(map(eq, row, col)) for row, col in zip(prod, zip(*prod)))
-    comm = [int(f[::-1].translate(_BINARY_DIGITS), 2) for f in flags]
+    comm = [int(f[::-1].translate(_BINARY_DIGITS), 2) for f in joined.commuting()]
     off_centre = ~reduce(and_, comm)
     for a in range(n):
         comm_a = comm[a] & off_centre
@@ -620,8 +650,8 @@ def check_axioms(op: Operation, upto: int) -> AxiomReport:
 
     Each axiom short-circuits at its first violation but every axiom up to
     `upto` is evaluated.  S3, S4 and S5 share one _Joined, so a table of at
-    most 256 elements is joined into bytes once per call, and its commuting
-    flags built once.
+    most 256 elements is joined into bytes once per call, and at every size
+    each row's commuting flags are built once for S4 and S5.
     """
     if not _is_int(upto) or not 1 <= upto <= 5:
         raise ValueError(f"upto must be in 1..5, got {upto}")
@@ -644,12 +674,15 @@ def check_axioms(op: Operation, upto: int) -> AxiomReport:
 
 def replay_witness(op: Operation, axiom: str, witness: Sequence[int]) -> bool:
     """Re-evaluate one axiom instance; True iff the violation reproduces.
-    ValueError for an unknown axiom, a witness of the wrong length for its
-    axiom, or an entry that is no element index."""
+    ValueError for an unknown axiom, a witness that is not a sequence or is
+    of the wrong length for its axiom, or an entry that is no element
+    index."""
     alg = op.algebra
-    lengths = _WITNESS_LENGTHS.get(axiom)
-    if lengths is None:
+    if not isinstance(axiom, str) or axiom not in _WITNESS_LENGTHS:
         raise ValueError(f"unknown axiom {axiom!r}")
+    lengths = _WITNESS_LENGTHS[axiom]
+    if not isinstance(witness, Sequence):
+        raise ValueError(f"{witness!r} is not a sequence of element indices")
     w = tuple(map(alg._checked_index, witness))
     if len(w) not in lengths:
         raise ValueError(f"{w} has the wrong length for an {axiom} witness")

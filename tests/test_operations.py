@@ -244,6 +244,8 @@ def test_s1_screens_at_the_atoms_only_where_the_laws_hold():
     assert report.checks["associativity"] == {"a": 1, "b": 1, "c": 2}
     assert operations._atom_screen(alg) is None
     assert check_s1(alg, (row,)) == (0, 1, 2)
+    # and no screen is kept where the laws are not known to hold
+    assert alg._screen is None
     # the gate is what keeps the witness: with no atoms, a screen applied to
     # this table passes every row
     ungated = TableAlgebra(4, 0, 3, NOT_ASSOCIATIVE)
@@ -254,9 +256,13 @@ def test_s1_screens_at_the_atoms_only_where_the_laws_hold():
     table = box.to_table()
     assert operations._atom_screen(box) is not None
     assert operations._atom_screen(table) is None
+    assert table._screen is None
     assert validate_table_algebra(table).ok
     assert operations._atom_screen(table) is not None
     assert operations._atom_screen(load_fixture("mo2")) is not None
+    # each carrier keeps its own screen, built once
+    assert operations._atom_screen(box) is box._screen is operations._atom_screen(box)
+    assert table._screen is not box._screen
 
 
 SCREENED_ALGEBRAS = {
@@ -382,9 +388,14 @@ def test_replay_rejects_instances_outside_the_axiom_hypothesis():
     ("s5", (0, 1, 2.0)),
     ("s4", (1,)),
     ("s1", (0, 1)),
+    (["s1"], (0, 1, 2)),  # unhashable, so no dict lookup may see it
+    ("s3", 5),
+    ("s1", None),
+    ("s2", {0}),          # a set has no order to read a tuple in
 ])
 def test_replay_refuses_witnesses_that_are_not_elements(axiom, witness):
-    with pytest.raises(ValueError, match="element index|wrong length"):
+    with pytest.raises(ValueError,
+                       match="element index|wrong length|unknown axiom|not a sequence"):
         replay_witness(meet_boolean(2), axiom, witness)
 
 

@@ -9,10 +9,12 @@ composition clause read only at the sum generators once S1 holds;
 associativity read only where one side is defined, decided a row at a time
 by down-sets, and by counts on the rows that cancel, with the rows that do
 not cancel and the domains that are no down-sets tested on their own;
-S5 with the centre masked out, on products whose centre is proper; and the
-byte paths of S1's atom screen, S3 (the zero pattern against its
-transpose) and S5, on tables on either side of the sizes where they take
-over, with the path each size takes checked as well.
+S5 with the centre masked out, on products whose centre is proper; the
+byte paths of S1's atom screen and S3 (the zero pattern against its
+transpose), on tables on either side of the sizes where they take over,
+with the path each size takes checked as well; and the commuting flags
+that S4 and S5 share, read whole and resumed, on either side of 256
+elements.
 
 The box sum and orthosupplement tables are read by index arithmetic (i + j
 when no coordinate carries, N - 1 - i); the coordinate-tuple loops they
@@ -28,7 +30,7 @@ the broken_pair walk over every row.
 
 import math
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -53,7 +55,6 @@ from effectalg import (
     validate_table_algebra,
 )
 from effectalg import operations
-from effectalg.algebra import FiniteEffectAlgebra
 from effectalg.fixtures import load_fixture
 from effectalg.maps import broken_pair
 from effectalg.operations import (
@@ -706,9 +707,11 @@ def zero_below_the_diagonal(table, zero, rng):
             return rows, (b, a)
 
 
-# Carriers on either side of the byte paths' gates: check_s1's screen,
-# check_s3 and check_s5 read a table as bytes from operations._BYTES_FROM to
-# 256 elements.  Horizontal sums of chains, validated, with their sigma tables
+# Carriers on either side of the byte paths' gates: check_s1's screen and
+# check_s3 read a table as bytes from operations._BYTES_FROM to 256 elements,
+# and the commuting flags of S4 and S5 come from the joined table at every
+# size up to 256.  Horizontal sums of chains, validated, with their sigma
+# tables
 GATE_SIZES = {15: (4, 5, 7), 16: (4, 5, 8), 256: (127, 129), 257: (128, 129)}
 
 
@@ -725,9 +728,14 @@ def test_s1_s3_s5_on_either_side_of_the_byte_gates(size, monkeypatch):
         assert check_s3(alg, table) == witness
     tables = [sigma, as_lists(sigma)] + perturbed(sigma, rng, 4, max_cells=2)
     tables += [table for table, _ in asymmetric] + random_tables(size, rng, 1)
-    # which path each check takes: the byte paths read the carrier's
-    # byte-string atom sums (S1) or the joined table (S3, S5)
-    calls = {"joined": 0, "atom_sum_bytes": 0, "atom_sums": 0}
+    # which path each check takes: S1's screen is built by the byte or the
+    # gather builder, and S3 and S5 join the table into bytes on their byte
+    # paths
+    calls = {"joins": 0, "_byte_screen": 0, "_gather_screen": 0}
+
+    def flat(joined):
+        calls["joins"] += joined._flat is None
+        return real_flat(joined)
 
     def spy(name, real):
         def wrapped(*args):
@@ -735,10 +743,10 @@ def test_s1_s3_s5_on_either_side_of_the_byte_gates(size, monkeypatch):
             return real(*args)
         return wrapped
 
-    monkeypatch.setattr(operations, "_joined", spy("joined", operations._joined))
-    for name in ("atom_sum_bytes", "atom_sums"):
-        monkeypatch.setattr(FiniteEffectAlgebra, name,
-                            spy(name, getattr(FiniteEffectAlgebra, name)))
+    real_flat = operations._Joined.flat
+    monkeypatch.setattr(operations._Joined, "flat", flat)
+    for name in ("_byte_screen", "_gather_screen"):
+        monkeypatch.setattr(operations, name, spy(name, getattr(operations, name)))
     s3_failures = 0
     for table in tables:
         want_s3 = s3_reference(alg, table)
@@ -748,9 +756,55 @@ def test_s1_s3_s5_on_either_side_of_the_byte_gates(size, monkeypatch):
         s3_failures += want_s3 is not None
     assert s3_failures >= 3
     by_bytes = 16 <= size <= 256
-    assert calls == {"joined": 2 * len(tables) if by_bytes else 0,
-                     "atom_sum_bytes": len(tables) if by_bytes else 0,
-                     "atom_sums": 0 if by_bytes else len(tables)}
+    # the carrier builds its screen once, on the first check_s1; each check
+    # joins the table it reads, S3 from 16 elements and S5 up to 256
+    assert calls == {"joins": (by_bytes + (size <= 256)) * len(tables),
+                     "_byte_screen": int(by_bytes),
+                     "_gather_screen": int(not by_bytes)}
+
+
+@pytest.mark.parametrize("size", sorted(GATE_SIZES) + [512])
+def test_commuting_flags_read_whole_and_resumed(size):
+    rng = random.Random(f"scan-oracles/commuting/{size}")
+    if size == 512:
+        alg, table = bent_meet(9, 2, 1, 1)
+        tables = [table, meet_boolean(9).product_table()]
+    else:
+        alg, sigma = hsum_sigma(GATE_SIZES[size], rng)
+        tables = [sigma, as_lists(sigma)] + perturbed(sigma, rng, 2)
+    tables += random_tables(size, rng, 1)
+    for table in tables:
+        want = [bytes(table[a][b] == table[b][a] for b in range(size))
+                for a in range(size)]
+        assert list(operations._Joined(table).commuting()) == want
+        joined = operations._Joined(table)
+        # a scan that stops after a few rows, then two that resume
+        assert list(islice(joined.commuting(), 3)) == want[:3]
+        rest = joined.commuting()
+        assert list(islice(rest, 5)) == want[:5]
+        assert list(joined.commuting()) == want
+        assert list(rest) == want[5:]
+        assert len(joined._flags) == size
+
+
+def test_s4_and_s5_share_the_commuting_flags_above_256_elements(monkeypatch):
+    # above 256 elements each row's flags are row a against column a by
+    # operator.eq; on the zero table S4 reads every row, and S5 builds none
+    # again
+    alg, _ = hsum_sigma(GATE_SIZES[257], random.Random("scan-oracles/share"))
+    n = alg.size
+    zeros = ((alg.zero_index,) * n,) * n
+    compared = []
+
+    def eq(x, y):
+        compared.append(1)
+        return x == y
+
+    monkeypatch.setattr(operations, "eq", eq)
+    report = check_axioms(Operation(alg, table=zeros), 5)
+    # every axiom but S2 holds
+    assert [name for name, w in report.results.items() if w is not None] == ["s2"]
+    assert len(compared) == n * n
 
 
 def parity_row(alg, v):
