@@ -20,26 +20,22 @@ finds the least witness because the instance is symmetric in b and c; for S4
 the b'-clause is tried before the associativity clause).  The scans read
 whole rows: S1 screens each row at the atoms, x (+) p for every atom p, where
 the carrier's laws are known to hold (alg._laws_hold), and walks every
-defined sum of a row the screen rejects or of any row elsewhere; S3 compares
-the zero pattern {(a, b) : a o b = 0} with its transpose (check_s3 states
+defined sum of a row the screen rejects or of any row elsewhere; S3 reads,
+per row a, the b with a o b = 0 that do not commute with a (check_s3 states
 why that decides S3); S4 flags, for every b at once, the b that commute with
 a and break a clause, and rescans the least of them over every c; S5
-intersects per-element commutant bitmasks, each built by comparing a row
-with its column in one step, with the centre (the elements that commute with
-every element, which never break S5) masked out, so that a row whose
-commutant is central is skipped (check_s5 states why).  On tables of up to
-256 elements, where an entry fits a byte, rows are read as byte strings by
-bytes.translate gathers: S4's at every size, and S1's screen and S3's from
-_BYTES_FROM elements, below which their set-up costs about what they save.
-S3, S4 and S5 read the table joined into one byte string and the commuting
-flags of its rows (_Joined), which check_axioms builds once for the three;
-above 256 elements S4 and S5 still share the flags, each row compared with
-its column by map(eq).  Outside those sizes S1's screen reads rows with
-itemgetter, S3 runs the plain loop, and above 256 elements S4 gathers over
-b with itemgetter.  S1's screen is built once per carrier and kept on it
-(_atom_screen).  Each looks at single entries only to pick the least
-witness in a failing row, so the witnesses are those of the plain
-element-by-element scan.
+intersects per-element commutant bitmasks with the centre (the elements that
+commute with every element, which never break S5) masked out, so that a row
+whose commutant is central is skipped (check_s5 states why).  S3, S4 and S5
+read one set of commuting flags, per row a the b that commute with a
+(_Joined), which check_axioms builds once for the three.  One size divides
+the formats: on tables of up to 256 elements, where an entry fits a byte,
+rows are read as byte strings by bytes.translate, from the table joined
+into one byte string; above 256 elements by itemgetter gathers, and each
+row is compared with its column, and with the zero for S3, by map(eq).
+S1's screen is built once per carrier and kept on it (_atom_screen).  Each
+looks at single entries only to pick the least witness in a failing row,
+so the witnesses are those of the plain element-by-element scan.
 
 Once S1 has passed, check_axioms checks S4 as check_s4_given_s1 does, which
 compares the composition clause at fewer c, again only where alg._laws_hold,
@@ -83,13 +79,6 @@ _WITNESS_LENGTHS = {"s1": (3,), "s2": (1,), "s3": (2,), "s4": (2, 3), "s5": (3,)
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 # byte 0 to 1 and every other byte to 0: the equal entries of two XORed rows
 _ZERO_TO_ONE = b"\x01" + bytes(255)
-# The least carrier size at which check_s1's screen and check_s3 read a
-# table as bytes (up to 256 elements, where an entry fits a byte).  Below it
-# a byte path's set-up costs about what it saves: on tables of 8 to 13
-# elements each byte path took 0.86-1.29 times its loop's time.  From 16
-# elements each was faster on every table measured, S1's screen at parity
-# (0.93-1.15) only on a carrier whose screen was not yet built.
-_BYTES_FROM = 16
 
 
 class Operation:
@@ -315,17 +304,16 @@ def check_s1(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]
 def _atom_screen(alg: FiniteEffectAlgebra):
     """check_s1's screen on alg: a predicate that is True when a row passes at
     every atom sum x (+) p; None where alg._laws_hold is False.  It is built
-    on first use, from _BYTES_FROM to 256 elements by _byte_screen and at
-    every other size by _gather_screen, and kept in the carrier's _screen
-    slot, which is filled only while _laws_hold.  The atoms are the shape's
-    unit vectors on a box and on a table those that validate_table_algebra
-    recorded, so the set-up reads no pair of the sum table beyond the
-    atoms' rows: row p stands for column p, since the sum commutes wherever
-    _laws_hold."""
+    on first use, by _byte_screen on at most 256 elements and by
+    _gather_screen above, and kept in the carrier's _screen slot, which is
+    filled only while _laws_hold.  The atoms are the shape's unit vectors on
+    a box and on a table those that validate_table_algebra recorded, so the
+    set-up reads no pair of the sum table beyond the atoms' rows: row p
+    stands for column p, since the sum commutes wherever _laws_hold."""
     if not alg._laws_hold:
         return None
     if alg._screen is None:
-        build = _byte_screen if _BYTES_FROM <= alg.size <= 256 else _gather_screen
+        build = _byte_screen if alg.size <= 256 else _gather_screen
         alg._screen = build(alg)
     return alg._screen
 
@@ -388,39 +376,35 @@ def check_s2(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]
 
 
 def check_s3(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]:
-    """S3 by the zero pattern Z = {(a, b) : a o b = 0}.
+    """S3 from the commuting flags (_Joined.commuting).
 
-    The symmetry rule: S3 says that Z lies inside its transpose, and a
-    finite relation inside its transpose equals it, so S3 holds iff Z is
-    symmetric.  From _BYTES_FROM to 256 elements the table is joined into
-    one byte string and translated to Z's 0/1 flags, which are compared
-    with their transpose in one step.  Only a table that fails is read a row
-    at a time, and the least b in row a of Z but not of the transpose is the
-    witness, as in the plain loop, which every other size runs.  On the
-    cube 2^8 this takes about 0.6 ms, most of it the join, against
-    1.5-1.7 ms for the loop over every pair."""
+    The rule: where a o b = 0, b o a = 0 too exactly when a and b commute,
+    so S3 fails at (a, b) exactly when a o b = 0 and the two do not
+    commute.  A row that commutes with every b passes; in any other, the
+    zero flags (a o b = 0) less the commuting flags, one integer with byte
+    b for b, give the failing b, the least of them the plain loop's
+    witness.  The zero flags are one bytes.translate of the joined table on
+    at most 256 elements, and row a against zero by map(eq) above.  Within
+    check_axioms S3 builds the flags that S4 and S5 then read."""
     return _s3(alg, prod, _Joined(prod))
 
 
 def _s3(alg: FiniteEffectAlgebra, prod: Table, joined: _Joined) -> Optional[tuple[int, ...]]:
     n, zero = alg.size, alg.zero_index
-    if not _BYTES_FROM <= n <= 256:
-        for a in range(n):
-            row = prod[a]
-            for b in range(n):
-                if row[b] == zero and prod[b][a] != zero:
-                    return (a, b)
-        return None
-    z = joined.flat().translate(bytes(zero) + b"\x01" + bytes(255 - zero))
-    zt = b"".join([z[b::n] for b in range(n)])
-    if z == zt:
-        return None
-    for a in range(n):
-        bad = (int.from_bytes(z[a * n:a * n + n], "little")
-               & ~int.from_bytes(zt[a * n:a * n + n], "little"))
-        if bad:
-            return (a, (bad & -bad).bit_length() - 1 >> 3)
-    raise AssertionError("Z differs from its transpose, so some pair of Z is not in it")
+    if n <= 256:
+        flags = joined.flat().translate(bytes(zero) + b"\x01" + bytes(255 - zero))
+
+        def zeros(a):
+            return flags[a * n:a * n + n]
+    else:
+        def zeros(a):
+            return bytes(map(eq, prod[a], repeat(zero)))
+    for a, comm in enumerate(joined.commuting()):
+        if 0 in comm:
+            bad = int.from_bytes(zeros(a), "little") & ~int.from_bytes(comm, "little")
+            if bad:
+                return (a, (bad & -bad).bit_length() - 1 >> 3)
+    return None
 
 
 def check_s4(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]:
@@ -436,16 +420,36 @@ def _s4_scan(alg: FiniteEffectAlgebra, prod: Table, cs: Sequence[int],
     Each row gives, as one integer with byte b standing for b, the b that
     commute with a and fail a clause: the b'-clause where b' does not
     commute with a, the composition clause where a o (b o c) differs from
-    (a o b) o c at some c in `cs`.  The lowest set bit is the least failing
+    (a o b) o c at some c in `cs`.  The lowest set byte is the least failing
     b, the scan's pair; its b'-clause is tried first and the composition
     clause rescanned over every c, so the witness is the plain scan's.
     Hence the composition clause is compared only at the commuting b below
     the row's least b'-clause failure, and not at all when that failure is
-    at the row's least commuting b."""
+    at the row's least commuting b.  The b'-clause reads the commuting flags
+    at the orthosupplements (by bytes.translate up to 256 elements, by
+    itemgetter above), the composition clause _s4_bytes or _s4_gathers."""
     n = alg.size
     ortho = alg.ortho_table()
-    failing = _s4_bytes(joined, ortho, cs) if n <= 256 else _s4_gathers(joined, ortho, cs)
-    for a, bad in enumerate(failing):
+    if n <= 256:
+        pad, at_ortho = bytes(256 - n), bytes(ortho)
+
+        def primed(comm):
+            return at_ortho.translate(comm + pad)
+        composition = _s4_bytes(joined, cs)
+    else:
+        at_ortho = itemgetter(*ortho)
+
+        def primed(comm):
+            return bytes(at_ortho(comm))
+        composition = _s4_gathers(joined, cs)
+    for a, comm in enumerate(joined.commuting()):
+        commuting = int.from_bytes(comm, "little")
+        bad = commuting & ~int.from_bytes(primed(comm), "little")
+        below = commuting & (bad & -bad) - 1 if bad else commuting
+        if below:
+            # a composition flag is any nonzero byte (an XOR on the byte
+            # path), so the mask is 0xff at each b that below flags
+            bad |= below * 255 & composition(a)
         if bad:
             b = (bad & -bad).bit_length() - 1 >> 3
             row, bp = prod[a], ortho[b]
@@ -458,39 +462,36 @@ def _s4_scan(alg: FiniteEffectAlgebra, prod: Table, cs: Sequence[int],
     return None
 
 
-def _s4_bytes(joined: _Joined, ortho: Sequence[int], cs: Sequence[int]) -> Iterator[int]:
-    """_s4_scan's failing b, row by row, on at most 256 elements, where a
-    row is a byte string and bytes.translate reads it at every b in one step.
+def _s4_bytes(joined: _Joined, cs: Sequence[int]):
+    """_s4_scan's composition clause on at most 256 elements, where a row
+    is a byte string and bytes.translate reads it at every b in one step:
+    a function of a whose integer has byte b nonzero where a o (b o c)
+    differs from (a o b) o c at some c in cs.
 
-    Row a and column a are slices of the joined table (_Joined.flat).  The
-    flags of the b that commute with a (_Joined.commuting) read at ortho say
-    whether b' commutes.  For each c in cs, column c translated by row a is
-    a o (b o c) and row a translated by column c is (a o b) o c, for every
-    b.  The join costs less than the columns of cs built one by one, so it
-    is made even for the searches' leaves, which mostly fail within their
-    first rows."""
+    Row a and column a are slices of the joined table (_Joined.flat).  For
+    each c in cs, column c translated by row a is a o (b o c) and row a
+    translated by column c is (a o b) o c, for every b.  The join costs
+    less than the columns of cs built one by one, so it is made even for
+    the searches' leaves, which mostly fail within their first rows."""
     n = len(joined.prod)
     pad = bytes(256 - n)  # bytes.translate takes a 256-byte table
-    at_ortho = bytes(ortho)
     flat = joined.flat()
     cols = [flat[c::n] for c in cs]
     cols_pad = [col + pad for col in cols]
-    for a, comm in enumerate(joined.commuting()):
-        commuting = int.from_bytes(comm, "little")
-        bad = commuting & ~int.from_bytes(at_ortho.translate(comm + pad), "little")
-        below = commuting & (bad & -bad) - 1 if bad else commuting
-        if below:
-            # a o (b o c) and (a o b) o c for every b, one c after another
-            row = flat[a * n:a * n + n]
-            got = b"".join(map(bytes.translate, cols, repeat(row + pad)))
-            want = b"".join(map(row.translate, cols_pad))
-            if got != want:
-                # below * 255 is 0xff at each b it flags, 0 elsewhere
-                mask = below * 255
-                for i in range(0, len(got), n):
-                    bad |= mask & (int.from_bytes(got[i:i + n], "little")
-                                   ^ int.from_bytes(want[i:i + n], "little"))
-        yield bad
+
+    def composition(a: int) -> int:
+        # a o (b o c) and (a o b) o c for every b, one c after another
+        row = flat[a * n:a * n + n]
+        got = b"".join(map(bytes.translate, cols, repeat(row + pad)))
+        want = b"".join(map(row.translate, cols_pad))
+        broken = 0
+        if got != want:
+            for i in range(0, len(got), n):
+                broken |= (int.from_bytes(got[i:i + n], "little")
+                           ^ int.from_bytes(want[i:i + n], "little"))
+        return broken
+
+    return composition
 
 
 class _Joined:
@@ -540,16 +541,15 @@ class _Joined:
             yield built[a]
 
 
-def _s4_gathers(joined: _Joined, ortho: Sequence[int], cs: Sequence[int]) -> Iterator[int]:
-    """_s4_scan's failing b, row by row, on more than 256 elements, where
-    an entry no longer fits in a byte.  The commuting flags are
-    _Joined.commuting()'s; for every b, row a read at b o c for the c in cs
-    (a o (b o c)) is compared in C with row a o b read at cs
-    ((a o b) o c), one tuple per b.  With at most 32 c, one itemgetter
-    reads row a at every b o c and zip cuts the result into one tuple per
-    b; with more, the cut costs more than a call, so one itemgetter per b
-    is mapped over b.  The getters and the rows read at cs are built
-    before the first row."""
+def _s4_gathers(joined: _Joined, cs: Sequence[int]):
+    """_s4_scan's composition clause on more than 256 elements, where an
+    entry no longer fits in a byte, as _s4_bytes gives it, with 0/1 bytes:
+    for every b, row a read at b o c for the c in cs (a o (b o c)) is
+    compared in C with row a o b read at cs ((a o b) o c), one tuple per b.
+    With at most 32 c, one itemgetter reads row a at every b o c and zip
+    cuts the result into one tuple per b; with more, the cut costs more
+    than a call, so one itemgetter per b is mapped over b.  The getters and
+    the rows read at cs are built before the first row."""
     prod = joined.prod
     n, m = len(prod), len(cs)
     if m <= 32:
@@ -566,15 +566,13 @@ def _s4_gathers(joined: _Joined, ortho: Sequence[int], cs: Sequence[int]) -> Ite
 
         def composed(row):
             return map(call, through, repeat(row))
-    at_ortho = itemgetter(*ortho)
-    for row, comm in zip(prod, joined.commuting()):
-        commuting = int.from_bytes(comm, "little")
-        bad = commuting & ~int.from_bytes(bytes(at_ortho(comm)), "little")
-        below = commuting & (bad & -bad) - 1 if bad else commuting
-        if below:
-            broken = bytes(map(ne, composed(row), map(picked.__getitem__, row)))
-            bad |= below & int.from_bytes(broken, "little")
-        yield bad
+
+    def composition(a: int) -> int:
+        row = prod[a]
+        broken = bytes(map(ne, composed(row), map(picked.__getitem__, row)))
+        return int.from_bytes(broken, "little")
+
+    return composition
 
 
 def check_s4_given_s1(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]:
@@ -651,7 +649,8 @@ def check_axioms(op: Operation, upto: int) -> AxiomReport:
     Each axiom short-circuits at its first violation but every axiom up to
     `upto` is evaluated.  S3, S4 and S5 share one _Joined, so a table of at
     most 256 elements is joined into bytes once per call, and at every size
-    each row's commuting flags are built once for S4 and S5.
+    each row's commuting flags are built once for the three, by the first
+    that reads the row.
     """
     if not _is_int(upto) or not 1 <= upto <= 5:
         raise ValueError(f"upto must be in 1..5, got {upto}")

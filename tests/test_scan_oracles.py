@@ -9,12 +9,11 @@ composition clause read only at the sum generators once S1 holds;
 associativity read only where one side is defined, decided a row at a time
 by down-sets, and by counts on the rows that cancel, with the rows that do
 not cancel and the domains that are no down-sets tested on their own;
-S5 with the centre masked out, on products whose centre is proper; the
-byte paths of S1's atom screen and S3 (the zero pattern against its
-transpose), on tables on either side of the sizes where they take over,
-with the path each size takes checked as well; and the commuting flags
-that S4 and S5 share, read whole and resumed, on either side of 256
-elements.
+S5 with the centre masked out, on products whose centre is proper; S1's
+atom screen and S3 (the zero flags less the commuting flags) on tables on
+either side of 256 elements, where the byte paths end, with the path each
+size takes checked as well; and the commuting flags that S3, S4 and S5
+share, read whole and resumed, on either side of 256 elements.
 
 The box sum and orthosupplement tables are read by index arithmetic (i + j
 when no coordinate carries, N - 1 - i); the coordinate-tuple loops they
@@ -707,17 +706,16 @@ def zero_below_the_diagonal(table, zero, rng):
             return rows, (b, a)
 
 
-# Carriers on either side of the byte paths' gates: check_s1's screen and
-# check_s3 read a table as bytes from operations._BYTES_FROM to 256 elements,
-# and the commuting flags of S4 and S5 come from the joined table at every
-# size up to 256.  Horizontal sums of chains, validated, with their sigma
-# tables
+# Carriers on either side of the one byte boundary, 256 elements, where an
+# entry stops fitting in a byte: up to it check_s1's screen is the byte
+# screen, and S3, S4 and S5 read the table joined into bytes and the
+# commuting flags from that join.  Horizontal sums of chains, validated,
+# with their sigma tables
 GATE_SIZES = {15: (4, 5, 7), 16: (4, 5, 8), 256: (127, 129), 257: (128, 129)}
 
 
 @pytest.mark.parametrize("size", sorted(GATE_SIZES))
 def test_s1_s3_s5_on_either_side_of_the_byte_gates(size, monkeypatch):
-    assert operations._BYTES_FROM == 16
     rng = random.Random(f"scan-oracles/gates/{size}")
     alg, sigma = hsum_sigma(GATE_SIZES[size], rng)
     assert alg.size == size and validate_table_algebra(alg).ok
@@ -755,10 +753,10 @@ def test_s1_s3_s5_on_either_side_of_the_byte_gates(size, monkeypatch):
         assert check_s5(alg, table) == s5_reference(alg, table)
         s3_failures += want_s3 is not None
     assert s3_failures >= 3
-    by_bytes = 16 <= size <= 256
-    # the carrier builds its screen once, on the first check_s1; each check
-    # joins the table it reads, S3 from 16 elements and S5 up to 256
-    assert calls == {"joins": (by_bytes + (size <= 256)) * len(tables),
+    by_bytes = size <= 256
+    # the carrier builds its screen once, on the first check_s1; up to 256
+    # elements S3 and S5 each join the table they read, and above none does
+    assert calls == {"joins": 2 * by_bytes * len(tables),
                      "_byte_screen": int(by_bytes),
                      "_gather_screen": int(not by_bytes)}
 
@@ -789,11 +787,12 @@ def test_commuting_flags_read_whole_and_resumed(size):
 
 def test_s4_and_s5_share_the_commuting_flags_above_256_elements(monkeypatch):
     # above 256 elements each row's flags are row a against column a by
-    # operator.eq; on the zero table S4 reads every row, and S5 builds none
-    # again
+    # operator.eq.  On the zero table every row commutes with every b, so
+    # S3 reads the flags of every row and needs no zero flags: S3 alone
+    # builds each row's flags once, and with S4 and S5 after it none again
     alg, _ = hsum_sigma(GATE_SIZES[257], random.Random("scan-oracles/share"))
     n = alg.size
-    zeros = ((alg.zero_index,) * n,) * n
+    op = Operation(alg, table=((alg.zero_index,) * n,) * n)
     compared = []
 
     def eq(x, y):
@@ -801,10 +800,12 @@ def test_s4_and_s5_share_the_commuting_flags_above_256_elements(monkeypatch):
         return x == y
 
     monkeypatch.setattr(operations, "eq", eq)
-    report = check_axioms(Operation(alg, table=zeros), 5)
-    # every axiom but S2 holds
-    assert [name for name, w in report.results.items() if w is not None] == ["s2"]
-    assert len(compared) == n * n
+    for upto in (3, 5):
+        compared.clear()
+        report = check_axioms(op, upto)
+        # every axiom but S2 holds
+        assert [name for name, w in report.results.items() if w is not None] == ["s2"]
+        assert len(compared) == n * n
 
 
 def parity_row(alg, v):
@@ -815,16 +816,16 @@ def parity_row(alg, v):
     return tuple(v if sum(alg.shape.coords_of(x)) % 2 else 0 for x in range(alg.size))
 
 
-@pytest.mark.parametrize("u", [(15,), (3, 3), (1, 1, 1, 1), (2, 2, 2), (1,) * 8])
+@pytest.mark.parametrize("u", [(1,), (2,), (1, 1), (2, 1), (1, 1, 1), (15,), (3, 3),
+                               (1, 1, 1, 1), (2, 2, 2), (1,) * 8])
 def test_byte_screen_passes_exactly_the_additive_rows(u):
     # the byte screen against the walk, on boxes and their validated tables
-    # of 16 to 256 elements; test_operations checks every row of smaller
-    # carriers, where the itemgetter screen runs
+    # of 2 to 256 elements
     box = make_simplicial(u)
     table = box.to_table()
     assert validate_table_algebra(table).ok
     n = box.size
-    assert operations._BYTES_FROM <= n <= 256
+    assert n <= 256
     rng = random.Random(f"scan-oracles/screen/{u}")
     if len(u) < 8:
         matrices = list(enumerate_subunital(u))
@@ -838,6 +839,9 @@ def test_byte_screen_passes_exactly_the_additive_rows(u):
         row[rng.randrange(n)] = rng.randrange(n)
         rows.append(tuple(row))
     rows += [tuple(rng.randrange(n) for _ in range(n)) for _ in range(20)]
+    if n ** n <= 256:
+        # every row of the carriers of 2 to 4 elements
+        rows += product(range(n), repeat=n)
     rows += [parity_row(box, n - 1), parity_row(box, n - 2)]
     for alg in (box, table):
         passes = operations._atom_screen(alg)
@@ -848,7 +852,8 @@ def test_byte_screen_passes_exactly_the_additive_rows(u):
             assert check_s1(alg, (row,)) == (None if walked is None else (0, *walked))
             verdicts.append(walked is None)
         assert verdicts[:len(additive)] == [True] * len(additive)
-        assert verdicts[-2:] == [False, False]
+        # on the two-element chain a parity row is (0, v), which is additive
+        assert verdicts[-2:] == [n == 2] * 2
         assert verdicts.count(False) > 20
 
 
