@@ -333,6 +333,9 @@ class TableAlgebra(FiniteEffectAlgebra):
     The constructor checks only well-formedness: table dimensions, index
     ranges, entries int-or-None.  Whether the laws actually hold is decided
     by validate_table_algebra; loading from JSON runs that check eagerly.
+    The constructor lists each row's domain and sums (_row_domain) as it
+    checks the row's defined entries, and keeps the listing for the
+    validation.
     """
 
     noun = "table algebra"
@@ -346,16 +349,19 @@ class TableAlgebra(FiniteEffectAlgebra):
                 raise ValueError(f"{name} index {v!r} out of range for size {size}")
         if len(sum_table) != size:
             raise ValueError(f"sum table must have {size} rows, got {len(sum_table)}")
-        rows = []
+        rows, domains = [], []
         for row in sum_table:
             if len(row) != size:
                 raise ValueError(f"sum table rows must have {size} entries")
-            for v in row:
-                if v is not None and (not (type(v) is int or _is_int(v)) or not 0 <= v < size):
+            domain = _row_domain(row)
+            for v in domain[1]:
+                if not (type(v) is int or _is_int(v)) or not 0 <= v < size:
                     raise ValueError(f"sum entry {v!r} is not None or an index below {size}")
             rows.append(tuple(row))
+            domains.append(domain)
         super().__init__(size, zero, one)
         self.sum_table = tuple(rows)
+        self._domains = domains
 
     def __repr__(self):
         return f"TableAlgebra(size={self.size})"
@@ -512,12 +518,12 @@ def validate_table_algebra(alg: TableAlgebra) -> ValidationReport:
 
     Each law is tested a row at a time and single entries are read only in a
     failing row, to pick its least witness, so the witnesses are those of the
-    plain element-by-element scan.  Every entry is read once at Python level,
-    to list each row b's domain D[b], the c for which b (+) c is defined, and
-    the sums there.  Commutativity compares row a with column a in C, the
-    zero-one law reads the top's column, and the orthosupplement and
-    positivity laws read only the defined sums (6,561 of the 65,536 entries
-    on the cube 2^8).
+    plain element-by-element scan.  Each row b's domain D[b], the c for
+    which b (+) c is defined, and the sums there are read from the listing
+    the constructor made as it checked the entries.  Commutativity compares
+    row a with column a in C, the zero-one law reads the top's column, and
+    the orthosupplement and positivity laws read only the defined sums
+    (6,561 of the 65,536 entries on the cube 2^8).
 
     Associativity reads only the entries that can break it: at a pair
     (a, b) one side is defined only at some c in D[b] or in D[a (+) b].  So
@@ -553,7 +559,7 @@ def validate_table_algebra(alg: TableAlgebra) -> ValidationReport:
     n = alg.size
     s = alg.sum_table
     zero, one = alg.zero_index, alg.one_index
-    domains = list(map(_row_domain, s))
+    domains = alg._domains
     # mask[b] has the bits of D[b], size[b] is |D[b]| and reach[b] has the
     # bits of every defined b (+) c; at_dom[b](row) reads row at D[b], and
     # own[b] is at_dom[b](row b).  below[x] has the bit of every b with

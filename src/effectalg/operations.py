@@ -27,15 +27,15 @@ a and break a clause, and rescans the least of them over every c; S5
 intersects per-element commutant bitmasks with the centre (the elements that
 commute with every element, which never break S5) masked out, so that a row
 whose commutant is central is skipped (check_s5 states why).  S3, S4 and S5
-read one set of commuting flags, per row a the b that commute with a
-(_Joined), which check_axioms builds once for the three.  One size divides
-the formats: on tables of up to 256 elements, where an entry fits a byte,
-rows are read as byte strings by bytes.translate, from the table joined
-into one byte string; above 256 elements by itemgetter gathers, and each
-row is compared with its column, and with the zero for S3, by map(eq).
-S1's screen is built once per carrier and kept on it (_atom_screen).  Each
-looks at single entries only to pick the least witness in a failing row,
-so the witnesses are those of the plain element-by-element scan.
+read one set of commuting flags, per row a the b that commute with a,
+which check_axioms builds once for the three.  One size test chooses the
+format (_format): _Joined(prod) is a _Bytes view up to 256 elements, where
+an entry fits a byte and rows are byte strings read by bytes.translate from
+the table joined into one, and a _Wide view above, read by itemgetter
+gathers and map(eq).  Each view holds all of its format's reads, S1's
+screen builder among them (_atom_screen keeps the screen on the carrier).
+Each scan looks at single entries only to pick the least witness in a
+failing row, so the witnesses are those of the plain element-by-element scan.
 
 Once S1 has passed, check_axioms checks S4 as check_s4_given_s1 does, which
 compares the composition clause at fewer c, again only where alg._laws_hold,
@@ -285,7 +285,7 @@ def check_s1(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]
     the walk reads 3,281.  A rejected row is walked in full, so the first
     failing row and its least witness are the walk's.
 
-    On the cube, read as bytes (_byte_screen), the screen takes 1.7-1.8 ms
+    On the cube, read as bytes (_Bytes.screen), the screen takes 1.7-1.8 ms
     a table once the carrier's screen is built, against 8.5-12 ms with
     itemgetter gathers, and 2.2-2.3 ms on a freshly validated table, whose
     atoms the validation recorded (finding them by the pairs rule of
@@ -304,67 +304,17 @@ def check_s1(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]
 def _atom_screen(alg: FiniteEffectAlgebra):
     """check_s1's screen on alg: a predicate that is True when a row passes at
     every atom sum x (+) p; None where alg._laws_hold is False.  It is built
-    on first use, by _byte_screen on at most 256 elements and by
-    _gather_screen above, and kept in the carrier's _screen slot, which is
-    filled only while _laws_hold.  The atoms are the shape's unit vectors on
-    a box and on a table those that validate_table_algebra recorded, so the
-    set-up reads no pair of the sum table beyond the atoms' rows: row p
-    stands for column p, since the sum commutes wherever _laws_hold."""
+    on first use, by the screen builder of the format alg's size takes
+    (_format), and kept in the carrier's _screen slot, which is filled only
+    while _laws_hold.  The atoms are the shape's unit vectors on a box and
+    on a table those that validate_table_algebra recorded, so the set-up
+    reads no pair of the sum table beyond the atoms' rows: row p stands for
+    column p, since the sum commutes wherever _laws_hold."""
     if not alg._laws_hold:
         return None
     if alg._screen is None:
-        build = _byte_screen if alg.size <= 256 else _gather_screen
-        alg._screen = build(alg)
+        alg._screen = _format(alg.size).screen(alg)
     return alg._screen
-
-
-def _byte_screen(alg: FiniteEffectAlgebra):
-    """The screen on at most 256 elements, where a row f is a byte string.
-    For each atom p it is read by bytes.translate at the x orthogonal to p,
-    giving f(x), and at the sums x (+) p, giving f(x (+) p); row f(p) of
-    the sum table, read at every f(x) the same way, gives f(p) (+) f(x) and
-    whether each is defined.  Row f passes at p when those sums equal
-    f(x (+) p) and every one of them is defined: the byte 0 stands in for
-    an undefined sum, and may equal f(x (+) p)."""
-    sums = alg.oplus_table()
-    atoms = [(p, *map(bytes, _row_domain(sums[p]))) for p in alg.atom_indices()]
-    pad = bytes(256 - alg.size)
-
-    @cache
-    def sum_row(v: int) -> tuple[bytes, bytes]:
-        """Row v of the sum table as two bytes.translate tables, built on
-        first use: the sums, 0 where undefined, and the flags of the
-        defined ones."""
-        row = sums[v]
-        return (bytes([0 if k is None else k for k in row]) + pad,
-                bytes([k is not None for k in row]) + pad)
-
-    def passes(row: Sequence[int]) -> bool:
-        f = bytes(row) + pad
-        for p, xs, ks in atoms:
-            fx = xs.translate(f)
-            summed, defined = sum_row(row[p])
-            if fx.translate(summed) != ks.translate(f) or 0 in fx.translate(defined):
-                return False
-        return True
-
-    return passes
-
-
-def _gather_screen(alg: FiniteEffectAlgebra):
-    """The screen read by itemgetter: per atom p, one getter reads a row at
-    the x orthogonal to p and one at the sums x (+) p (algebra._reader)."""
-    sums = alg.oplus_table()
-    getters = [(p, *map(_reader, _row_domain(sums[p]))) for p in alg.atom_indices()]
-
-    def passes(row: Sequence[int]) -> bool:
-        for p, at_xs, at_ks in getters:
-            # f(p) (+) f(x) against f(x (+) p); None differs from every index
-            if itemgetter(*at_xs(row))(sums[row[p]]) != at_ks(row):
-                return False
-        return True
-
-    return passes
 
 
 def check_s2(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]:
@@ -381,24 +331,14 @@ def check_s3(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]
     The rule: where a o b = 0, b o a = 0 too exactly when a and b commute,
     so S3 fails at (a, b) exactly when a o b = 0 and the two do not
     commute.  A row that commutes with every b passes; in any other, the
-    zero flags (a o b = 0) less the commuting flags, one integer with byte
-    b for b, give the failing b, the least of them the plain loop's
-    witness.  The zero flags are one bytes.translate of the joined table on
-    at most 256 elements, and row a against zero by map(eq) above.  Within
-    check_axioms S3 builds the flags that S4 and S5 then read."""
-    return _s3(alg, prod, _Joined(prod))
+    zero flags (zeros) less the commuting flags, one integer with byte b
+    for b, give the failing b, the least of them the plain loop's witness.
+    Within check_axioms S3 builds the flags that S4 and S5 then read."""
+    return _s3(alg, _Joined(prod))
 
 
-def _s3(alg: FiniteEffectAlgebra, prod: Table, joined: _Joined) -> Optional[tuple[int, ...]]:
-    n, zero = alg.size, alg.zero_index
-    if n <= 256:
-        flags = joined.flat().translate(bytes(zero) + b"\x01" + bytes(255 - zero))
-
-        def zeros(a):
-            return flags[a * n:a * n + n]
-    else:
-        def zeros(a):
-            return bytes(map(eq, prod[a], repeat(zero)))
+def _s3(alg: FiniteEffectAlgebra, joined: _Joined) -> Optional[tuple[int, ...]]:
+    zeros = joined.zeros(alg.zero_index)
     for a, comm in enumerate(joined.commuting()):
         if 0 in comm:
             bad = int.from_bytes(zeros(a), "little") & ~int.from_bytes(comm, "little")
@@ -425,30 +365,17 @@ def _s4_scan(alg: FiniteEffectAlgebra, prod: Table, cs: Sequence[int],
     clause rescanned over every c, so the witness is the plain scan's.
     Hence the composition clause is compared only at the commuting b below
     the row's least b'-clause failure, and not at all when that failure is
-    at the row's least commuting b.  The b'-clause reads the commuting flags
-    at the orthosupplements (by bytes.translate up to 256 elements, by
-    itemgetter above), the composition clause _s4_bytes or _s4_gathers."""
-    n = alg.size
+    at the row's least commuting b.  The view reads the commuting flags at
+    the orthosupplements (primed) and gives the composition clause."""
     ortho = alg.ortho_table()
-    if n <= 256:
-        pad, at_ortho = bytes(256 - n), bytes(ortho)
-
-        def primed(comm):
-            return at_ortho.translate(comm + pad)
-        composition = _s4_bytes(joined, cs)
-    else:
-        at_ortho = itemgetter(*ortho)
-
-        def primed(comm):
-            return bytes(at_ortho(comm))
-        composition = _s4_gathers(joined, cs)
+    primed, composition = joined.primed(ortho), joined.composition(cs)
     for a, comm in enumerate(joined.commuting()):
         commuting = int.from_bytes(comm, "little")
         bad = commuting & ~int.from_bytes(primed(comm), "little")
         below = commuting & (bad & -bad) - 1 if bad else commuting
         if below:
-            # a composition flag is any nonzero byte (an XOR on the byte
-            # path), so the mask is 0xff at each b that below flags
+            # a composition flag is any nonzero byte (an XOR in the byte
+            # view), so the mask is 0xff at each b that below flags
             bad |= below * 255 & composition(a)
         if bad:
             b = (bad & -bad).bit_length() - 1 >> 3
@@ -456,123 +383,194 @@ def _s4_scan(alg: FiniteEffectAlgebra, prod: Table, cs: Sequence[int],
             if row[bp] != prod[bp][a]:
                 return (a, b)
             rowb, row_ab = prod[b], prod[row[b]]
-            for c in range(n):
+            for c in range(alg.size):
                 if row[rowb[c]] != row_ab[c]:
                     return (a, b, c)
     return None
 
 
-def _s4_bytes(joined: _Joined, cs: Sequence[int]):
-    """_s4_scan's composition clause on at most 256 elements, where a row
-    is a byte string and bytes.translate reads it at every b in one step:
-    a function of a whose integer has byte b nonzero where a o (b o c)
-    differs from (a o b) o c at some c in cs.
-
-    Row a and column a are slices of the joined table (_Joined.flat).  For
-    each c in cs, column c translated by row a is a o (b o c) and row a
-    translated by column c is (a o b) o c, for every b.  The join costs
-    less than the columns of cs built one by one, so it is made even for
-    the searches' leaves, which mostly fail within their first rows."""
-    n = len(joined.prod)
-    pad = bytes(256 - n)  # bytes.translate takes a 256-byte table
-    flat = joined.flat()
-    cols = [flat[c::n] for c in cs]
-    cols_pad = [col + pad for col in cols]
-
-    def composition(a: int) -> int:
-        # a o (b o c) and (a o b) o c for every b, one c after another
-        row = flat[a * n:a * n + n]
-        got = b"".join(map(bytes.translate, cols, repeat(row + pad)))
-        want = b"".join(map(row.translate, cols_pad))
-        broken = 0
-        if got != want:
-            for i in range(0, len(got), n):
-                broken |= (int.from_bytes(got[i:i + n], "little")
-                           ^ int.from_bytes(want[i:i + n], "little"))
-        return broken
-
-    return composition
+def _format(n: int) -> type:
+    """_Bytes up to 256 elements, where an entry fits a byte; _Wide above."""
+    return _Bytes if n <= 256 else _Wide
 
 
 class _Joined:
-    """A product table as S3, S4 and S5 read it; check_axioms makes one per
-    call, which the three share, and each public check its own.  Each view
-    is built on first use: flat(), on at most 256 elements, the rows joined
-    into one byte string, so that row a and column a are slices of it, and
-    commuting(), at every size, per a the flags of the b that commute with
-    a."""
+    """A product table as S3, S4 and S5 read it, in the view of its format
+    (_format); check_axioms makes one per call, which the three share, and
+    each public check its own.  A view gives the commuting flags (_row),
+    S3's zero flags (zeros), S4's flags at the orthosupplements (primed)
+    and composition clause, and S1's screen builder (screen)."""
 
-    __slots__ = ("prod", "_flat", "_flags", "_columns")
+    __slots__ = ("prod", "_flags")
 
-    def __init__(self, prod: Table):
-        self.prod = prod
-        self._flat: Optional[bytes] = None
-        self._flags: list[bytes] = []
-        self._columns: Optional[Iterator[tuple[int, ...]]] = None
-
-    def flat(self) -> bytes:
-        if self._flat is None:
-            self._flat = b"".join(map(bytes, self.prod))
-        return self._flat
+    def __new__(cls, prod: Table):
+        return object.__new__(_format(len(prod)))
 
     def commuting(self) -> Iterator[bytes]:
-        """Per a, byte b 1 where a o b = b o a and 0 elsewhere.  On at most
-        256 elements it is row a XORed with column a, both slices of flat(),
-        translated; above, where an entry does not fit a byte, row a compared
-        with column a by map(eq), the columns taken one at a time from
-        zip(*prod), which builds none ahead of the rows read.  A row is
-        built when a scan first reads it and kept, in row order, so a scan
-        that stops early builds no more, and a later or interleaved scan
-        reads the rows built so far and builds the rest."""
-        built, prod = self._flags, self.prod
-        n = len(prod)
-        if n <= 256:
-            flat = self.flat()
-        elif self._columns is None:
-            self._columns = zip(*prod)
-        for a in range(n):
+        """Per a, byte b 1 where a o b = b o a and 0 elsewhere, the view's
+        _row(a).  A row is built when a scan first reads it and kept, in row
+        order, so a scan that stops early builds no more, and a later or
+        interleaved scan reads the rows built so far and builds the rest."""
+        built, row = self._flags, self._row
+        for a in range(len(self.prod)):
             if a == len(built):
-                if n <= 256:
-                    xor = (int.from_bytes(flat[a * n:a * n + n], "little")
-                           ^ int.from_bytes(flat[a::n], "little"))
-                    built.append(xor.to_bytes(n, "little").translate(_ZERO_TO_ONE))
-                else:
-                    built.append(bytes(map(eq, prod[a], next(self._columns))))
+                built.append(row(a))
             yield built[a]
 
 
-def _s4_gathers(joined: _Joined, cs: Sequence[int]):
-    """_s4_scan's composition clause on more than 256 elements, where an
-    entry no longer fits in a byte, as _s4_bytes gives it, with 0/1 bytes:
-    for every b, row a read at b o c for the c in cs (a o (b o c)) is
-    compared in C with row a o b read at cs ((a o b) o c), one tuple per b.
-    With at most 32 c, one itemgetter reads row a at every b o c and zip
-    cuts the result into one tuple per b; with more, the cut costs more
-    than a call, so one itemgetter per b is mapped over b.  The getters and
-    the rows read at cs are built before the first row."""
-    prod = joined.prod
-    n, m = len(prod), len(cs)
-    if m <= 32:
-        picked = [tuple(map(row_k.__getitem__, cs)) for row_k in prod]
-        every = itemgetter(*[row_b[c] for row_b in prod for c in cs])
+class _Bytes(_Joined):
+    """The view of a table of at most 256 elements: its rows joined into one
+    byte string, flat, so that row a and column a are slices of it (XORed for
+    the commuting flags), read by bytes.translate, whose 256-byte tables are
+    padded past n.  The join costs less than S4's columns built one by one,
+    so it is made even for the searches' leaves, which mostly fail early."""
 
-        def composed(row):
-            return zip(*[iter(every(row))] * m)
-    else:
-        at_cs = tuple if m == n else itemgetter(*cs)
-        picked = list(map(at_cs, prod))
-        through = [itemgetter(*at_cs(row_b)) for row_b in prod]
-        call = itemgetter.__call__
+    __slots__ = ("flat",)
 
-        def composed(row):
-            return map(call, through, repeat(row))
+    def __init__(self, prod: Table):
+        self.prod, self._flags, self.flat = prod, [], b"".join(map(bytes, prod))
 
-    def composition(a: int) -> int:
-        row = prod[a]
-        broken = bytes(map(ne, composed(row), map(picked.__getitem__, row)))
-        return int.from_bytes(broken, "little")
+    def _row(self, a: int) -> bytes:
+        flat, n = self.flat, len(self.prod)
+        xor = (int.from_bytes(flat[a * n:a * n + n], "little")
+               ^ int.from_bytes(flat[a::n], "little"))
+        return xor.to_bytes(n, "little").translate(_ZERO_TO_ONE)
 
-    return composition
+    def zeros(self, zero: int):
+        n, flags = len(self.prod), self.flat.translate(bytes(zero) + b"\x01" + bytes(255 - zero))
+        return lambda a: flags[a * n:a * n + n]
+
+    def primed(self, ortho: Sequence[int]):
+        pad, at_ortho = bytes(256 - len(self.prod)), bytes(ortho)
+        return lambda comm: at_ortho.translate(comm + pad)
+
+    def composition(self, cs: Sequence[int]):
+        """_s4_scan's composition clause: a function of a whose integer has
+        byte b nonzero where a o (b o c) differs from (a o b) o c at some c
+        in cs.  For each c, column c translated by row a is a o (b o c) and
+        row a translated by column c is (a o b) o c, for every b."""
+        flat, n = self.flat, len(self.prod)
+        pad = bytes(256 - n)
+        cols = [flat[c::n] for c in cs]
+        cols_pad = [col + pad for col in cols]
+
+        def composition(a: int) -> int:
+            # a o (b o c) and (a o b) o c for every b, one c after another
+            row = flat[a * n:a * n + n]
+            got = b"".join(map(bytes.translate, cols, repeat(row + pad)))
+            want = b"".join(map(row.translate, cols_pad))
+            broken = 0
+            if got != want:
+                for i in range(0, len(got), n):
+                    broken |= (int.from_bytes(got[i:i + n], "little")
+                               ^ int.from_bytes(want[i:i + n], "little"))
+            return broken
+
+        return composition
+
+    @staticmethod
+    def screen(alg: FiniteEffectAlgebra):
+        """S1's screen, where a row f is a byte string.  For each atom p it
+        is read by bytes.translate at the x orthogonal to p, giving f(x), and
+        at the sums x (+) p, giving f(x (+) p); row f(p) of the sum table,
+        read at every f(x) the same way, gives f(p) (+) f(x) and whether each
+        is defined.  Row f passes at p when those sums equal f(x (+) p) and
+        every one of them is defined: the byte 0 stands in for an undefined
+        sum, and may equal f(x (+) p)."""
+        sums = alg.oplus_table()
+        atoms = [(p, *map(bytes, _row_domain(sums[p]))) for p in alg.atom_indices()]
+        pad = bytes(256 - alg.size)
+
+        @cache
+        def sum_row(v: int) -> tuple[bytes, bytes]:
+            """Row v of the sum table as two bytes.translate tables, built on
+            first use: the sums, 0 where undefined, and the defined flags."""
+            row = sums[v]
+            return (bytes([0 if k is None else k for k in row]) + pad,
+                    bytes([k is not None for k in row]) + pad)
+
+        def passes(row: Sequence[int]) -> bool:
+            f = bytes(row) + pad
+            for p, xs, ks in atoms:
+                fx = xs.translate(f)
+                summed, defined = sum_row(row[p])
+                if fx.translate(summed) != ks.translate(f) or 0 in fx.translate(defined):
+                    return False
+            return True
+
+        return passes
+
+
+class _Wide(_Joined):
+    """The view of a table of more than 256 elements, where an entry no longer
+    fits a byte: rows are read by itemgetter gathers and compared by map(eq) or
+    map(ne), giving 0/1 bytes, row a with column a for the commuting flags, the
+    columns taken one at a time from zip(*prod), none ahead of the rows read."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, prod: Table):
+        self.prod, self._flags, self._columns = prod, [], zip(*prod)
+
+    def _row(self, a: int) -> bytes:
+        # commuting() asks for the rows in order, so column a is the next
+        return bytes(map(eq, self.prod[a], next(self._columns)))
+
+    def zeros(self, zero: int):
+        return lambda a: bytes(map(eq, self.prod[a], repeat(zero)))
+
+    def primed(self, ortho: Sequence[int]):
+        at_ortho = itemgetter(*ortho)
+        return lambda comm: bytes(at_ortho(comm))
+
+    def composition(self, cs: Sequence[int]):
+        """_s4_scan's composition clause, with 0/1 bytes: for every b, row a
+        read at b o c for the c in cs (a o (b o c)) is compared in C with
+        row a o b read at cs ((a o b) o c), one tuple per b.  With at most
+        32 c, one itemgetter reads row a at every b o c and zip cuts the
+        result into one tuple per b; with more, the cut costs more than a
+        call, so one itemgetter per b is mapped over b.  The getters and the
+        rows read at cs are built before the first row."""
+        prod = self.prod
+        n, m = len(prod), len(cs)
+        if m <= 32:
+            picked = [tuple(map(row_k.__getitem__, cs)) for row_k in prod]
+            every = itemgetter(*[row_b[c] for row_b in prod for c in cs])
+
+            def composed(row):
+                return zip(*[iter(every(row))] * m)
+        else:
+            at_cs = tuple if m == n else itemgetter(*cs)
+            picked = list(map(at_cs, prod))
+            through = [itemgetter(*at_cs(row_b)) for row_b in prod]
+            call = itemgetter.__call__
+
+            def composed(row):
+                return map(call, through, repeat(row))
+
+        def composition(a: int) -> int:
+            row = prod[a]
+            broken = bytes(map(ne, composed(row), map(picked.__getitem__, row)))
+            return int.from_bytes(broken, "little")
+
+        return composition
+
+    @staticmethod
+    def screen(alg: FiniteEffectAlgebra):
+        """S1's screen read by itemgetter: per atom p, one getter reads a row
+        at the x orthogonal to p and one at the sums x (+) p
+        (algebra._reader)."""
+        sums = alg.oplus_table()
+        getters = [(p, *map(_reader, _row_domain(sums[p]))) for p in alg.atom_indices()]
+
+        def passes(row: Sequence[int]) -> bool:
+            for p, at_xs, at_ks in getters:
+                # f(p) (+) f(x) against f(x (+) p); None differs from every index
+                if itemgetter(*at_xs(row))(sums[row[p]]) != at_ks(row):
+                    return False
+            return True
+
+        return passes
 
 
 def check_s4_given_s1(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[int, ...]]:
@@ -590,7 +588,7 @@ def check_s4_given_s1(alg: FiniteEffectAlgebra, prod: Table) -> Optional[tuple[i
     per row of the cube, 9 translations of column c by row a against 9 of
     row a by column c, where a per-pair loop would make 256 gathers of 9
     entries.  Above 256 elements, itemgetter gathers over b take the place
-    of the translations (_s4_gathers).
+    of the translations (_Wide.composition).
     """
     return _s4_scan(alg, prod, alg.sum_generators(), _Joined(prod))
 
@@ -659,9 +657,9 @@ def check_axioms(op: Operation, upto: int) -> AxiomReport:
     results = {"s1": check_s1(alg, prod)}
     if upto >= 2:
         results["s2"] = check_s2(alg, prod)
-    joined = _Joined(prod)
     if upto >= 3:
-        results["s3"] = _s3(alg, prod, joined)
+        joined = _Joined(prod)
+        results["s3"] = _s3(alg, joined)
     if upto >= 4:
         # check_s4_given_s1's c-set once S1 holds, check_s4's otherwise
         cs = range(alg.size) if results["s1"] is not None else alg.sum_generators()

@@ -202,6 +202,32 @@ def test_positivity_witness():
     assert report.checks["positivity"] == {"a": 1, "b": 1}
 
 
+def test_validation_reads_the_constructor_listing(monkeypatch):
+    # the constructor lists each row's domain and sums as it checks the
+    # row's entries; the validation reads that listing and lists no row again,
+    # whether the laws hold or fail
+    from effectalg import algebra
+
+    listed = []
+
+    def row_domain(row):
+        listed.append(row)
+        return real(row)
+
+    real = algebra._row_domain
+    monkeypatch.setattr(algebra, "_row_domain", row_domain)
+    verdicts = []
+    for rows in (make_simplicial((2, 1)).oplus_table(), [[0, 1], [1, 0]]):
+        listed.clear()
+        alg = TableAlgebra(len(rows), 0, len(rows) - 1, rows)
+        assert len(listed) == alg.size
+        assert alg._domains == [real(row) for row in alg.sum_table]
+        listed.clear()
+        verdicts.append(validate_table_algebra(alg).ok)
+        assert listed == []
+    assert verdicts == [True, False]
+
+
 def test_atoms_of_boxes_are_unit_vectors_with_their_heights():
     alg = make_simplicial((2, 3))
     recs = atoms(alg)

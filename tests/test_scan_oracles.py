@@ -11,7 +11,7 @@ by down-sets, and by counts on the rows that cancel, with the rows that do
 not cancel and the domains that are no down-sets tested on their own;
 S5 with the centre masked out, on products whose centre is proper; S1's
 atom screen and S3 (the zero flags less the commuting flags) on tables on
-either side of 256 elements, where the byte paths end, with the path each
+either side of 256 elements, where the byte view ends, with the view each
 size takes checked as well; and the commuting flags that S3, S4 and S5
 share, read whole and resumed, on either side of 256 elements.
 
@@ -660,21 +660,25 @@ def test_s4_witness_order_on_bent_meets(rank):
 
 
 def test_the_byte_path_takes_every_table_up_to_256_elements(monkeypatch):
-    # both paths give the same witnesses, so only the path taken shows where
-    # the switch between them is
+    # both views give the same witnesses, so only the view made shows where
+    # the switch between them is: a table is read by the byte view up to 256
+    # elements and by the wide view above, whether its rows are tuples or
+    # lists, and S4 takes its composition clause from that view alone
     def refuse(*args):
-        raise AssertionError("S4 took the wrong path")
+        raise AssertionError("S4 took the other view's composition clause")
 
     rng = random.Random("scan-oracles/switch")
-    monkeypatch.setattr(operations, "_s4_gathers", refuse)
-    alg, table = hsum_sigma((127, 129), rng)
-    assert alg.size == 256
-    assert check_s4(alg, table) == s4_reference(alg, table)
-    monkeypatch.undo()
-    monkeypatch.setattr(operations, "_s4_bytes", refuse)
-    alg, table = hsum_sigma((128, 129), rng)
-    assert alg.size == 257
-    assert check_s4(alg, table) == s4_reference(alg, table)
+    cases = [hsum_sigma(GATE_SIZES[size], rng) for size in sorted(GATE_SIZES)]
+    cases.append(bent_meet(9, 2, 1, 1))
+    assert [alg.size for alg, _ in cases] == [15, 16, 256, 257, 512]
+    for alg, table in cases:
+        view, other = ((operations._Bytes, operations._Wide) if alg.size <= 256
+                       else (operations._Wide, operations._Bytes))
+        for rows in (table, as_lists(table)):
+            assert type(operations._Joined(rows)) is view
+        with monkeypatch.context() as patch:
+            patch.setattr(other, "composition", refuse)
+            assert check_s4(alg, table) == s4_reference(alg, table)
 
 
 def s1_by_rows(alg, prod):
@@ -726,39 +730,42 @@ def test_s1_s3_s5_on_either_side_of_the_byte_gates(size, monkeypatch):
         assert check_s3(alg, table) == witness
     tables = [sigma, as_lists(sigma)] + perturbed(sigma, rng, 4, max_cells=2)
     tables += [table for table, _ in asymmetric] + random_tables(size, rng, 1)
-    # which path each check takes: S1's screen is built by the byte or the
-    # gather builder, and S3 and S5 join the table into bytes on their byte
-    # paths
-    calls = {"joins": 0, "_byte_screen": 0, "_gather_screen": 0}
+    # which format each check reads: S1's screen is built by the byte or the
+    # wide view's builder, and S3 and S5 read each row into bytes, for the
+    # join, once up to 256 elements and never above
+    built = {operations._Bytes: 0, operations._Wide: 0}
+    rows_read = []
 
-    def flat(joined):
-        calls["joins"] += joined._flat is None
-        return real_flat(joined)
+    class Row(tuple):
+        def __bytes__(self):
+            rows_read.append(self)
+            return bytes(tuple(self))
 
-    def spy(name, real):
-        def wrapped(*args):
-            calls[name] += 1
-            return real(*args)
-        return wrapped
+    def spy(view):
+        real = view.screen
 
-    real_flat = operations._Joined.flat
-    monkeypatch.setattr(operations._Joined, "flat", flat)
-    for name in ("_byte_screen", "_gather_screen"):
-        monkeypatch.setattr(operations, name, spy(name, getattr(operations, name)))
+        def screen(alg):
+            built[view] += 1
+            return real(alg)
+        return staticmethod(screen)
+
+    for view in built:
+        monkeypatch.setattr(view, "screen", spy(view))
     s3_failures = 0
     for table in tables:
         want_s3 = s3_reference(alg, table)
         assert check_s1(alg, table) == s1_by_rows(alg, table)
-        assert check_s3(alg, table) == want_s3
-        assert check_s5(alg, table) == s5_reference(alg, table)
+        rows = list(map(Row, table))
+        assert check_s3(alg, rows) == want_s3
+        assert check_s5(alg, rows) == s5_reference(alg, table)
         s3_failures += want_s3 is not None
     assert s3_failures >= 3
     by_bytes = size <= 256
-    # the carrier builds its screen once, on the first check_s1; up to 256
-    # elements S3 and S5 each join the table they read, and above none does
-    assert calls == {"joins": 2 * by_bytes * len(tables),
-                     "_byte_screen": int(by_bytes),
-                     "_gather_screen": int(not by_bytes)}
+    # the carrier builds its screen once, on the first check_s1, by its
+    # format's builder; up to 256 elements S3 and S5 each join the table
+    # they read, and above none does
+    assert built == {operations._Bytes: int(by_bytes), operations._Wide: int(not by_bytes)}
+    assert len(rows_read) == 2 * by_bytes * size * len(tables)
 
 
 @pytest.mark.parametrize("size", sorted(GATE_SIZES) + [512])
